@@ -10,14 +10,11 @@ calibrated into a forensic log likelihood ratio.
 
 from .calibration import (
     CalibrationModel,
-    LRSet,
     MetricsReport,
-    apply_calibration,
     build_metrics_report,
     classification_metrics,
-    cllr,
     cllr_from_log_lrs,
-    cllr_min,
+    cllr_min_from_log_lrs,
     decide,
     fit_calibration,
     log10_lr,
@@ -104,7 +101,6 @@ __all__ = [
     "GrammarLRError",
     "GrammarModel",
     "HighlightDoc",
-    "LRSet",
     "LambdaConfig",
     "LambdaTrace",
     "LexiconError",
@@ -116,12 +112,10 @@ __all__ = [
     "TokenScore",
     "VerificationProblem",
     "Vocabulary",
-    "apply_calibration",
     "build_metrics_report",
     "classification_metrics",
-    "cllr",
     "cllr_from_log_lrs",
-    "cllr_min",
+    "cllr_min_from_log_lrs",
     "cross_genre",
     "decide",
     "default_lexicon",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,10 +74,31 @@ class CalibrationModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CalibrationModel":
+        """Inverse of :meth:`to_json_dict`; a missing or malformed field
+        raises :class:`CalibrationError`."""
+        if not isinstance(obj, dict):
+            raise CalibrationError("calibration must be a JSON object")
+        missing = sorted({"intercept", "slope", "prior_log_odds", "separated"} - set(obj))
+        if missing:
+            raise CalibrationError(f"calibration is missing fields {missing}")
+        for name in ("intercept", "slope", "prior_log_odds"):
+            value = obj[name]
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise CalibrationError(
+                    f"calibration field {name!r} must be a finite number: {value!r}"
+                )
+        if not isinstance(obj["separated"], bool):
+            raise CalibrationError(
+                f"calibration field 'separated' must be a bool: {obj['separated']!r}"
+            )
         return cls(
-            intercept=obj["intercept"],
-            slope=obj["slope"],
-            prior_log_odds=obj["prior_log_odds"],
+            intercept=float(obj["intercept"]),
+            slope=float(obj["slope"]),
+            prior_log_odds=float(obj["prior_log_odds"]),
             separated=obj["separated"],
         )
 
@@ -168,10 +189,6 @@ def _separated_model(
     )
 
 
-def apply_calibration(model: CalibrationModel, score: float) -> float:
-    return model.apply(score)
-
-
 def decide(log_lr: float) -> str:
     """Same-author decision: Y strictly above zero, N otherwise (ties to N)."""
     if not math.isfinite(log_lr):
@@ -188,50 +205,16 @@ def log10_lr(log_lr: float) -> float:
 # Cllr
 
 
-@dataclass(frozen=True)
-class LRSet:
-    """Likelihood ratios on the linear scale, split by ground truth."""
-
-    same_source: tuple[float, ...]
-    different_source: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.same_source or not self.different_source:
-            raise ValueError("both LR classes must be non-empty")
-        for lr in (*self.same_source, *self.different_source):
-            if math.isnan(lr) or lr <= 0.0:
-                raise ValueError(f"likelihood ratios must be positive: {lr}")
-
-    @classmethod
-    def from_log_lrs(
-        cls, same_source: Sequence[float], different_source: Sequence[float]
-    ) -> "LRSet":
-        return cls(
-            tuple(math.exp(v) for v in same_source),
-            tuple(math.exp(v) for v in different_source),
-        )
-
-
-def cllr(lrs: LRSet) -> float:
-    """Log-loss cost of a set of likelihood ratios.
-
-    Equals 1 for uninformative LRs (all 1), approaches 0 as same-source LRs
-    grow and different-source LRs shrink.
-    """
-    mean_same = math.fsum(math.log2(1.0 + 1.0 / lr) for lr in lrs.same_source) / len(
-        lrs.same_source
-    )
-    mean_diff = math.fsum(math.log2(1.0 + lr) for lr in lrs.different_source) / len(
-        lrs.different_source
-    )
-    return 0.5 * (mean_same + mean_diff)
-
-
 def cllr_from_log_lrs(
     same_source: Sequence[float], different_source: Sequence[float]
 ) -> float:
-    """Cllr straight from log LRs, stable for magnitudes that would overflow
-    the linear scale."""
+    """Log-loss cost Cllr of a set of natural-log likelihood ratios.
+
+    Equals 1 for uninformative LRs (all log LRs 0) and approaches 0 as
+    same-source log LRs grow and different-source log LRs shrink. Computed
+    in the log domain, so it stays stable for magnitudes that would overflow
+    the linear scale.
+    """
     if len(same_source) == 0 or len(different_source) == 0:
         raise ValueError("both LR classes must be non-empty")
     same = np.asarray(same_source, dtype=float)
@@ -299,13 +282,23 @@ def pav_fit(scores: Sequence[float], labels: Sequence[str]) -> np.ndarray:
     return fitted
 
 
-def _cllr_min_from_logs(
-    log_same: Sequence[float], log_diff: Sequence[float]
+def cllr_min_from_log_lrs(
+    same_source: Sequence[float], different_source: Sequence[float]
 ) -> tuple[float, float]:
-    scores = [*log_same, *log_diff]
-    labels = ["Y"] * len(log_same) + ["N"] * len(log_diff)
+    """Discrimination floor of a set of log LRs, and the calibration loss above it.
+
+    The input log LRs are monotonically recalibrated by PAV (ranks are all
+    that matter); block posteriors convert back to LRs by dividing out the
+    empirical prior odds. The pure runs at either extreme get add-one
+    smoothing over the run size, so a perfectly separated input has a floor
+    of log2(1 + 1/(n+1)) rather than zero, decaying with n. Returns
+    (cllr_min, cllr_cal) with cllr_cal = cllr - cllr_min.
+    """
+    full = cllr_from_log_lrs(same_source, different_source)
+    scores = [*same_source, *different_source]
+    labels = ["Y"] * len(same_source) + ["N"] * len(different_source)
     fitted = pav_fit(scores, labels)
-    prior = math.log(len(log_same) / len(log_diff))
+    prior = math.log(len(same_source) / len(different_source))
     # Pure runs at the extremes would map to infinite LRs; add-one smoothing
     # over each run's size keeps them finite while vanishing as runs grow.
     run_zero = int(np.sum(fitted == 0.0))
@@ -317,26 +310,9 @@ def _cllr_min_from_logs(
         elif p >= 1.0:
             p = (run_one + 1.0) / (run_one + 2.0)
         log_lrs[i] = math.log(p / (1.0 - p)) - prior
-    n_same = len(log_same)
+    n_same = len(same_source)
     floor = cllr_from_log_lrs(log_lrs[:n_same], log_lrs[n_same:])
-    full = cllr_from_log_lrs(log_same, log_diff)
     return floor, full - floor
-
-
-def cllr_min(lrs: LRSet) -> tuple[float, float]:
-    """Discrimination floor of an LR set, and the calibration loss above it.
-
-    The input LRs are monotonically recalibrated by PAV (on the log scale,
-    which preserves ranks); block posteriors convert back to LRs by dividing
-    out the empirical prior odds. The pure runs at either extreme get
-    add-one smoothing over the run size, so a perfectly separated input has
-    a floor of log2(1 + 1/(n+1)) rather than zero, decaying with n. Returns
-    (cllr_min, cllr_cal) with cllr_cal = cllr - cllr_min.
-    """
-    return _cllr_min_from_logs(
-        [math.log(v) for v in lrs.same_source],
-        [math.log(v) for v in lrs.different_source],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +423,7 @@ def build_metrics_report(
     same = [v for v, lab in zip(log_lrs, labels) if lab == "Y"]
     diff = [v for v, lab in zip(log_lrs, labels) if lab == "N"]
     full = cllr_from_log_lrs(same, diff)
-    floor, cal = _cllr_min_from_logs(same, diff)
+    floor, cal = cllr_min_from_log_lrs(same, diff)
     return MetricsReport(
         accuracy=counts["accuracy"],
         auc=roc_auc(list(log_lrs), labels),

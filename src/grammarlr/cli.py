@@ -172,6 +172,14 @@ def cmd_mask(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.calibrated and not args.calibration:
         raise UsageError("--calibrated requires --calibration")
+    calib = None
+    if args.calibration:
+        try:
+            calib = CalibrationModel.from_json_dict(
+                json.loads(Path(args.calibration).read_text(encoding="utf-8"))
+            )
+        except (OSError, json.JSONDecodeError, CalibrationError) as exc:
+            raise DataError(f"cannot load calibration {args.calibration!r}: {exc}") from exc
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     problem = next((p for p in corpus.problems if p.id == args.problem), None)
     if problem is None:
@@ -187,13 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "seed": trace.seed,
         "config": config.to_json_dict(),
     }
-    if args.calibration:
-        try:
-            calib = CalibrationModel.from_json_dict(
-                json.loads(Path(args.calibration).read_text(encoding="utf-8"))
-            )
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"cannot load calibration {args.calibration!r}: {exc}") from exc
+    if calib is not None:
         result["log_lr"] = calib.apply(trace.total)
         result["log_lr10"] = log10_lr(result["log_lr"])
         result["decision"] = decide(result["log_lr"])

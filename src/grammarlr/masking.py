@@ -13,7 +13,7 @@ already-masked stream is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -71,7 +71,7 @@ class MaskingLexicon:
                 )
             seen[glyph] = pos
 
-    @property
+    @cached_property
     def glyphs(self) -> frozenset[str]:
         return frozenset(self.placeholders.values())
 

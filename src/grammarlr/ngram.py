@@ -173,9 +173,9 @@ class GrammarModel:
     """An order-N Kneser-Ney model with queryable count statistics.
 
     Instances are effectively immutable after construction. Build them with
-    :func:`train` or :meth:`from_raw_counts`; everything beyond the raw count
-    table is derived deterministically, so serialization only persists raw
-    counts and reconstruction is exact.
+    :func:`train`; everything beyond the raw count table is derived
+    deterministically, so serialization only persists raw counts and
+    reconstruction is exact.
     """
 
     def __init__(
@@ -196,17 +196,6 @@ class GrammarModel:
         self.sentence_count = sentence_count
         self.raw_counts = raw_counts
         self._build_derived()
-
-    @classmethod
-    def from_raw_counts(
-        cls,
-        order: int,
-        vocab: Vocabulary,
-        discounts: DiscountSchedule,
-        sentence_count: int,
-        raw_counts: dict[tuple[str, ...], int],
-    ) -> "GrammarModel":
-        return cls(order, vocab, discounts, sentence_count, dict(raw_counts))
 
     def _build_derived(self) -> None:
         order = self.order
@@ -242,20 +231,6 @@ class GrammarModel:
         self._ctx_total = dict(totals)
         self._ctx_bins = {ctx: tuple(b) for ctx, b in bins.items()}
 
-        # Raw-count type histograms for prefix/suffix statistics queries:
-        # context -> Counter{raw count value: number of extending types}.
-        prefix_hist: dict[tuple[str, ...], Counter] = defaultdict(Counter)
-        suffix_hist: dict[tuple[str, ...], Counter] = defaultdict(Counter)
-        for gram, count in raw.items():
-            if count <= 0:
-                continue
-            if gram[0] != EOS:
-                prefix_hist[gram[1:]][count] += 1
-            if gram[-1] != BOS:
-                suffix_hist[gram[:-1]][count] += 1
-        self._prefix_hist = dict(prefix_hist)
-        self._suffix_hist = dict(suffix_hist)
-
     # ------------------------------------------------------------------
     # count queries
 
@@ -282,32 +257,41 @@ class GrammarModel:
         """Number of token types t with raw count of t,gram equal to r.
 
         With ``at_least`` the condition becomes >= r. ``gram`` may be empty.
+        t ranges over the vocabulary and the begin marker.
         """
-        if r < 1:
-            raise ValueError(f"r must be >= 1: {r}")
-        if len(gram) > self.order - 1:
-            raise ValueError(f"gram length must be <= {self.order - 1}")
-        hist = self._prefix_hist.get(self._map_gram(gram))
-        if hist is None:
-            return 0
-        if at_least:
-            return sum(v for count, v in hist.items() if count >= r)
-        return hist.get(r, 0)
+        gram = self._type_count_gram(gram, r)
+        return self._count_types(
+            (self.raw_counts.get((t,) + gram, 0) for t in (*self.vocab.items, BOS)),
+            r,
+            at_least,
+        )
 
     def suffix_type_count(
         self, gram: Sequence[str], r: int, at_least: bool = False
     ) -> int:
-        """Number of token types t with raw count of gram,t equal to r."""
+        """Number of token types t with raw count of gram,t equal to r.
+
+        t ranges over the vocabulary and the end marker.
+        """
+        gram = self._type_count_gram(gram, r)
+        return self._count_types(
+            (self.raw_counts.get(gram + (t,), 0) for t in (*self.vocab.items, EOS)),
+            r,
+            at_least,
+        )
+
+    def _type_count_gram(self, gram: Sequence[str], r: int) -> tuple[str, ...]:
         if r < 1:
             raise ValueError(f"r must be >= 1: {r}")
         if len(gram) > self.order - 1:
             raise ValueError(f"gram length must be <= {self.order - 1}")
-        hist = self._suffix_hist.get(self._map_gram(gram))
-        if hist is None:
-            return 0
+        return self._map_gram(gram)
+
+    @staticmethod
+    def _count_types(counts: Iterable[int], r: int, at_least: bool) -> int:
         if at_least:
-            return sum(v for count, v in hist.items() if count >= r)
-        return hist.get(r, 0)
+            return sum(1 for c in counts if c >= r)
+        return sum(1 for c in counts if c == r)
 
     # ------------------------------------------------------------------
     # probabilities
@@ -386,17 +370,13 @@ class GrammarModel:
         )
 
 
-def train(
-    sentences: Iterable[Sequence[str]],
-    order: int,
-    discounts: Optional[DiscountSchedule] = None,
-    vocab: Optional[Vocabulary] = None,
-) -> GrammarModel:
-    """Train a model of the given order on masked sentences.
+def _count_training(
+    sentences: Iterable[Sequence[str]], order: int, vocab: Optional[Vocabulary]
+) -> tuple[Vocabulary, int, dict[tuple[str, ...], int]]:
+    """Validate training sentences, map them through the vocabulary and count.
 
-    Tokens outside ``vocab`` are replaced by the unknown token before
-    counting; with no vocabulary given, one is built from the sentences
-    themselves. Requires at least one non-empty sentence.
+    Returns the vocabulary (built from the sentences when none is given), the
+    sentence count and the raw count table.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1: {order}")
@@ -409,10 +389,25 @@ def train(
     if vocab is None:
         vocab = Vocabulary.from_sentences(sents)
     mapped = [tuple(vocab.map(t) for t in s) for s in sents]
+    return vocab, len(mapped), _count_raw(mapped, order)
+
+
+def train(
+    sentences: Iterable[Sequence[str]],
+    order: int,
+    discounts: Optional[DiscountSchedule] = None,
+    vocab: Optional[Vocabulary] = None,
+) -> GrammarModel:
+    """Train a model of the given order on masked sentences.
+
+    Tokens outside ``vocab`` are replaced by the unknown token before
+    counting; with no vocabulary given, one is built from the sentences
+    themselves. Requires at least one non-empty sentence.
+    """
+    vocab, n_sents, raw = _count_training(sentences, order, vocab)
     if discounts is None:
         discounts = DiscountSchedule.constant()
-    raw = _count_raw(mapped, order)
-    return GrammarModel(order, vocab, discounts, len(mapped), raw)
+    return GrammarModel(order, vocab, discounts, n_sents, raw)
 
 
 def train_with_estimated_discounts(
@@ -421,17 +416,14 @@ def train_with_estimated_discounts(
     vocab: Optional[Vocabulary] = None,
     fallback: float = 0.75,
 ) -> GrammarModel:
-    """Train with modified discounts estimated from top-order counts."""
-    sents = [tuple(s) for s in sentences]
-    if not sents:
-        raise ValueError("training requires at least one sentence")
-    if vocab is None:
-        vocab = Vocabulary.from_sentences(sents)
-    mapped = [tuple(vocab.map(t) for t in s) for s in sents]
-    raw = _count_raw(mapped, order)
+    """Train with modified discounts estimated from top-order counts.
+
+    Validates and counts exactly as :func:`train` does.
+    """
+    vocab, n_sents, raw = _count_training(sentences, order, vocab)
     coc = Counter(c for g, c in raw.items() if len(g) == order)
     discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
-    return GrammarModel(order, vocab, discounts, len(mapped), raw)
+    return GrammarModel(order, vocab, discounts, n_sents, raw)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +493,7 @@ def deserialize_model(data: bytes) -> GrammarModel:
         )
         vocab = Vocabulary(frozenset(payload["vocab"]))
         raw = {tuple(g): int(c) for g, c in payload["raw_counts"]}
-        return GrammarModel.from_raw_counts(
+        return GrammarModel(
             payload["order"], vocab, discounts, payload["sentence_count"], raw
         )
     except (KeyError, TypeError, ValueError) as exc:

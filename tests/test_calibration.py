@@ -9,14 +9,11 @@ from oracles import oracle_isotonic
 from grammarlr.calibration import (
     SLOPE_CAP,
     CalibrationModel,
-    LRSet,
     MetricsReport,
-    apply_calibration,
     build_metrics_report,
     classification_metrics,
-    cllr,
     cllr_from_log_lrs,
-    cllr_min,
+    cllr_min_from_log_lrs,
     decide,
     fit_calibration,
     log10_lr,
@@ -80,14 +77,14 @@ class TestFitCalibration:
         train_scores, train_labels = overlapping_scores(rng)
         test_scores, test_labels = overlapping_scores(rng)
         base = fit_calibration(train_scores, train_labels)
-        base_lrs = [apply_calibration(base, s) for s in test_scores]
+        base_lrs = [base.apply(s) for s in test_scores]
         base_cost = cllr_from_log_lrs(
             [v for v, lab in zip(base_lrs, test_labels) if lab == "Y"],
             [v for v, lab in zip(base_lrs, test_labels) if lab == "N"],
         )
         for factor in (0.25, 3.0, 40.0):
             refit = fit_calibration([s * factor for s in train_scores], train_labels)
-            lrs = [apply_calibration(refit, s * factor) for s in test_scores]
+            lrs = [refit.apply(s * factor) for s in test_scores]
             assert [decide(v) for v in lrs] == [decide(v) for v in base_lrs]
             cost = cllr_from_log_lrs(
                 [v for v, lab in zip(lrs, test_labels) if lab == "Y"],
@@ -136,6 +133,24 @@ class TestFitCalibration:
         model = CalibrationModel(intercept=1.5, slope=-2.0, prior_log_odds=0.3, separated=True)
         assert CalibrationModel.from_json_dict(model.to_json_dict()) == model
 
+    def test_model_json_rejects_malformed_fields(self):
+        valid = {"intercept": 1.5, "slope": -2.0, "prior_log_odds": 0.3, "separated": False}
+        bad_fields = [
+            ("intercept", math.nan),
+            ("slope", "x"),
+            ("slope", True),
+            ("prior_log_odds", math.inf),
+            ("prior_log_odds", None),
+            ("separated", 0),
+        ]
+        for field, bad in bad_fields:
+            with pytest.raises(CalibrationError, match=field):
+                CalibrationModel.from_json_dict({**valid, field: bad})
+        with pytest.raises(CalibrationError, match="missing"):
+            CalibrationModel.from_json_dict({"slope": 1.0})
+        with pytest.raises(CalibrationError):
+            CalibrationModel.from_json_dict([1.0, 2.0])
+
     def test_apply_rejects_non_finite(self):
         model = CalibrationModel(intercept=0.0, slope=1.0, prior_log_odds=0.0)
         with pytest.raises(ValueError):
@@ -163,39 +178,17 @@ class TestDecide:
 
 class TestCllr:
     def test_uninformative_is_exactly_one(self):
-        lrs = LRSet(same_source=(1.0,) * 7, different_source=(1.0,) * 3)
-        assert cllr(lrs) == 1.0
+        assert cllr_from_log_lrs([0.0] * 7, [0.0] * 3) == 1.0
 
     def test_pencil_value(self):
-        lrs = LRSet(same_source=(3.0,), different_source=(1.0 / 3.0,))
-        assert cllr(lrs) == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
+        cost = cllr_from_log_lrs([math.log(3.0)], [math.log(1.0 / 3.0)])
+        assert cost == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
 
     def test_strong_correct_evidence_approaches_zero(self):
-        lrs = LRSet(same_source=(1e6,) * 4, different_source=(1e-6,) * 4)
-        assert cllr(lrs) < 1e-5
+        assert cllr_from_log_lrs([math.log(1e6)] * 4, [math.log(1e-6)] * 4) < 1e-5
 
     def test_wrong_way_evidence_exceeds_one(self):
-        lrs = LRSet(same_source=(1e-3,) * 4, different_source=(1e3,) * 4)
-        assert cllr(lrs) > 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LRSet(same_source=(), different_source=(1.0,))
-        with pytest.raises(ValueError):
-            LRSet(same_source=(0.0,), different_source=(1.0,))
-        with pytest.raises(ValueError):
-            LRSet(same_source=(-1.0,), different_source=(1.0,))
-        with pytest.raises(ValueError):
-            LRSet(same_source=(math.nan,), different_source=(1.0,))
-
-    def test_log_path_agrees_with_linear_path(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            log_same = [rng.uniform(-5, 5) for _ in range(rng.randrange(1, 8))]
-            log_diff = [rng.uniform(-5, 5) for _ in range(rng.randrange(1, 8))]
-            via_linear = cllr(LRSet.from_log_lrs(log_same, log_diff))
-            via_logs = cllr_from_log_lrs(log_same, log_diff)
-            assert via_logs == pytest.approx(via_linear, abs=1e-12)
+        assert cllr_from_log_lrs([math.log(1e-3)] * 4, [math.log(1e3)] * 4) > 1.0
 
     def test_log_path_stable_at_extreme_magnitudes(self):
         good = cllr_from_log_lrs([1e5] * 3, [-1e5] * 3)
@@ -255,9 +248,8 @@ class TestCllrMin:
         for _ in range(50):
             log_same = [rng.gauss(1.0, 1.5) for _ in range(rng.randrange(15, 40))]
             log_diff = [rng.gauss(-1.0, 1.5) for _ in range(rng.randrange(15, 40))]
-            lrs = LRSet.from_log_lrs(log_same, log_diff)
-            full = cllr(lrs)
-            floor, cal = cllr_min(lrs)
+            full = cllr_from_log_lrs(log_same, log_diff)
+            floor, cal = cllr_min_from_log_lrs(log_same, log_diff)
             assert floor <= full + 1e-12
             assert floor + cal == pytest.approx(full, abs=1e-9)
             assert floor >= 0.0
@@ -267,25 +259,23 @@ class TestCllrMin:
         rng = random.Random(31)
         log_same = [rng.gauss(0.5, 1.0) for _ in range(10)]
         log_diff = [rng.gauss(-0.5, 1.0) for _ in range(12)]
-        base = LRSet.from_log_lrs(log_same, log_diff)
-        warped = LRSet.from_log_lrs(
+        base = cllr_min_from_log_lrs(log_same, log_diff)
+        warped = cllr_min_from_log_lrs(
             [3.0 * v + 1.0 for v in log_same], [3.0 * v + 1.0 for v in log_diff]
         )
-        assert cllr_min(base)[0] == pytest.approx(cllr_min(warped)[0], abs=1e-12)
+        assert base[0] == pytest.approx(warped[0], abs=1e-12)
 
     def test_perfect_separation_floor_is_run_smoothing_term(self):
         # n separated points per class: runs of size n at both extremes, so
         # the floor is exactly log2(1 + 1/(n+1)) and decays toward zero.
         for n in (3, 20, 200):
-            lrs = LRSet.from_log_lrs(
+            floor, _ = cllr_min_from_log_lrs(
                 [1.0 + i for i in range(n)], [-1.0 - i for i in range(n)]
             )
-            floor, _ = cllr_min(lrs)
             assert floor == pytest.approx(math.log2(1.0 + 1.0 / (n + 1)), abs=1e-12)
 
     def test_uninformative_floor(self):
-        lrs = LRSet(same_source=(1.0, 1.0), different_source=(1.0, 1.0))
-        floor, cal = cllr_min(lrs)
+        floor, cal = cllr_min_from_log_lrs([0.0, 0.0], [0.0, 0.0])
         assert floor == 1.0
         assert cal == 0.0
 

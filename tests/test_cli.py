@@ -155,6 +155,17 @@ class TestVerify:
         argv = ["verify", corpus_dir / "test.jsonl", "--problem", "missing"]
         assert run(argv + FAST_MODEL) == 3
 
+    def test_malformed_calibration_exit_3(self, corpus_dir, tmp_path, capsys):
+        pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
+        valid = {"intercept": 0.5, "slope": 1.0, "prior_log_odds": 0.0, "separated": False}
+        for field, bad in (("slope", "x"), ("intercept", math.nan)):
+            calib_path = tmp_path / f"bad-{field}.json"
+            calib_path.write_text(json.dumps({**valid, field: bad}), encoding="utf-8")
+            argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid]
+            assert run(argv + ["--calibration", calib_path] + FAST_MODEL) == 3
+            err = capsys.readouterr().err
+            assert f"calibration field {field!r}" in err
+
 
 class TestEvaluate:
     def test_json_out_reproducible(self, corpus_dir, tmp_path):

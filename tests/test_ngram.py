@@ -356,14 +356,20 @@ class TestTraining:
     def test_requires_sentences(self):
         with pytest.raises(ValueError, match="at least one sentence"):
             train([], order=2)
+        with pytest.raises(ValueError, match="at least one sentence"):
+            train_with_estimated_discounts([], order=2)
 
     def test_rejects_empty_sentence(self):
         with pytest.raises(ValueError, match="non-empty"):
             train([("a",), ()], order=2)
+        with pytest.raises(ValueError, match="non-empty"):
+            train_with_estimated_discounts([("a", "b"), ()], order=2)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="order"):
             train([("a",)], order=0)
+        with pytest.raises(ValueError, match="order"):
+            train_with_estimated_discounts([("a",)], order=0)
 
     def test_explicit_vocab_maps_oov(self):
         vocab = Vocabulary(frozenset({"a", UNK}))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from grammarlr.calibration import apply_calibration, decide
+from grammarlr.calibration import decide
 from grammarlr.corpus import Corpus, CorpusError
 from grammarlr.protocol import (
     EvaluationResult,
@@ -127,7 +127,7 @@ class TestEvaluate:
             assert row.label == problem.label
             assert row.decision == decide(row.log_lr)
             assert row.log_lr == pytest.approx(
-                apply_calibration(result.calibration, row.score), abs=1e-12
+                result.calibration.apply(row.score), abs=1e-12
             )
 
     def test_json_deterministic_and_parseable(self, corpora, config):
