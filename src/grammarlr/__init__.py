@@ -40,6 +40,7 @@ from .errors import (
     LexiconError,
     ModelFormatError,
     ParseError,
+    WorkerError,
 )
 from .masking import (
     MaskingLexicon,
@@ -112,6 +113,7 @@ __all__ = [
     "TokenScore",
     "VerificationProblem",
     "Vocabulary",
+    "WorkerError",
     "build_metrics_report",
     "classification_metrics",
     "cllr_from_log_lrs",

@@ -7,8 +7,9 @@ protocol, ``sweep`` grids over reference counts and model orders, and
 ``crossgenre`` swaps reference pools between domains.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or invalid
-inputs), 4 internal contract violation. Set GRAMMARLR_LOG=INFO (or DEBUG)
-for progress logging on stderr.
+inputs), 4 internal contract violation or a worker process that died during
+a ``--parallel`` run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging
+on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     LexiconError,
     ModelFormatError,
     ParseError,
+    WorkerError,
 )
 from .masking import MaskingLexicon, default_lexicon, load_lexicon, mask_corpus
 from .protocol import cross_genre, evaluate_corpus, sweep_grid
@@ -430,6 +432,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except ContractError as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
+        return 4
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 4
 
 

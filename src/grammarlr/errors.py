@@ -3,7 +3,8 @@
 Every error raised deliberately by this package derives from GrammarLRError
 so callers can catch one base class. The CLI maps subclasses onto exit codes:
 data-shaped problems (parsing, corpus validation, lexicon config, model files,
-calibration inputs) exit 3; violated internal contracts exit 4.
+calibration inputs) exit 3; violated internal contracts and worker processes
+that die during a parallel run exit 4.
 """
 
 from __future__ import annotations
@@ -40,3 +41,9 @@ class ModelFormatError(GrammarLRError):
 class ContractError(GrammarLRError):
     """An internal invariant was violated, e.g. models scored under mismatched
     vocabularies. Indicates a caller bug rather than bad data."""
+
+
+class WorkerError(GrammarLRError):
+    """A worker process of a parallel run died (killed, out of memory, or a
+    crash in native code) before returning a problem's result. The message
+    names the first problem, in submission order, whose result was lost."""

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, Sentence, VerificationProblem
-from .errors import ContractError, DataError
-from .masking import MaskingLexicon, default_lexicon, mask_document
+from .errors import ContractError, DataError, WorkerError
+from .masking import MaskingLexicon, default_lexicon, mask_corpus, mask_document
 from .ngram import (
     BOS,
     EOS,
@@ -299,11 +299,14 @@ def verify_problem(
 ) -> LambdaTrace:
     """Run the full scoring pipeline for one verification problem.
 
-    Tagged documents are masked (with the bundled lexicon unless another is
-    given). One vocabulary is built from the known-author and reference
-    training material and shared by every model; unknown-document tokens
-    outside it fall to the unknown token at scoring time. The sampling seed
-    is derived from the config seed and the problem id.
+    Tagged documents, the reference pool's included, are masked on every
+    call (with the bundled lexicon unless another is given); masked
+    documents are used as they are. ``score_corpus`` masks a whole corpus
+    once and then calls this per problem, so prefer it for many problems.
+    One vocabulary is built from the known-author and reference training
+    material and shared by every model; unknown-document tokens outside it
+    fall to the unknown token at scoring time. The sampling seed is derived
+    from the config seed and the problem id.
     """
     known = _doc_sentences(problem.known_docs, lexicon)
     unknown = _doc_sentences(problem.unknown_docs, lexicon)
@@ -340,23 +343,54 @@ def score_corpus(
 ) -> list[LambdaTrace]:
     """Score every problem in a corpus, preserving problem order.
 
-    ``parallel`` > 1 fans problems out over a process pool; results are
-    reduced in submission order so parallel runs are bit-identical to
-    serial ones.
+    The corpus, reference pool included, is masked once before any problem
+    is scored (with the bundled lexicon unless another is given), so each
+    tagged document is masked once per call, not once per problem. A
+    malformed tagged document therefore fails before the first problem is
+    scored. To score many problems against one pool, call this (or
+    ``evaluate_corpus``) rather than ``verify_problem`` in a loop.
+
+    ``parallel`` > 1 fans problems out over a process pool. Each worker
+    receives the masked pool and the config once, at start-up, and each job
+    carries only its problem. Results are reduced in submission order so
+    parallel runs are bit-identical to serial ones. A worker that dies
+    raises ``WorkerError`` naming the first problem, in submission order,
+    whose result was lost.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
-    if parallel == 1 or len(corpus.problems) <= 1:
-        return [
-            verify_problem(p, corpus.reference_docs, config, lexicon)
-            for p in corpus.problems
-        ]
+    masked = mask_corpus(corpus, lexicon if lexicon is not None else default_lexicon())
+    problems, refs = masked.problems, masked.reference_docs
+    if parallel == 1 or len(problems) <= 1:
+        return [verify_problem(p, refs, config) for p in problems]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    jobs = [(p, corpus.reference_docs, config, lexicon) for p in corpus.problems]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(_verify_star, jobs))
+    traces: list[LambdaTrace] = []
+    with ProcessPoolExecutor(
+        max_workers=parallel, initializer=_init_worker, initargs=(refs, config)
+    ) as pool:
+        try:
+            for trace in pool.map(_verify_in_worker, problems):
+                traces.append(trace)
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"problem {problems[len(traces)].id!r}: a worker process died "
+                "before returning its result"
+            ) from exc
+    return traces
 
 
-def _verify_star(args) -> LambdaTrace:
-    return verify_problem(*args)
+# Per-process state of a score_corpus worker: (masked reference docs, config),
+# set once by the pool initializer so each job pickles only its problem.
+_worker_job: tuple = ()
+
+
+def _init_worker(reference_docs: tuple[Document, ...], config: LambdaConfig) -> None:
+    global _worker_job
+    _worker_job = (reference_docs, config)
+
+
+def _verify_in_worker(problem: VerificationProblem) -> LambdaTrace:
+    reference_docs, config = _worker_job
+    return verify_problem(problem, reference_docs, config)

@@ -1,8 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from grammarlr import scoring
 from grammarlr.calibration import CalibrationModel
 from grammarlr.cli import main
 from grammarlr.corpus import load_corpus
@@ -12,6 +15,17 @@ FAST_MODEL = ["--order", "2", "--refs", "2", "--seed", "7"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# First train problem of the corpus_dir fixture, so the first result lost.
+DOOMED_PROBLEM = "a000-p00"
+_verify_in_worker = scoring._verify_in_worker
+
+
+def _die_on_doomed_problem(problem):
+    if problem.id == DOOMED_PROBLEM:
+        os._exit(1)
+    return _verify_in_worker(problem)
 
 
 @pytest.fixture()
@@ -213,6 +227,18 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker entry point reaches workers only by fork",
+    )
+    def test_dead_worker_exit_4(self, corpus_dir, monkeypatch, capfd):
+        assert load_corpus(corpus_dir / "train.jsonl").problems[0].id == DOOMED_PROBLEM
+        monkeypatch.setattr(scoring, "_verify_in_worker", _die_on_doomed_problem)
+        assert run(["evaluate", corpus_dir, "--parallel", "2"] + FAST_MODEL) == 4
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert repr(DOOMED_PROBLEM) in err
 
 
 class TestSweep:

@@ -1,10 +1,14 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_lambda_document
 
+from grammarlr import masking, scoring
 from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
 from grammarlr.errors import ContractError, DataError
 from grammarlr.masking import MaskingLexicon
@@ -344,3 +348,87 @@ class TestScoreCorpus:
         rng = random.Random(113)
         with pytest.raises(ValueError):
             score_corpus(self._corpus(rng), LambdaConfig(order=2, refs=2), parallel=0)
+
+
+TAGGED_ALPHABET = (
+    ("The", "DET"), ("of", "ADP"), ("she", "PRON"), (".", "PUNCT"),
+    ("cat", "NOUN"), ("runs", "VERB"), ("red", "ADJ"), ("Paris", "PROPN"),
+)
+
+RETAIN_CAT = MaskingLexicon(
+    retain=frozenset({"cat"}),
+    placeholders={
+        "NOUN": "N", "PROPN": "P", "VERB": "V", "ADJ": "J",
+        "ADV": "B", "NUM": "D", "SYM": "S",
+    },
+)
+
+
+def tagged_doc(rng, doc_id, n_sents=4, max_len=6):
+    return Document(
+        id=doc_id,
+        sentences=tuple(
+            tuple(
+                TaggedToken(*rng.choice(TAGGED_ALPHABET))
+                for _ in range(rng.randrange(1, max_len + 1))
+            )
+            for _ in range(n_sents)
+        ),
+    )
+
+
+def tagged_corpus(rng, n_problems=3, n_refs=5):
+    problems = tuple(
+        VerificationProblem(
+            id=f"p{i}",
+            unknown_docs=(tagged_doc(rng, f"p{i}-u"),),
+            known_docs=(tagged_doc(rng, f"p{i}-k1"), tagged_doc(rng, f"p{i}-k2")),
+            label="Y",
+        )
+        for i in range(n_problems)
+    )
+    refs = tuple(tagged_doc(rng, f"ref{i}") for i in range(n_refs))
+    return Corpus(problems=problems, reference_docs=refs)
+
+
+class TestScoreCorpusTagged:
+    CFG = LambdaConfig(order=2, refs=2, seed=5)
+
+    def test_each_document_masked_once(self, monkeypatch):
+        corpus = tagged_corpus(random.Random(127))
+        masked = Counter()
+        real = masking.mask_document
+
+        def counting(doc, lexicon):
+            if doc.is_tagged:
+                masked[doc.id] += 1
+            return real(doc, lexicon)
+
+        monkeypatch.setattr(masking, "mask_document", counting)
+        monkeypatch.setattr(scoring, "mask_document", counting)
+        score_corpus(corpus, self.CFG)
+        doc_ids = [
+            d.id for p in corpus.problems for d in (*p.unknown_docs, *p.known_docs)
+        ] + [d.id for d in corpus.reference_docs]
+        assert masked == Counter(doc_ids)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("lexicon", [None, RETAIN_CAT], ids=["default", "retain-cat"])
+    def test_matches_verify_problem(self, parallel, lexicon):
+        corpus = tagged_corpus(random.Random(131))
+        expected = [
+            verify_problem(p, corpus.reference_docs, self.CFG, lexicon).to_json()
+            for p in corpus.problems
+        ]
+        traces = score_corpus(corpus, self.CFG, lexicon, parallel=parallel)
+        assert [t.to_json() for t in traces] == expected
+        shown = {ts.token for t in traces for ts in t.token_scores}
+        assert ("cat" in shown) == (lexicon is RETAIN_CAT)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), order=st.permutations(range(4)))
+    def test_problem_order_leaves_traces_unchanged(self, seed, order):
+        corpus = tagged_corpus(random.Random(seed), n_problems=4)
+        permuted = replace(corpus, problems=tuple(corpus.problems[i] for i in order))
+        by_id = {t.problem_id: t.to_json() for t in score_corpus(corpus, self.CFG)}
+        assert {t.problem_id: t.to_json() for t in score_corpus(permuted, self.CFG)} == by_id
