@@ -161,16 +161,21 @@ def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
 
 
 def mask_corpus(corpus: Corpus, lexicon: MaskingLexicon) -> Corpus:
-    """Mask every document in a corpus, problems and references alike."""
+    """Mask every tagged document in a corpus, problems and references
+    alike; already-masked documents are kept as they are."""
+
+    def mask(docs: tuple[Document, ...]) -> tuple[Document, ...]:
+        return tuple(mask_document(d, lexicon) if d.is_tagged else d for d in docs)
+
     problems = tuple(
         VerificationProblem(
             id=p.id,
-            unknown_docs=tuple(mask_document(d, lexicon) for d in p.unknown_docs),
-            known_docs=tuple(mask_document(d, lexicon) for d in p.known_docs),
+            unknown_docs=mask(p.unknown_docs),
+            known_docs=mask(p.known_docs),
             label=p.label,
             author=p.author,
         )
         for p in corpus.problems
     )
-    refs = tuple(mask_document(d, lexicon) for d in corpus.reference_docs)
+    refs = mask(corpus.reference_docs)
     return Corpus(problems=problems, reference_docs=refs, partition=corpus.partition)

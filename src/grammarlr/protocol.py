@@ -22,9 +22,9 @@ from .calibration import (
     decide,
     fit_calibration,
 )
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import CorpusError
-from .masking import MaskingLexicon
+from .masking import MaskingLexicon, default_lexicon, mask_corpus
 from .scoring import LambdaConfig, score_corpus
 
 logger = logging.getLogger("grammarlr")
@@ -107,6 +107,26 @@ def check_author_disjoint(train: Corpus, test: Corpus) -> None:
         )
 
 
+def _mask_corpora(
+    corpora: Sequence[Corpus], lexicon: Optional[MaskingLexicon]
+) -> list[Corpus]:
+    """Mask corpora up front (with the bundled lexicon unless another is
+    given): each tagged document once, and a reference pool once for all
+    corpora whose reference documents are equal."""
+    lexicon = lexicon if lexicon is not None else default_lexicon()
+    pools: list[tuple[tuple[Document, ...], tuple[Document, ...]]] = []
+    masked = []
+    for corpus in corpora:
+        pool = next((m for refs, m in pools if refs == corpus.reference_docs), None)
+        if pool is None:
+            masked.append(mask_corpus(corpus, lexicon))
+            pools.append((corpus.reference_docs, masked[-1].reference_docs))
+        else:
+            problems = mask_corpus(replace(corpus, reference_docs=()), lexicon)
+            masked.append(replace(problems, reference_docs=pool))
+    return masked
+
+
 def evaluate_corpus(
     train: Corpus,
     test: Corpus,
@@ -114,10 +134,15 @@ def evaluate_corpus(
     lexicon: Optional[MaskingLexicon] = None,
     parallel: int = 1,
 ) -> EvaluationResult:
-    """Run the full protocol: score train, calibrate, score test, report."""
+    """Run the full protocol: score train, calibrate, score test, report.
+
+    Both splits are masked before any scoring, the shared reference pool
+    once.
+    """
     check_author_disjoint(train, test)
     train_labels = _require_labels(train, "train")
     test_labels = _require_labels(test, "test")
+    train, test = _mask_corpora((train, test), lexicon)
 
     logger.info("scoring %d train problems", len(train.problems))
     train_traces = score_corpus(train, config, lexicon, parallel)
@@ -176,9 +201,13 @@ def sweep_grid(
     lexicon: Optional[MaskingLexicon] = None,
     parallel: int = 1,
 ) -> list[dict]:
-    """Evaluate every (refs, order) cell of a grid; long-form result rows."""
+    """Evaluate every (refs, order) cell of a grid; long-form result rows.
+
+    Both splits are masked once, before the first cell.
+    """
     if not ref_counts or not orders:
         raise ValueError("sweep grids must be non-empty")
+    train, test = _mask_corpora((train, test), lexicon)
     rows = []
     for r in ref_counts:
         for n in orders:
@@ -244,11 +273,16 @@ def cross_genre(
 
     Cell (i, j) swaps domain j's reference documents into domain i's train
     and test corpora and reruns the full protocol, calibration included. The
-    diagonal therefore reproduces the plain within-domain evaluation.
+    diagonal therefore reproduces the plain within-domain evaluation. Every
+    corpus is masked once, before the first cell.
     """
     if len(corpora) < 2:
         raise ValueError("cross-domain runs need at least two corpora")
     names = tuple(name for name, _, _ in corpora)
+    masked = _mask_corpora([c for _, train, test in corpora for c in (train, test)], lexicon)
+    corpora = [
+        (name, masked[2 * i], masked[2 * i + 1]) for i, (name, _, _) in enumerate(corpora)
+    ]
     acc_rows = []
     cllr_rows = []
     for i, (name_i, train_i, test_i) in enumerate(corpora):

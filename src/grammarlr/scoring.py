@@ -8,7 +8,10 @@ contributions and traces stay audit-friendly.
 
 Reference models are trained on sentence samples drawn from a pool of
 documents by other authors; each sample has the same size as the
-known-author training set so the comparison is like-for-like.
+known-author training set so the comparison is like-for-like. All 1 + r
+models of a problem are counted over one shared gram index and scored
+together as one models x positions matrix by the array kernel in
+``ngram``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from .masking import MaskingLexicon, default_lexicon, mask_corpus, mask_document
 from .ngram import (
     BOS,
     EOS,
+    UNK,
+    CountTable,
     DiscountSchedule,
     GrammarModel,
     Vocabulary,
-    train,
-    train_with_estimated_discounts,
+    sentence_probs,
+    token_codes,
 )
 
 SAMPLING_MODES = ("without_replacement", "with_replacement")
@@ -204,18 +209,6 @@ def sample_reference_sets(
     return samples
 
 
-def train_for_config(
-    sentences: Sequence[Sentence], cfg: LambdaConfig, vocab: Vocabulary
-) -> GrammarModel:
-    if cfg.discount_mode == "modified":
-        return train_with_estimated_discounts(
-            sentences, cfg.order, vocab=vocab, fallback=cfg.discount
-        )
-    return train(
-        sentences, cfg.order, discounts=DiscountSchedule.constant(cfg.discount), vocab=vocab
-    )
-
-
 def lambda_document(
     sentences: Sequence[Sentence],
     author_model: GrammarModel,
@@ -228,7 +221,9 @@ def lambda_document(
 
     All models must share one order and one vocabulary, otherwise the token
     probabilities are not comparable and the result would be meaningless.
-    Every position including the end-of-sentence transition is scored.
+    Every position including the end-of-sentence transition is scored. The
+    models are indexed together, on the union of their grams, and scored
+    as one matrix.
     """
     if not sentences:
         raise DataError("cannot score a document with no sentences")
@@ -245,31 +240,53 @@ def lambda_document(
         config = LambdaConfig(
             order=author_model.order, refs=len(reference_models), seed=seed
         )
-    order = author_model.order
-    vocab = author_model.vocab
-    r = len(reference_models)
+    models = [author_model, *reference_models]
+    codes = token_codes(author_model.vocab)
+    table = CountTable.from_raw([m.raw_counts for m in models], author_model.order, codes)
+    return _trace(
+        sentences, table, [m.discounts for m in models], codes, config, seed, problem_id
+    )
+
+
+def _trace(
+    sentences: Sequence[Sentence],
+    table: CountTable,
+    discounts: Sequence[DiscountSchedule],
+    codes: dict[str, int],
+    config: LambdaConfig,
+    seed: int,
+    problem_id: Optional[str],
+) -> LambdaTrace:
+    """Score sentences under model 0 of a table (the author) against the
+    rest: per position, the exactly rounded mean over references of the
+    author's log probability minus the reference's."""
+    unk = codes[UNK]
+    # Tokens outside the vocabulary, the pseudo-tokens included, are unknown.
+    lookup = {**codes, BOS: unk, EOS: unk}
+    coded = []
+    for sent in sentences:
+        if not sent:
+            raise DataError("cannot score an empty sentence")
+        coded.append([lookup.get(t, unk) for t in sent])
+    probs = sentence_probs(table, discounts, coded)
+    # math.log once per distinct probability, then the exactly rounded mean
+    # of the r log ratios at each position.
+    values, where = np.unique(probs, return_inverse=True)
+    logs = np.array([math.log(v) for v in values.tolist()])[where.reshape(probs.shape)]
+    r = len(discounts) - 1
+    scores = iter([math.fsum(ratios.tolist()) / r for ratios in (logs[0] - logs[1:]).T])
 
     token_scores: list[TokenScore] = []
     sentence_scores: list[float] = []
     for si, sent in enumerate(sentences):
-        if not sent:
-            raise DataError("cannot score an empty sentence")
-        mapped = [vocab.map(t) for t in sent]
-        history = (BOS,) * (order - 1)
         per_token: list[float] = []
-        for pos, t in enumerate([*mapped, EOS], start=1):
-            lp_author = math.log(author_model._p(t, history))
-            ratios = [
-                lp_author - math.log(ref._p(t, history)) for ref in reference_models
-            ]
-            score = math.fsum(ratios) / r
+        for pos in range(1, len(sent) + 2):
+            score = next(scores)
             display = sent[pos - 1] if pos <= len(sent) else EOS
             token_scores.append(
                 TokenScore(token=display, sentence_index=si, position=pos, score=score)
             )
             per_token.append(score)
-            if t != EOS and order > 1:
-                history = (history + (t,))[-(order - 1) :]
         sentence_scores.append(math.fsum(per_token))
     total = math.fsum(sentence_scores)
     return LambdaTrace(
@@ -306,7 +323,10 @@ def verify_problem(
     One vocabulary is built from the known-author and reference training
     material and shared by every model; unknown-document tokens outside it
     fall to the unknown token at scoring time. The sampling seed is derived
-    from the config seed and the problem id.
+    from the config seed and the problem id. The models are counted once,
+    over one index of the known side and the distinct sampled reference
+    sentences; the trace equals that of ``lambda_document`` on the same
+    models trained apart.
     """
     known = _doc_sentences(problem.known_docs, lexicon)
     unknown = _doc_sentences(problem.unknown_docs, lexicon)
@@ -319,20 +339,32 @@ def verify_problem(
         raise DataError(f"problem {problem.id!r}: no reference sentences")
 
     vocab = Vocabulary.from_sentences([*known, *refs])
-    author_model = train_for_config(known, config, vocab)
     seed = derive_seed(config.seed, problem.id)
     samples = sample_reference_sets(
-        refs, size=len(known), count=config.refs, seed=seed, sampling=config.sampling
-    )
-    reference_models = [train_for_config(s, config, vocab) for s in samples]
-    return lambda_document(
-        unknown,
-        author_model,
-        reference_models,
-        config=config,
+        range(len(refs)),
+        size=len(known),
+        count=config.refs,
         seed=seed,
-        problem_id=problem.id,
+        sampling=config.sampling,
     )
+    # One index for all 1 + r models: the known side and each distinct
+    # sampled pool sentence are windowed once.
+    codes = token_codes(vocab)
+    drawn = np.unique(np.concatenate(samples))
+    table = CountTable.from_sentences(
+        [[codes[t] for t in s] for s in (*known, *(refs[i] for i in drawn))],
+        [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
+        config.order,
+        len(codes),
+    )
+    if config.discount_mode == "modified":
+        discounts = [
+            DiscountSchedule.estimate_modified(coc, fallback=config.discount)
+            for coc in table.count_of_counts()
+        ]
+    else:
+        discounts = [DiscountSchedule.constant(config.discount)] * (1 + config.refs)
+    return _trace(unknown, table, discounts, codes, config, seed, problem.id)
 
 
 def score_corpus(

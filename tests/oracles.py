@@ -116,6 +116,56 @@ def oracle_kn_prob(raw, order, discounts, vocab_items, token, context):
     return level(token, ctx)
 
 
+def scalar_kn_tables(raw, order):
+    """Per-gram continuation counts and per-context totals and count bins of
+    a raw table, by plain loops over its grams."""
+    lefts = {}
+    for gram, count in raw.items():
+        if count > 0 and len(gram) >= 2:
+            lefts.setdefault(gram[1:], set()).add(gram[0])
+    ckn = {g: c for g, c in raw.items() if len(g) == order and c > 0}
+    ckn.update((g, len(ts)) for g, ts in lefts.items() if len(g) < order)
+    totals, bins = {}, {}
+    for gram, c in ckn.items():
+        if gram[-1] == BOS:
+            continue
+        totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
+        b = bins.setdefault(gram[:-1], [0, 0, 0])
+        b[min(c, 3) - 1] += 1
+    return ckn, totals, bins
+
+
+def scalar_kn_prob(raw, tables, order, discounts, vocab_size, token, context):
+    """The smoothing recursion one query at a time, with the floating-point
+    operations in the order the package promises: alpha = max(c - D(c), 0)
+    / total, gamma = removed mass / total, p = alpha + gamma * p_lower. The
+    package must agree with it exactly, not just closely."""
+    ckn, totals, bins = tables
+    ctx = tuple(context)[-(order - 1) :] if order > 1 else ()
+
+    def removed(n1, n2, n3):
+        if discounts.mode == "constant":
+            return discounts.constant_d * (n1 + n2 + n3)
+        d1, d2, d3 = discounts.bins
+        return d1 * n1 + d2 * n2 + d3 * n3
+
+    def level(g):
+        if not g:
+            base = 1.0 / (vocab_size + 1)
+            if totals.get((), 0) == 0:
+                return base
+            c = ckn.get((token,), 0)
+            alpha = max(c - _oracle_discount(discounts, c), 0.0) / totals[()]
+            return alpha + removed(*bins[()]) / totals[()] * base
+        if raw.get(g, 0) == 0:
+            return level(g[1:])
+        c = ckn.get(g + (token,), 0)
+        alpha = max(c - _oracle_discount(discounts, c), 0.0) / totals[g]
+        return alpha + removed(*bins[g]) / totals[g] * level(g[1:])
+
+    return level(ctx)
+
+
 def oracle_sentence_logprob(raw, order, discounts, vocab_items, sentence):
     total = 0.0
     history = [BOS] * (order - 1)

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 import random
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_continuation_count,
@@ -10,6 +14,8 @@ from oracles import (
     oracle_raw_counts,
     oracle_sentence_logprob,
     oracle_suffix_type_count,
+    scalar_kn_prob,
+    scalar_kn_tables,
 )
 
 from grammarlr.errors import ModelFormatError
@@ -337,6 +343,30 @@ class TestAgainstOracles:
                     sents, order, sched, token, ctx,
                 )
 
+    def test_probabilities_equal_scalar_recursion_exactly(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            sents = random_sentences(rng, max_sents=6, max_len=7)
+            order = rng.randrange(1, 6)
+            sched = random_schedule(rng)
+            model = train(sents, order=order, discounts=sched)
+            raw = model.raw_counts
+            tables = scalar_kn_tables(raw, order)
+            items = model.vocab.sorted_items()
+            for _ in range(20):
+                token = rng.choice(items + [EOS])
+                ctx = tuple(
+                    rng.choice(items + [BOS]) for _ in range(rng.randrange(0, order + 1))
+                )
+                expected = scalar_kn_prob(raw, tables, order, sched, len(items), token, ctx)
+                assert model.prob(token, ctx) == expected, (sents, order, sched, token, ctx)
+            history = (BOS,) * (order - 1)
+            logs = []
+            for t in [*sents[0], EOS]:
+                logs.append(math.log(scalar_kn_prob(raw, tables, order, sched, len(items), t, history)))
+                history = (*history, t)[1:]
+            assert model.sentence_logprob(sents[0]) == math.fsum(logs)
+
     def test_sentence_logprob_matches(self):
         rng = random.Random(41)
         for _ in range(15):
@@ -465,3 +495,125 @@ class TestSerialization:
         other = train([("a",)], order=1)
         assert model != other
         assert model != "not a model"
+
+
+def _payload(model):
+    return json.loads(zlib.decompress(serialize_model(model)[46:]))
+
+
+def _blob(payload):
+    """Serialize an arbitrary payload with a valid header and checksum."""
+    body = zlib.compress(json.dumps(payload, sort_keys=True).encode("utf-8"))
+    return (
+        b"GLRM"
+        + (1).to_bytes(2, "big")
+        + len(body).to_bytes(8, "big")
+        + hashlib.sha256(body).digest()
+        + body
+    )
+
+
+class TestImpossibleCountTables:
+    """Payloads that pass the checksum but hold a table no training run
+    produces must be rejected, not turned into a model."""
+
+    @pytest.fixture()
+    def payload(self):
+        return _payload(train([("a", "b"), ("a", "c")], order=2))
+
+    def test_valid_payload_loads(self, payload):
+        assert deserialize_model(_blob(payload)) == train([("a", "b"), ("a", "c")], order=2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[[], 1], [["a", "b", "c"], 1]],
+        ids=["empty-gram", "gram-longer-than-order"],
+    )
+    def test_gram_length(self, payload, entry):
+        payload["raw_counts"].append(entry)
+        with pytest.raises(ModelFormatError, match="1..2 tokens"):
+            deserialize_model(_blob(payload))
+
+    @pytest.mark.parametrize("token", ["zzz", "", 7], ids=["oov", "empty", "number"])
+    def test_token_outside_vocabulary(self, payload, token):
+        payload["raw_counts"].append([["a", token], 1])
+        with pytest.raises(ModelFormatError, match="outside the vocabulary"):
+            deserialize_model(_blob(payload))
+
+    @pytest.mark.parametrize(
+        "count", [0, -4, True, 1.7, 2.0, "3"], ids=["zero", "negative", "bool", "fraction", "float", "string"]
+    )
+    def test_count_not_positive_integer(self, payload, count):
+        payload["raw_counts"][0][1] = count
+        with pytest.raises(ModelFormatError, match="not a positive integer"):
+            deserialize_model(_blob(payload))
+
+    def test_duplicate_gram(self, payload):
+        gram, count = payload["raw_counts"][0]
+        payload["raw_counts"].append([gram, count + 1])
+        with pytest.raises(ModelFormatError, match="appears twice"):
+            deserialize_model(_blob(payload))
+
+    def test_order_not_integer(self, payload):
+        payload["order"] = 2.0
+        with pytest.raises(ModelFormatError, match="order must be an integer"):
+            deserialize_model(_blob(payload))
+
+
+schedules = st.one_of(
+    st.floats(0.05, 0.95).map(DiscountSchedule.constant),
+    st.tuples(*[st.floats(0.05, 0.95)] * 3).map(lambda b: DiscountSchedule.modified(*b)),
+)
+training_sets = st.lists(
+    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6).map(tuple),
+    min_size=1,
+    max_size=5,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestSerializationProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(sentences=training_sets, order=st.integers(1, 4), schedule=schedules)
+    def test_round_trip(self, sentences, order, schedule):
+        model = train(sentences, order, discounts=schedule)
+        clone = deserialize_model(serialize_model(model))
+        assert clone == model
+        # Every counted position: each gram's last token after the rest.
+        for gram in clone.raw_counts:
+            if gram[-1] != BOS:
+                assert clone.prob(gram[-1], gram[:-1]) == model.prob(gram[-1], gram[:-1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_corruption_raises_only_model_format_error(self, data):
+        model = train([("a", "b", "a"), ("c",)], order=3)
+        blob = serialize_model(model)
+        if data.draw(st.booleans(), label="edit bytes"):
+            at = data.draw(st.integers(0, len(blob) - 1), label="at")
+            cut = data.draw(st.integers(0, 3), label="cut")
+            corrupt = blob[:at] + bytes([blob[at] ^ 0x5A]) + blob[at + 1 + cut :]
+        else:
+            # A payload whose checksum is valid but one field is replaced.
+            payload = _payload(model)
+            path = data.draw(
+                st.sampled_from(
+                    [("order",), ("sentence_count",), ("vocab",), ("discounts",),
+                     ("discounts", "mode"), ("discounts", "bins"), ("raw_counts",),
+                     ("raw_counts", 0), ("raw_counts", 0, 0), ("raw_counts", 0, 1)]
+                ),
+                label="path",
+            )
+            target = payload
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = data.draw(json_values, label="value")
+            corrupt = _blob(payload)
+        try:
+            deserialize_model(corrupt)
+        except ModelFormatError:
+            pass

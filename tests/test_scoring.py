@@ -12,7 +12,15 @@ from grammarlr import masking, scoring
 from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
 from grammarlr.errors import ContractError, DataError
 from grammarlr.masking import MaskingLexicon
-from grammarlr.ngram import EOS, UNK, DiscountSchedule, Vocabulary, train
+from grammarlr.ngram import (
+    EOS,
+    UNK,
+    DiscountSchedule,
+    Vocabulary,
+    train,
+    train_with_estimated_discounts,
+)
+from grammarlr.protocol import evaluate_corpus
 from grammarlr.scoring import (
     LambdaConfig,
     LambdaTrace,
@@ -350,6 +358,87 @@ class TestScoreCorpus:
             score_corpus(self._corpus(rng), LambdaConfig(order=2, refs=2), parallel=0)
 
 
+def public_path_trace(problem, pool, cfg):
+    """The score of one problem assembled from the public pieces: train the
+    author and each sampled reference set apart, then ``lambda_document``."""
+    known = [s for d in problem.known_docs for s in d.sentences]
+    unknown = [s for d in problem.unknown_docs for s in d.sentences]
+    refs = [s for d in pool for s in d.sentences]
+    vocab = Vocabulary.from_sentences([*known, *refs])
+    seed = derive_seed(cfg.seed, problem.id)
+    samples = sample_reference_sets(refs, len(known), cfg.refs, seed, cfg.sampling)
+
+    def fit(sentences):
+        if cfg.discount_mode == "modified":
+            return train_with_estimated_discounts(
+                sentences, cfg.order, vocab=vocab, fallback=cfg.discount
+            )
+        return train(
+            sentences, cfg.order, discounts=DiscountSchedule.constant(cfg.discount), vocab=vocab
+        )
+
+    author = fit(known)
+    trace = lambda_document(
+        unknown, author, [fit(s) for s in samples], config=cfg, seed=seed, problem_id=problem.id
+    )
+    return trace, author, (known, samples, vocab, unknown)
+
+
+# name -> (config, problem shape)
+COUNT_ONCE_CASES = {
+    "constant-order1": (LambdaConfig(order=1, refs=3, seed=2), {}),
+    "modified-order2": (LambdaConfig(order=2, refs=4, seed=3, discount_mode="modified"), {}),
+    "constant-order3-with-replacement": (
+        LambdaConfig(order=3, refs=3, seed=4, sampling="with_replacement"), {}
+    ),
+    "modified-order4-pool-smaller-than-sample": (
+        LambdaConfig(order=4, refs=3, seed=5, discount_mode="modified"), {"pool_docs": 1}
+    ),
+    "constant-order2-oov-unknown": (
+        LambdaConfig(order=2, refs=5, seed=6, discount=0.4), {"oov": True}
+    ),
+    "modified-order3-empty-n2-bin": (
+        LambdaConfig(order=3, refs=4, seed=7, discount_mode="modified", discount=0.6),
+        {"single_sentence": True},
+    ),
+}
+
+
+class TestCountOncePath:
+    """``verify_problem`` counts every model of a problem over one shared
+    index; its trace must equal, byte for byte, the trace of the same
+    models trained apart and scored through ``lambda_document``."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_ONCE_CASES))
+    def test_matches_public_path(self, name):
+        cfg, shape = COUNT_ONCE_CASES[name]
+        rng = random.Random(sorted(COUNT_ONCE_CASES).index(name))
+        problem = make_problem(rng, oov_unknown=shape.get("oov", False))
+        if shape.get("single_sentence"):
+            known = Document(id="p1-k1", sentences=(("a", "b", "c", "d", "e"),))
+            problem = replace(problem, known_docs=(known,))
+        pool = make_refs(rng, n=shape.get("pool_docs", 4))
+        expected, author, (known, samples, vocab, unknown) = public_path_trace(
+            problem, pool, cfg
+        )
+        assert verify_problem(problem, pool, cfg).to_json() == expected.to_json()
+
+        if "pool_docs" in shape:
+            assert sum(len(d.sentences) for d in pool) < len(known)
+        if "oov" in shape:
+            assert any(t not in vocab for s in unknown for t in s)
+        if shape.get("single_sentence"):
+            # n2 is empty, so the count-2 discount is the fallback.
+            assert author.discounts.bins[1] == cfg.discount
+        if cfg.discount_mode == "constant":
+            tokens, _, total = oracle_lambda_document(
+                unknown, known, samples, cfg.order,
+                DiscountSchedule.constant(cfg.discount), vocab.sorted_items(),
+            )
+            assert [ts.score for ts in expected.token_scores] == pytest.approx(tokens, abs=1e-9)
+            assert expected.total == pytest.approx(total, abs=1e-9)
+
+
 TAGGED_ALPHABET = (
     ("The", "DET"), ("of", "ADP"), ("she", "PRON"), (".", "PUNCT"),
     ("cat", "NOUN"), ("runs", "VERB"), ("red", "ADJ"), ("Paris", "PROPN"),
@@ -432,3 +521,42 @@ class TestScoreCorpusTagged:
         permuted = replace(corpus, problems=tuple(corpus.problems[i] for i in order))
         by_id = {t.problem_id: t.to_json() for t in score_corpus(corpus, self.CFG)}
         assert {t.problem_id: t.to_json() for t in score_corpus(permuted, self.CFG)} == by_id
+
+
+def labelled_tagged_split(rng, prefix, pool, n_problems=4):
+    problems = tuple(
+        VerificationProblem(
+            id=f"{prefix}{i}",
+            unknown_docs=(tagged_doc(rng, f"{prefix}{i}-u"),),
+            known_docs=(tagged_doc(rng, f"{prefix}{i}-k"),),
+            label="YN"[i % 2],
+        )
+        for i in range(n_problems)
+    )
+    return Corpus(problems=problems, reference_docs=pool)
+
+
+class TestEvaluateTagged:
+    def test_each_document_masked_once(self, monkeypatch):
+        rng = random.Random(139)
+        pool = tuple(tagged_doc(rng, f"ref{i}") for i in range(5))
+        train_split = labelled_tagged_split(rng, "tr", pool)
+        test_split = labelled_tagged_split(rng, "te", tuple(pool))
+        masked = Counter()
+        real = masking.mask_document
+
+        def counting(doc, lexicon):
+            if doc.is_tagged:
+                masked[doc.id] += 1
+            return real(doc, lexicon)
+
+        monkeypatch.setattr(masking, "mask_document", counting)
+        monkeypatch.setattr(scoring, "mask_document", counting)
+        evaluate_corpus(train_split, test_split, LambdaConfig(order=2, refs=2, seed=5))
+        doc_ids = [
+            d.id
+            for split in (train_split, test_split)
+            for p in split.problems
+            for d in (*p.unknown_docs, *p.known_docs)
+        ] + [d.id for d in pool]
+        assert masked == Counter(doc_ids)
