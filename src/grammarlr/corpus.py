@@ -269,11 +269,13 @@ def _doc_from_json(obj: dict, base_dir: Path, where: str) -> Document:
         sents = obj["sentences"]
         if not isinstance(sents, list):
             raise CorpusError(f"{where}: document {doc_id!r} sentences must be a list")
+        for i, sent in enumerate(sents, start=1):
+            if not isinstance(sent, list) or not all(isinstance(t, str) for t in sent):
+                raise CorpusError(
+                    f"{where}: document {doc_id!r} sentence {i} is not a list of strings"
+                )
         try:
-            return Document(
-                id=doc_id,
-                sentences=tuple(tuple(str(t) for t in sent) for sent in sents),
-            )
+            return Document(id=doc_id, sentences=tuple(tuple(sent) for sent in sents))
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
     if "tagged" in obj:
@@ -283,7 +285,7 @@ def _doc_from_json(obj: dict, base_dir: Path, where: str) -> Document:
         path = base_dir / rel
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise CorpusError(
                 f"{where}: cannot read tagged file {str(path)!r}: {exc}"
             ) from exc
@@ -302,7 +304,7 @@ def _doc_to_json(doc: Document) -> dict:
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CorpusError(f"cannot read {str(path)!r}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -18,15 +18,19 @@ Every probability comes from one array kernel, :func:`kneser_ney_probs`.
 Tokens are integer codes, and a :class:`GramIndex` gives each gram an
 integer id keyed by (id of its first n - 1 tokens, code of its last), one
 sorted key array per length, so each gram's context (``gram[:-1]``) and
-suffix (``gram[1:]``) are ids too. A :class:`CountTable` holds the counts of
+suffix (``gram[1:]``) are ids too. There is one indexer,
+:meth:`GramIndex.from_stream`, and one counter,
+:meth:`CountTable.from_sentences`. A :class:`CountTable` holds the counts of
 one or many models over one index. Continuation counts, context totals and
 count-of-count bins are ``bincount`` reductions over suffix and context
 ids, and all models are evaluated together, level by level, as one
 models x positions array. The scoring pipeline counts once per problem: it
 windows the known side and each distinct sampled reference sentence once,
-and each of the 1 + r models is the count of its sentences' gram ids. A
-:class:`GrammarModel` keeps only its raw count table and indexes it alone on
-its first probability query.
+and each of the 1 + r models is the count of its sentences' gram ids.
+:func:`train` counts the same way, with one model, and reads the raw count
+table off the index. A :class:`GrammarModel` keeps only that raw count
+table and indexes it alone on its first probability query, each gram as a
+stream of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import hashlib
 import json
 import math
 import zlib
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -114,15 +117,15 @@ class DiscountSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "modified"):
             raise ValueError(f"unknown discount mode {self.mode!r}")
+        _check_discount(self.constant_d)
         if self.mode == "constant":
-            if not 0.0 < self.constant_d < 1.0:
-                raise ValueError(f"discount must lie in (0, 1): {self.constant_d}")
+            if self.bins is not None:
+                raise ValueError("constant mode takes no discount bins")
         else:
             if self.bins is None or len(self.bins) != 3:
                 raise ValueError("modified mode requires three discount bins")
             for d in self.bins:
-                if not 0.0 < d < 1.0:
-                    raise ValueError(f"discount must lie in (0, 1): {d}")
+                _check_discount(d)
 
     @classmethod
     def constant(cls, d: float = 0.75) -> "DiscountSchedule":
@@ -171,18 +174,9 @@ class DiscountSchedule:
         return d1 * n1 + d2 * n2 + d3 * n3plus
 
 
-def _count_raw(
-    sentences: Sequence[tuple[str, ...]], order: int
-) -> dict[tuple[str, ...], int]:
-    """Count all n-gram windows, n = 1..order, with per-order padding."""
-    raw: dict[tuple[str, ...], int] = defaultdict(int)
-    for n in range(1, order + 1):
-        pad = (BOS,) * n
-        for sent in sentences:
-            padded = pad + sent + (EOS,)
-            for i in range(len(padded) - n + 1):
-                raw[padded[i : i + n]] += 1
-    return dict(raw)
+def _check_discount(d: float) -> None:
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 < d < 1.0:
+        raise ValueError(f"discount must lie in (0, 1): {d!r}")
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +190,19 @@ def token_codes(vocab: Vocabulary) -> dict[str, int]:
     codes[BOS] = len(codes)
     codes[EOS] = len(codes)
     return codes
+
+
+def code_sentences(
+    sentences: Iterable[Sequence[str]], codes: Mapping[str, int]
+) -> list[list[int]]:
+    """Code sentences with a model's token codes (see :func:`token_codes`).
+
+    Tokens outside the vocabulary are coded as the unknown token, and so are
+    the begin and end markers wherever a sentence holds them.
+    """
+    unk = codes[UNK]
+    lookup = {**codes, BOS: unk, EOS: unk}
+    return [[lookup.get(t, unk) for t in sent] for sent in sentences]
 
 
 def token_stream(
@@ -221,19 +228,6 @@ def token_stream(
     prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
     prev[starts_arr] = starts_arr
     return np.array(tokens, dtype=np.int64), prev, starts_arr
-
-
-def _closure(grams: Iterable[tuple[str, ...]]) -> set[tuple[str, ...]]:
-    """The grams together with all their non-empty prefixes and suffixes."""
-    closed = set(grams)
-    todo = list(closed)
-    while todo:
-        gram = todo.pop()
-        for part in (gram[:-1], gram[1:]):
-            if part and part not in closed:
-                closed.add(part)
-                todo.append(part)
-    return closed
 
 
 class GramIndex:
@@ -268,55 +262,48 @@ class GramIndex:
     def from_stream(
         cls, tokens: np.ndarray, prev: np.ndarray, order: int, width: int
     ) -> tuple["GramIndex", np.ndarray]:
-        """Index every gram of a padded stream (see :func:`token_stream`).
+        """Index every gram of a token stream.
 
-        Also returns the ids :meth:`encode` would give the stream.
+        ``prev`` gives each position's predecessor, as :func:`token_stream`
+        does, or -1 where no gram reaches back past the position: only the
+        gram of length 1 ends there. Also returns the ids :meth:`encode`
+        would give the stream.
         """
         n_pos = len(tokens)
-        ids = np.empty((order, n_pos + 1), dtype=np.int64)
+        # -1 marks a gram that does not exist, until ``missing`` is known;
+        # the extra last column answers predecessor -1.
+        ids = np.full((order, n_pos + 1), -1, dtype=np.int64)
         keys, suffixes = [], [np.zeros(1, dtype=np.int64)]
         start = 1
+        at = np.arange(n_pos)  # the positions a gram of length n ends at
         context = shorter = np.zeros(n_pos, dtype=np.int64)
         for n in range(1, order + 1):
             if n > 1:
-                context = ids[n - 2, prev]
-            level_keys, inverse = np.unique(context * width + tokens, return_inverse=True)
+                context = ids[n - 2, prev[at]]
+                reaches = context >= 0
+                at, context = at[reaches], context[reaches]
+                # gram[1:] of the gram ending at a position is the gram one
+                # shorter ending there.
+                shorter = ids[n - 2, at]
+            level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
             level_ids = start + inverse.reshape(-1)
-            # gram[1:] of the gram ending at a position is the gram one
-            # shorter ending there.
             suffix = np.empty(len(level_keys), dtype=np.int64)
             suffix[level_ids - start] = shorter
-            ids[n - 1, :n_pos] = shorter = level_ids
+            ids[n - 1, at] = level_ids
             keys.append(level_keys)
             suffixes.append(suffix)
             start += len(level_keys)
         index = cls(order, width, keys, np.concatenate(suffixes))
-        ids[:, n_pos] = index.missing
+        ids[ids < 0] = index.missing
         return index, ids
 
-    @classmethod
-    def from_grams(
-        cls, grams: Iterable[tuple[str, ...]], order: int, codes: Mapping[str, int]
-    ) -> tuple["GramIndex", dict[tuple[str, ...], int]]:
-        """Index the grams, their prefixes and their suffixes.
-
-        Also returns each gram's id.
-        """
-        width = len(codes)
-        by_length: list[list[tuple[str, ...]]] = [[] for _ in range(order + 1)]
-        for gram in _closure(grams):
-            by_length[len(gram)].append(gram)
-        ids: dict[tuple[str, ...], int] = {(): 0}
-        keys, suffixes = [], [np.zeros(1, dtype=np.int64)]
-        start = 1
-        for grams_n in by_length[1:]:
-            keyed = sorted((ids[g[:-1]] * width + codes[g[-1]], g) for g in grams_n)
-            for rank, (_, gram) in enumerate(keyed):
-                ids[gram] = start + rank
-            keys.append(np.array([k for k, _ in keyed], dtype=np.int64))
-            suffixes.append(np.array([ids[g[1:]] for _, g in keyed], dtype=np.int64))
-            start += len(keyed)
-        return cls(order, width, keys, np.concatenate(suffixes)), ids
+    def spell(self, names: Sequence[str]) -> list[tuple[str, ...]]:
+        """Every gram, by id, as the tuple of ``names[code]`` of its tokens."""
+        grams: list[tuple[str, ...]] = [()]
+        # A gram's context has a smaller id than the gram.
+        for context, last in zip(self.context[1:].tolist(), self.last[1:].tolist()):
+            grams.append(grams[context] + (names[last],))
+        return grams
 
     def encode(self, tokens: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Ids of the grams ending at each position of a token stream.
@@ -393,22 +380,30 @@ class CountTable:
     def from_raw(
         cls, raws: Sequence[Mapping[tuple[str, ...], int]], order: int, codes: Mapping[str, int]
     ) -> "CountTable":
-        """Tabulate raw count tables over one index of the union of their
-        grams."""
-        index, ids = GramIndex.from_grams(set().union(*raws), order, codes)
-        keys: list[int] = []
-        counts: list[int] = []
-        for m, raw in enumerate(raws):
-            for gram in _closure(raw) | {()}:
-                keys.append(ids[gram] * len(raws) + m)
-                counts.append(raw.get(gram, 0))
-        by_key = np.argsort(np.array(keys, dtype=np.int64))
-        return cls(
-            index,
-            len(raws),
-            np.array(keys, dtype=np.int64)[by_key],
-            np.array(counts, dtype=np.int64)[by_key],
-        )
+        """Tabulate raw count tables over one index.
+
+        Each raw gram is indexed as a stream of its own, so its prefixes and
+        suffixes are indexed with it; a model holds those of its own grams,
+        with count 0 where it did not count them.
+        """
+        grams = [gram for raw in raws for gram in raw]
+        lengths = np.array([len(g) for g in grams], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        tokens = np.array([codes[t] for g in grams for t in g], dtype=np.int64)
+        prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
+        prev[ends - lengths] = -1
+        index, ids = GramIndex.from_stream(tokens, prev, order, len(codes))
+        n_models = len(raws)
+        model_of = np.repeat(np.repeat(np.arange(n_models), [len(r) for r in raws]), lengths)
+        # holds[g, m]: model m holds gram g; the last row is ``missing``.
+        holds = np.zeros((index.size + 1, n_models), dtype=bool)
+        holds[ids[:, :-1], model_of] = True
+        holds[0] = True
+        keys = np.flatnonzero(holds[:-1])
+        whole = ids[lengths - 1, ends - 1] * n_models + model_of[ends - 1]
+        counts = np.zeros(len(keys), dtype=np.int64)
+        counts[np.searchsorted(keys, whole)] = [c for raw in raws for c in raw.values()]
+        return cls(index, n_models, keys, counts)
 
     def count_of_counts(self) -> list[dict[int, int]]:
         """Per model, how many top-order grams have each count 1..4."""
@@ -550,6 +545,8 @@ class GrammarModel:
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1: {order}")
+        if not isinstance(sentence_count, int) or isinstance(sentence_count, bool):
+            raise ValueError(f"sentence count must be an integer: {sentence_count!r}")
         if sentence_count < 1:
             raise ValueError("model requires at least one training sentence")
         self.order = order
@@ -679,8 +676,7 @@ class GrammarModel:
         if not sentence:
             raise ValueError("cannot score an empty sentence")
         codes, table = self._kernel_table()
-        coded = [codes[self.vocab.map(tok)] for tok in sentence]
-        probs = sentence_probs(table, [self.discounts], [coded])[0]
+        probs = sentence_probs(table, [self.discounts], code_sentences([sentence], codes))[0]
         return math.fsum(math.log(p) for p in probs.tolist())
 
     # ------------------------------------------------------------------
@@ -718,11 +714,12 @@ def sentence_probs(
 
 def _count_training(
     sentences: Iterable[Sequence[str]], order: int, vocab: Optional[Vocabulary]
-) -> tuple[Vocabulary, int, dict[tuple[str, ...], int]]:
-    """Validate training sentences, map them through the vocabulary and count.
+) -> tuple[Vocabulary, int, dict[tuple[str, ...], int], CountTable]:
+    """Validate training sentences, code them through the vocabulary and
+    count them as one model of :meth:`CountTable.from_sentences`.
 
     Returns the vocabulary (built from the sentences when none is given), the
-    sentence count and the raw count table.
+    sentence count, the raw count table and the one-model count table.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1: {order}")
@@ -734,8 +731,13 @@ def _count_training(
             raise ValueError("training sentences must be non-empty")
     if vocab is None:
         vocab = Vocabulary.from_sentences(sents)
-    mapped = [tuple(vocab.map(t) for t in s) for s in sents]
-    return vocab, len(mapped), _count_raw(mapped, order)
+    codes = token_codes(vocab)
+    table = CountTable.from_sentences(
+        code_sentences(sents, codes), [range(len(sents))], order, len(codes)
+    )
+    grams = table.index.spell(list(codes))
+    raw = {grams[g]: c for g, c in zip(table.keys.tolist(), table.counts.tolist()) if c}
+    return vocab, len(sents), raw, table
 
 
 def train(
@@ -750,7 +752,7 @@ def train(
     counting; with no vocabulary given, one is built from the sentences
     themselves. Requires at least one non-empty sentence.
     """
-    vocab, n_sents, raw = _count_training(sentences, order, vocab)
+    vocab, n_sents, raw, _ = _count_training(sentences, order, vocab)
     if discounts is None:
         discounts = DiscountSchedule.constant()
     return GrammarModel(order, vocab, discounts, n_sents, raw)
@@ -766,8 +768,8 @@ def train_with_estimated_discounts(
 
     Validates and counts exactly as :func:`train` does.
     """
-    vocab, n_sents, raw = _count_training(sentences, order, vocab)
-    coc = Counter(c for g, c in raw.items() if len(g) == order)
+    vocab, n_sents, raw, table = _count_training(sentences, order, vocab)
+    (coc,) = table.count_of_counts()
     discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
     return GrammarModel(order, vocab, discounts, n_sents, raw)
 
@@ -835,7 +837,7 @@ def deserialize_model(data: bytes) -> GrammarModel:
         discounts = DiscountSchedule(
             mode=dis["mode"],
             constant_d=dis["constant_d"],
-            bins=tuple(dis["bins"]) if dis["bins"] else None,
+            bins=tuple(dis["bins"]) if dis["bins"] is not None else None,
         )
         vocab = Vocabulary(frozenset(payload["vocab"]))
         order = payload["order"]

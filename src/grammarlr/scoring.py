@@ -28,13 +28,12 @@ from .corpus import Corpus, Document, Sentence, VerificationProblem
 from .errors import ContractError, DataError, WorkerError
 from .masking import MaskingLexicon, default_lexicon, mask_corpus, mask_document
 from .ngram import (
-    BOS,
     EOS,
-    UNK,
     CountTable,
     DiscountSchedule,
     GrammarModel,
     Vocabulary,
+    code_sentences,
     sentence_probs,
     token_codes,
 )
@@ -260,15 +259,9 @@ def _trace(
     """Score sentences under model 0 of a table (the author) against the
     rest: per position, the exactly rounded mean over references of the
     author's log probability minus the reference's."""
-    unk = codes[UNK]
-    # Tokens outside the vocabulary, the pseudo-tokens included, are unknown.
-    lookup = {**codes, BOS: unk, EOS: unk}
-    coded = []
-    for sent in sentences:
-        if not sent:
-            raise DataError("cannot score an empty sentence")
-        coded.append([lookup.get(t, unk) for t in sent])
-    probs = sentence_probs(table, discounts, coded)
+    if not all(sentences):
+        raise DataError("cannot score an empty sentence")
+    probs = sentence_probs(table, discounts, code_sentences(sentences, codes))
     # math.log once per distinct probability, then the exactly rounded mean
     # of the r log ratios at each position.
     values, where = np.unique(probs, return_inverse=True)
@@ -352,7 +345,7 @@ def verify_problem(
     codes = token_codes(vocab)
     drawn = np.unique(np.concatenate(samples))
     table = CountTable.from_sentences(
-        [[codes[t] for t in s] for s in (*known, *(refs[i] for i in drawn))],
+        code_sentences((*known, *(refs[i] for i in drawn)), codes),
         [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
         config.order,
         len(codes),

@@ -169,6 +169,20 @@ class TestVerify:
         argv = ["verify", corpus_dir / "test.jsonl", "--problem", "missing"]
         assert run(argv + FAST_MODEL) == 3
 
+    @pytest.mark.parametrize(
+        "sentence", [5, None, "the cat", {"a": 1}, [None]],
+        ids=["number", "null", "string", "object", "null-token"],
+    )
+    def test_malformed_sentence_exit_3(self, tmp_path, capsys, sentence):
+        doc = {"id": "k", "sentences": [["a", "."], sentence]}
+        problem = {"id": "p1", "known": [doc], "unknown": [{"id": "u", "sentences": [["a"]]}]}
+        path = tmp_path / "probs.jsonl"
+        path.write_text(json.dumps(problem) + "\n", encoding="utf-8")
+        assert run(["verify", path, "--problem", "p1"] + FAST_MODEL) == 3
+        err = capsys.readouterr().err
+        assert "probs.jsonl: line 1: document 'k' sentence 2 is not a list of strings" in err
+        assert "Traceback" not in err
+
     def test_malformed_calibration_exit_3(self, corpus_dir, tmp_path, capsys):
         pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
         valid = {"intercept": 0.5, "slope": 1.0, "prior_log_odds": 0.0, "separated": False}

@@ -1,7 +1,10 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grammarlr.corpus import (
     Corpus,
@@ -13,7 +16,7 @@ from grammarlr.corpus import (
     segment_sentences,
     serialize_corpus,
 )
-from grammarlr.errors import CorpusError, ParseError
+from grammarlr.errors import CorpusError, GrammarLRError, ParseError
 
 
 def tok(surface, pos="NOUN"):
@@ -259,6 +262,22 @@ class TestLoadAndSerialize:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "sentences",
+        [[5], [None], ["the cat"], [{"a": 1}], [[None]], [["a", 3]]],
+        ids=["number", "null", "string", "object", "null-token", "number-token"],
+    )
+    def test_sentence_not_a_list_of_strings(self, tmp_path, sentences):
+        good = {"id": "p1", "unknown": [{"id": "u", "sentences": [["a"]]}],
+                "known": [{"id": "k", "sentences": [["a"]]}]}
+        bad = {**good, "id": "p2", "known": [{"id": "k2", "sentences": [["a"], *sentences]}]}
+        path = tmp_path / "probs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(
+            CorpusError, match=r"probs\.jsonl: line 2: document 'k2' sentence 2 is not a list of strings"
+        ):
+            load_corpus(path)
+
     def test_tagged_document_reference(self, tmp_path):
         (tmp_path / "u.txt").write_text("The\tDET\ncat\tNOUN\n.\tPUNCT\n")
         obj = {
@@ -295,3 +314,94 @@ class TestLoadAndSerialize:
         )
         with pytest.raises(CorpusError, match="mask"):
             serialize_corpus(Corpus(problems=(prob,)), tmp_path / "x.jsonl")
+
+
+# Corpus files for the loader's property tests: JSON lines of problems and
+# reference documents whose every field may hold the wrong shape.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+tokens = st.sampled_from(["a", "b", ".", "<BOS>", ""]) | json_values
+sentences = st.lists(st.lists(tokens, max_size=3) | json_values, max_size=3) | json_values
+# Tagged paths name files the test writes: valid, not UTF-8, absent, a
+# directory, an impossible path.
+tagged_paths = st.sampled_from(["good.txt", "latin1.txt", "bad.txt", "missing.txt", "sub", "nul\x00"])
+documents = st.fixed_dictionaries(
+    {"id": st.sampled_from(["d1", "d2"]) | json_values},
+    optional={"sentences": sentences, "tagged": tagged_paths | json_values},
+)
+problems = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["p1", "p2"]) | json_values,
+        "unknown": st.lists(documents, max_size=2) | json_values,
+        "known": st.lists(documents, max_size=2) | json_values,
+    },
+    optional={
+        "label": st.sampled_from(["Y", "N", None]) | json_values,
+        "partition": st.sampled_from(["train", "test"]) | json_values,
+        "author": json_values,
+    },
+)
+
+
+def jsonl_files(entries):
+    """File bodies: lines of entries, arbitrary JSON or text, or raw bytes."""
+    lines = st.lists(entries.map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=8), max_size=3)
+    return lines.map(lambda ls: "\n".join(ls).encode("utf-8")) | st.binary(max_size=12)
+
+
+def load_files(problems_file, refs_file=None):
+    """Load a corpus from the given file bodies, next to the tagged files
+    that ``tagged_paths`` name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "good.txt").write_text("The\tDET\ncat\tNOUN\n.\tPUNCT\n", encoding="utf-8")
+        (base / "latin1.txt").write_bytes("caf\xe9\tNOUN\n".encode("latin-1"))
+        (base / "bad.txt").write_text("cat\tNOPE\n", encoding="utf-8")
+        (base / "sub").mkdir()
+        (base / "probs.jsonl").write_bytes(problems_file)
+        if refs_file is not None:
+            (base / "probs.refs.jsonl").write_bytes(refs_file)
+        return load_corpus(base / "probs.jsonl")
+
+
+class TestParserProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(problems_file=jsonl_files(problems), refs_file=st.none() | jsonl_files(documents))
+    def test_load_corpus_raises_only_package_errors(self, problems_file, refs_file):
+        try:
+            load_files(problems_file, refs_file)
+        except GrammarLRError:
+            pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(doc=documents)
+    def test_document_entry_raises_only_package_errors(self, doc):
+        """One arbitrary document in an otherwise valid problem."""
+        problem = {"id": "p1", "unknown": [{"id": "u", "sentences": [["a"]]}], "known": [doc]}
+        try:
+            load_files(json.dumps(problem).encode("utf-8"))
+        except GrammarLRError:
+            pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lines=st.lists(
+            st.sampled_from(
+                ["The\tDET", "cat\tNOUN", ".\tPUNCT", "...\tPUNCT", "<NL>", "", " ",
+                 "a\tb\tc", "\tNOUN", "x\tNOPE", "a\nb\tNOUN"]
+            )
+            | st.text(max_size=6),
+            max_size=8,
+        ),
+        as_text=st.booleans(),
+        doc_id=st.text(min_size=1, max_size=4),
+    )
+    def test_parse_tagged_document_raises_only_parse_error(self, lines, as_text, doc_id):
+        try:
+            doc = parse_tagged_document("\n".join(lines) if as_text else lines, doc_id)
+        except ParseError:
+            return
+        assert doc.is_tagged and doc.id == doc_id

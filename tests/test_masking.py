@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grammarlr.corpus import (
     CONTENT_POS,
@@ -215,6 +216,25 @@ class TestLexiconParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LexiconError, match="cannot read"):
             load_lexicon(tmp_path / "nope.txt")
+
+
+class TestLexiconParsingProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lines=st.lists(
+            st.sampled_from(
+                ["[retain]", "[placeholders]", "[other]", "the", "two words", "The",
+                 "NOUN\tN", "VERB\tV", "NOUN\tN\tX", "NOPE\tQ", "ADJ\t", "ADJ\tthe", ""]
+            )
+            | st.text(max_size=6),
+            max_size=10,
+        )
+    )
+    def test_parse_lexicon_raises_only_lexicon_error(self, lines):
+        try:
+            parse_lexicon("\n".join(lines))
+        except LexiconError:
+            pass
 
 
 class TestDefaultLexicon:

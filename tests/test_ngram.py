@@ -407,6 +407,14 @@ class TestTraining:
         assert model.count([UNK]) == 1
         assert model.count(["z"]) == 1  # query-side mapping hits the same cell
         assert model.count(["a", UNK]) == 1
+        # A marker inside a sentence is a token outside the vocabulary too.
+        model = train([("a", BOS, "a", EOS)], order=2, vocab=vocab)
+        assert model.count([BOS]) == 1
+        assert model.count([EOS]) == 1
+        assert model.count([UNK]) == 2
+        assert model.count(["a", UNK]) == 2
+        assert model.sentence_logprob(("a", BOS)) == model.sentence_logprob(("a", EOS))
+        assert model.sentence_logprob(("a", BOS)) == model.sentence_logprob(("a", UNK))
 
     def test_sentence_count_recorded(self):
         model = train([("a",), ("b",), ("a",)], order=1)
@@ -557,6 +565,26 @@ class TestImpossibleCountTables:
     def test_order_not_integer(self, payload):
         payload["order"] = 2.0
         with pytest.raises(ModelFormatError, match="order must be an integer"):
+            deserialize_model(_blob(payload))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"discounts": {"mode": "constant", "constant_d": 0.75, "bins": {"x": 1}}}, "no discount bins"),
+            ({"discounts": {"mode": "constant", "constant_d": 0.75, "bins": [0.1, 0.2, 0.3]}}, "no discount bins"),
+            ({"discounts": {"mode": "modified", "constant_d": "zz", "bins": [0.1, 0.2, 0.3]}}, "lie in"),
+            ({"discounts": {"mode": "modified", "constant_d": 7.0, "bins": [0.1, 0.2, 0.3]}}, "lie in"),
+            ({"sentence_count": True}, "sentence count must be an integer"),
+            ({"sentence_count": 2.5}, "sentence count must be an integer"),
+        ],
+        ids=[
+            "constant-bins-object", "constant-bins-list", "modified-discount-string",
+            "modified-discount-out-of-range", "sentence-count-bool", "sentence-count-fraction",
+        ],
+    )
+    def test_field_no_model_has(self, payload, fields, message):
+        payload.update(fields)
+        with pytest.raises(ModelFormatError, match=message):
             deserialize_model(_blob(payload))
 
 

@@ -439,6 +439,52 @@ class TestCountOncePath:
             assert expected.total == pytest.approx(total, abs=1e-9)
 
 
+def renamed(doc, rename):
+    return Document(
+        id=doc.id, sentences=tuple(tuple(rename[t] for t in s) for s in doc.sentences)
+    )
+
+
+class TestRenamingInvariance:
+    """Scores depend on which tokens are equal, not on their names: renaming
+    tokens one to one, with a permutation that reorders the sorted
+    vocabulary and so every token code, leaves every token score
+    bit-identical."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        names=st.permutations((*ALPHABET, "zzz")),
+        discount_mode=st.sampled_from(["constant", "modified"]),
+        seed=st.integers(0, 1000),
+    )
+    def test_token_scores_bit_identical(self, names, discount_mode, seed):
+        rename = dict(zip((*ALPHABET, "zzz"), names))
+        rng = random.Random(seed)
+        problems = tuple(make_problem(rng, f"p{i}", oov_unknown=i == 0) for i in range(4))
+        corpus = Corpus(problems=problems, reference_docs=make_refs(rng, 5))
+        renamed_corpus = Corpus(
+            problems=tuple(
+                replace(
+                    p,
+                    unknown_docs=tuple(renamed(d, rename) for d in p.unknown_docs),
+                    known_docs=tuple(renamed(d, rename) for d in p.known_docs),
+                )
+                for p in problems
+            ),
+            reference_docs=tuple(renamed(d, rename) for d in corpus.reference_docs),
+        )
+        cfg = LambdaConfig(order=4, refs=7, seed=seed, discount_mode=discount_mode)
+        before = score_corpus(corpus, cfg)
+        after = score_corpus(renamed_corpus, cfg)
+        rename[EOS] = EOS
+        for b, a in zip(before, after, strict=True):
+            assert [rename[ts.token] for ts in b.token_scores] == [ts.token for ts in a.token_scores]
+            assert [ts.score.hex() for ts in b.token_scores] == [
+                ts.score.hex() for ts in a.token_scores
+            ]
+            assert b.total.hex() == a.total.hex()
+
+
 TAGGED_ALPHABET = (
     ("The", "DET"), ("of", "ADP"), ("she", "PRON"), (".", "PUNCT"),
     ("cat", "NOUN"), ("runs", "VERB"), ("red", "ADJ"), ("Paris", "PROPN"),
