@@ -226,10 +226,13 @@ def segment_sentences(
 def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Document:
     """Parse ``surface<TAB>pos`` lines into a tagged Document.
 
-    Raises ParseError with a 1-based line number for malformed lines, unknown
-    POS labels, or an input with no tokens at all. ASCII "..." surfaces are
-    normalized to the single ellipsis character.
+    Raises ParseError for an empty or non-string ``doc_id``, and with a
+    1-based line number for malformed lines, unknown POS labels, or an input
+    with no tokens at all. ASCII "..." surfaces are normalized to the single
+    ellipsis character.
     """
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ParseError(f"document id must be a non-empty string: {doc_id!r}")
     lines = text.splitlines() if isinstance(text, str) else text
     stream: list[Optional[TaggedToken]] = []
     saw_token = False

@@ -27,10 +27,10 @@ ids, and all models are evaluated together, level by level, as one
 models x positions array. The scoring pipeline counts once per problem: it
 windows the known side and each distinct sampled reference sentence once,
 and each of the 1 + r models is the count of its sentences' gram ids.
-:func:`train` counts the same way, with one model, and reads the raw count
-table off the index. A :class:`GrammarModel` keeps only that raw count
-table and indexes it alone on its first probability query, each gram as a
-stream of its own.
+:func:`train` counts the same way, with one model, reads the raw count
+table off the index and hands the model that one-model table, from which
+its probabilities come. A :class:`GrammarModel` built from raw counts
+alone (a deserialized one) indexes them on its first probability query.
 """
 
 from __future__ import annotations
@@ -378,32 +378,23 @@ class CountTable:
 
     @classmethod
     def from_raw(
-        cls, raws: Sequence[Mapping[tuple[str, ...], int]], order: int, codes: Mapping[str, int]
+        cls, raw: Mapping[tuple[str, ...], int], order: int, codes: Mapping[str, int]
     ) -> "CountTable":
-        """Tabulate raw count tables over one index.
+        """Tabulate one model's raw count table.
 
         Each raw gram is indexed as a stream of its own, so its prefixes and
-        suffixes are indexed with it; a model holds those of its own grams,
-        with count 0 where it did not count them.
+        suffixes are indexed with it, with count 0 where the table does not
+        count them.
         """
-        grams = [gram for raw in raws for gram in raw]
-        lengths = np.array([len(g) for g in grams], dtype=np.int64)
+        lengths = np.array([len(g) for g in raw], dtype=np.int64)
         ends = np.cumsum(lengths)
-        tokens = np.array([codes[t] for g in grams for t in g], dtype=np.int64)
+        tokens = np.array([codes[t] for g in raw for t in g], dtype=np.int64)
         prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
         prev[ends - lengths] = -1
         index, ids = GramIndex.from_stream(tokens, prev, order, len(codes))
-        n_models = len(raws)
-        model_of = np.repeat(np.repeat(np.arange(n_models), [len(r) for r in raws]), lengths)
-        # holds[g, m]: model m holds gram g; the last row is ``missing``.
-        holds = np.zeros((index.size + 1, n_models), dtype=bool)
-        holds[ids[:, :-1], model_of] = True
-        holds[0] = True
-        keys = np.flatnonzero(holds[:-1])
-        whole = ids[lengths - 1, ends - 1] * n_models + model_of[ends - 1]
-        counts = np.zeros(len(keys), dtype=np.int64)
-        counts[np.searchsorted(keys, whole)] = [c for raw in raws for c in raw.values()]
-        return cls(index, n_models, keys, counts)
+        counts = np.zeros(index.size, dtype=np.int64)
+        counts[ids[lengths - 1, ends - 1]] = list(raw.values())
+        return cls(index, 1, np.arange(index.size), counts)
 
     def count_of_counts(self) -> list[dict[int, int]]:
         """Per model, how many top-order grams have each count 1..4."""
@@ -530,9 +521,9 @@ class GrammarModel:
 
     Instances are effectively immutable after construction. Build them with
     :func:`train`. The raw count table is the whole state: queries answer
-    from it, probabilities through :func:`kneser_ney_probs` over an index
-    of its grams built on the first probability query, and serialization
-    persists only it, so reconstruction is exact.
+    from it, probabilities through :func:`kneser_ney_probs` over the table
+    :func:`train` counted (or one tabulated from it on the first query),
+    and serialization persists only it, so reconstruction is exact.
     """
 
     def __init__(
@@ -633,7 +624,7 @@ class GrammarModel:
         """Token codes and the count table of this model alone."""
         if self._kernel is None:
             codes = token_codes(self.vocab)
-            self._kernel = (codes, CountTable.from_raw([self.raw_counts], self.order, codes))
+            self._kernel = (codes, CountTable.from_raw(self.raw_counts, self.order, codes))
         return self._kernel
 
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
@@ -671,13 +662,17 @@ class GrammarModel:
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
 
+    def token_probs(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
+        """Probabilities of every token and end marker of sentences, in order,
+        with tokens outside the vocabulary mapped to the unknown token."""
+        codes, table = self._kernel_table()
+        return sentence_probs(table, [self.discounts], code_sentences(sentences, codes))[0]
+
     def sentence_logprob(self, sentence: Sequence[str]) -> float:
         """Log probability of a sentence including its end-marker transition."""
         if not sentence:
             raise ValueError("cannot score an empty sentence")
-        codes, table = self._kernel_table()
-        probs = sentence_probs(table, [self.discounts], code_sentences([sentence], codes))[0]
-        return math.fsum(math.log(p) for p in probs.tolist())
+        return math.fsum(math.log(p) for p in self.token_probs([sentence]).tolist())
 
     # ------------------------------------------------------------------
 
@@ -713,13 +708,17 @@ def sentence_probs(
 
 
 def _count_training(
-    sentences: Iterable[Sequence[str]], order: int, vocab: Optional[Vocabulary]
-) -> tuple[Vocabulary, int, dict[tuple[str, ...], int], CountTable]:
+    sentences: Iterable[Sequence[str]],
+    order: int,
+    vocab: Optional[Vocabulary],
+    discounts: Optional[DiscountSchedule],
+    fallback: float = 0.75,
+) -> GrammarModel:
     """Validate training sentences, code them through the vocabulary and
-    count them as one model of :meth:`CountTable.from_sentences`.
-
-    Returns the vocabulary (built from the sentences when none is given), the
-    sentence count, the raw count table and the one-model count table.
+    count them as one model of :meth:`CountTable.from_sentences`, whose
+    table the model keeps for its probabilities. With no vocabulary given,
+    one is built from the sentences; with no schedule, modified discounts
+    are estimated from the top-order counts.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1: {order}")
@@ -735,9 +734,14 @@ def _count_training(
     table = CountTable.from_sentences(
         code_sentences(sents, codes), [range(len(sents))], order, len(codes)
     )
+    if discounts is None:
+        (coc,) = table.count_of_counts()
+        discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
     grams = table.index.spell(list(codes))
     raw = {grams[g]: c for g, c in zip(table.keys.tolist(), table.counts.tolist()) if c}
-    return vocab, len(sents), raw, table
+    model = GrammarModel(order, vocab, discounts, len(sents), raw)
+    model._kernel = (codes, table)
+    return model
 
 
 def train(
@@ -752,10 +756,9 @@ def train(
     counting; with no vocabulary given, one is built from the sentences
     themselves. Requires at least one non-empty sentence.
     """
-    vocab, n_sents, raw, _ = _count_training(sentences, order, vocab)
     if discounts is None:
         discounts = DiscountSchedule.constant()
-    return GrammarModel(order, vocab, discounts, n_sents, raw)
+    return _count_training(sentences, order, vocab, discounts)
 
 
 def train_with_estimated_discounts(
@@ -768,10 +771,7 @@ def train_with_estimated_discounts(
 
     Validates and counts exactly as :func:`train` does.
     """
-    vocab, n_sents, raw, table = _count_training(sentences, order, vocab)
-    (coc,) = table.count_of_counts()
-    discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
-    return GrammarModel(order, vocab, discounts, n_sents, raw)
+    return _count_training(sentences, order, vocab, None, fallback)
 
 
 # ----------------------------------------------------------------------

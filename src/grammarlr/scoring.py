@@ -11,7 +11,8 @@ documents by other authors; each sample has the same size as the
 known-author training set so the comparison is like-for-like. All 1 + r
 models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
-``ngram``.
+``ngram``; models trained apart are each scored on their own count table
+and their rows stacked into the same matrix.
 """
 
 from __future__ import annotations
@@ -220,9 +221,9 @@ def lambda_document(
 
     All models must share one order and one vocabulary, otherwise the token
     probabilities are not comparable and the result would be meaningless.
-    Every position including the end-of-sentence transition is scored. The
-    models are indexed together, on the union of their grams, and scored
-    as one matrix.
+    Every position including the end-of-sentence transition is scored. Each
+    model is scored on its own count table, and the rows are stacked into
+    one models x positions matrix.
     """
     if not sentences:
         raise DataError("cannot score a document with no sentences")
@@ -239,34 +240,27 @@ def lambda_document(
         config = LambdaConfig(
             order=author_model.order, refs=len(reference_models), seed=seed
         )
-    models = [author_model, *reference_models]
-    codes = token_codes(author_model.vocab)
-    table = CountTable.from_raw([m.raw_counts for m in models], author_model.order, codes)
-    return _trace(
-        sentences, table, [m.discounts for m in models], codes, config, seed, problem_id
-    )
+    if not all(sentences):
+        raise DataError("cannot score an empty sentence")
+    probs = np.stack([m.token_probs(sentences) for m in (author_model, *reference_models)])
+    return _trace(sentences, probs, config, seed, problem_id)
 
 
 def _trace(
     sentences: Sequence[Sentence],
-    table: CountTable,
-    discounts: Sequence[DiscountSchedule],
-    codes: dict[str, int],
+    probs: np.ndarray,
     config: LambdaConfig,
     seed: int,
     problem_id: Optional[str],
 ) -> LambdaTrace:
-    """Score sentences under model 0 of a table (the author) against the
-    rest: per position, the exactly rounded mean over references of the
-    author's log probability minus the reference's."""
-    if not all(sentences):
-        raise DataError("cannot score an empty sentence")
-    probs = sentence_probs(table, discounts, code_sentences(sentences, codes))
+    """Score sentences from their (1 + r) x positions probability matrix,
+    the author's row first: per position, the exactly rounded mean over
+    references of the author's log probability minus the reference's."""
     # math.log once per distinct probability, then the exactly rounded mean
     # of the r log ratios at each position.
     values, where = np.unique(probs, return_inverse=True)
     logs = np.array([math.log(v) for v in values.tolist()])[where.reshape(probs.shape)]
-    r = len(discounts) - 1
+    r = len(probs) - 1
     scores = iter([math.fsum(ratios.tolist()) / r for ratios in (logs[0] - logs[1:]).T])
 
     token_scores: list[TokenScore] = []
@@ -357,7 +351,8 @@ def verify_problem(
         ]
     else:
         discounts = [DiscountSchedule.constant(config.discount)] * (1 + config.refs)
-    return _trace(unknown, table, discounts, codes, config, seed, problem.id)
+    probs = sentence_probs(table, discounts, code_sentences(unknown, codes))
+    return _trace(unknown, probs, config, seed, problem.id)
 
 
 def score_corpus(

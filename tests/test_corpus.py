@@ -123,6 +123,11 @@ class TestParseTaggedDocument:
         with pytest.raises(ParseError, match="line 1"):
             parse_tagged_document("\tNOUN\n", "d1")
 
+    @pytest.mark.parametrize("doc_id", ["", None, 7])
+    def test_bad_doc_id_is_parse_error(self, doc_id):
+        with pytest.raises(ParseError, match="document id"):
+            parse_tagged_document("a\tNOUN\n", doc_id)
+
 
 class TestDocumentValidation:
     def test_masked_document(self):
@@ -397,7 +402,7 @@ class TestParserProperties:
             max_size=8,
         ),
         as_text=st.booleans(),
-        doc_id=st.text(min_size=1, max_size=4),
+        doc_id=st.text(min_size=0, max_size=4),
     )
     def test_parse_tagged_document_raises_only_parse_error(self, lines, as_text, doc_id):
         try:

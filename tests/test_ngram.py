@@ -23,6 +23,7 @@ from grammarlr.ngram import (
     BOS,
     EOS,
     UNK,
+    CountTable,
     DiscountSchedule,
     GrammarModel,
     Vocabulary,
@@ -32,6 +33,7 @@ from grammarlr.ngram import (
     train,
     train_with_estimated_discounts,
 )
+from grammarlr.scoring import lambda_document
 
 ALPHABET = ("a", "b", "c", "d", "e")
 
@@ -450,6 +452,39 @@ class TestTraining:
             GrammarModel(0, vocab, sched, 1, {})
         with pytest.raises(ValueError):
             GrammarModel(1, vocab, sched, 0, {})
+
+
+class TestCountTableKept:
+    """A trained model scores on the table it was counted with; only a model
+    built from raw counts tabulates them, once."""
+
+    @pytest.fixture()
+    def from_raw_calls(self, monkeypatch):
+        calls = []
+        real = CountTable.from_raw.__func__
+
+        def spy(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CountTable, "from_raw", classmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize("fit", [train, train_with_estimated_discounts])
+    def test_trained_models_never_call_from_raw(self, from_raw_calls, fit):
+        rng = random.Random(173)
+        vocab = Vocabulary.from_sentences([ALPHABET])
+        author, *refs = (fit(random_sentences(rng), 4, vocab=vocab) for _ in range(4))
+        author.prob("a", ("b", "c"))
+        author.sentence_logprob(("a", "b", "e"))
+        lambda_document([("a", "c"), ("d",)], author, refs)
+        assert from_raw_calls == []
+
+    def test_deserialized_model_tabulates_once(self, from_raw_calls):
+        model = deserialize_model(serialize_model(train([("a", "b"), ("c",)], order=3)))
+        model.prob("a", ("b",))
+        model.sentence_logprob(("a", "b"))
+        assert len(from_raw_calls) == 1
 
 
 class TestSerialization:

@@ -17,6 +17,8 @@ from grammarlr.ngram import (
     UNK,
     DiscountSchedule,
     Vocabulary,
+    deserialize_model,
+    serialize_model,
     train,
     train_with_estimated_discounts,
 )
@@ -437,6 +439,42 @@ class TestCountOncePath:
             )
             assert [ts.score for ts in expected.token_scores] == pytest.approx(tokens, abs=1e-9)
             assert expected.total == pytest.approx(total, abs=1e-9)
+
+
+small_corpora = st.lists(
+    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6).map(tuple),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestTrainedAndLoadedModelsAgree:
+    """A trained model scores on the count table it was counted with, a
+    loaded one on a table of its raw counts; ``lambda_document`` gives the
+    same trace, byte for byte, either way."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        known=small_corpora,
+        ref_sets=st.lists(small_corpora, min_size=1, max_size=4),
+        unknown=small_corpora,
+        order=st.integers(1, 5),
+        discount_mode=st.sampled_from(["constant", "modified"]),
+    )
+    def test_trace_json_identical(self, known, ref_sets, unknown, order, discount_mode):
+        vocab = Vocabulary.from_sentences([*known, *(s for rs in ref_sets for s in rs)])
+
+        def fit(sentences):
+            if discount_mode == "modified":
+                return train_with_estimated_discounts(sentences, order, vocab=vocab)
+            return train(sentences, order, discounts=DiscountSchedule.constant(0.6), vocab=vocab)
+
+        trained = [fit(s) for s in (known, *ref_sets)]
+        loaded = [deserialize_model(serialize_model(m)) for m in trained]
+        assert (
+            lambda_document(unknown, trained[0], trained[1:]).to_json()
+            == lambda_document(unknown, loaded[0], loaded[1:]).to_json()
+        )
 
 
 def renamed(doc, rename):
