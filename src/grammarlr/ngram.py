@@ -27,6 +27,8 @@ ids, and all models are evaluated together, level by level, as one
 models x positions array. The scoring pipeline counts once per problem: it
 windows the known side and each distinct sampled reference sentence once,
 and each of the 1 + r models is the count of its sentences' gram ids.
+Ids are sorted by gram length, so a table counted at order N holds the
+table of every lower order as a prefix (:meth:`CountTable.truncated`).
 :func:`train` counts the same way, with one model, reads the raw count
 table off the index and hands the model that one-model table, from which
 its probabilities come. A :class:`GrammarModel` built from raw counts
@@ -297,6 +299,16 @@ class GramIndex:
         ids[ids < 0] = index.missing
         return index, ids
 
+    def truncated(self, order: int) -> "GramIndex":
+        """The index of the grams up to length ``order``: ids are sorted by
+        length, so it keeps a prefix of every array and every id."""
+        if not 1 <= order <= self.order:
+            raise ValueError(f"order must be in 1..{self.order}: {order}")
+        if order == self.order:
+            return self
+        suffix = self.suffix[: self.starts[order + 1]]
+        return GramIndex(order, self.width, self.keys[:order], suffix)
+
     def spell(self, names: Sequence[str]) -> list[tuple[str, ...]]:
         """Every gram, by id, as the tuple of ``names[code]`` of its tokens."""
         grams: list[tuple[str, ...]] = [()]
@@ -395,6 +407,16 @@ class CountTable:
         counts = np.zeros(index.size, dtype=np.int64)
         counts[ids[lengths - 1, ends - 1]] = list(raw.values())
         return cls(index, 1, np.arange(index.size), counts)
+
+    def truncated(self, order: int) -> "CountTable":
+        """The counts of the grams up to length ``order``, as if counted at
+        that order: a prefix of the sorted entries, over the truncated
+        index."""
+        index = self.index.truncated(order)
+        if index is self.index:
+            return self
+        end = np.searchsorted(self.keys, index.size * self.n_models)
+        return CountTable(index, self.n_models, self.keys[:end], self.counts[:end])
 
     def count_of_counts(self) -> list[dict[int, int]]:
         """Per model, how many top-order grams have each count 1..4."""

@@ -25,7 +25,7 @@ from .calibration import (
 from .corpus import Corpus, Document
 from .errors import CorpusError
 from .masking import MaskingLexicon, default_lexicon, mask_corpus
-from .scoring import LambdaConfig, score_corpus
+from .scoring import LambdaConfig, _score_problems, score_corpus
 
 logger = logging.getLogger("grammarlr")
 
@@ -127,26 +127,7 @@ def _mask_corpora(
     return masked
 
 
-def evaluate_corpus(
-    train: Corpus,
-    test: Corpus,
-    config: LambdaConfig,
-    lexicon: Optional[MaskingLexicon] = None,
-    parallel: int = 1,
-) -> EvaluationResult:
-    """Run the full protocol: score train, calibrate, score test, report.
-
-    Both splits are masked before any scoring, the shared reference pool
-    once.
-    """
-    check_author_disjoint(train, test)
-    train_labels = _require_labels(train, "train")
-    test_labels = _require_labels(test, "test")
-    train, test = _mask_corpora((train, test), lexicon)
-
-    logger.info("scoring %d train problems", len(train.problems))
-    train_traces = score_corpus(train, config, lexicon, parallel)
-    train_scores = [t.total for t in train_traces]
+def _calibrate(train_scores: Sequence[float], train_labels: list[str]) -> CalibrationModel:
     calibration = fit_calibration(train_scores, train_labels)
     logger.info(
         "calibration: intercept=%.4f slope=%.4f separated=%s",
@@ -154,18 +135,26 @@ def evaluate_corpus(
         calibration.slope,
         calibration.separated,
     )
+    return calibration
 
-    logger.info("scoring %d test problems", len(test.problems))
-    test_traces = score_corpus(test, config, lexicon, parallel)
-    test_scores = [t.total for t in test_traces]
+
+def _report(
+    config: LambdaConfig,
+    calibration: CalibrationModel,
+    train: Corpus,
+    train_scores: Sequence[float],
+    test: Corpus,
+    test_scores: Sequence[float],
+    test_labels: list[str],
+) -> EvaluationResult:
+    """Apply a fitted calibration to both splits' scores and report."""
     test_log_lrs = [calibration.apply(s) for s in test_scores]
-
     report = build_metrics_report(test_log_lrs, test_labels)
     raw_same = [s for s, lab in zip(test_scores, test_labels) if lab == "Y"]
     raw_diff = [s for s, lab in zip(test_scores, test_labels) if lab == "N"]
     cllr_raw = cllr_from_log_lrs(raw_same, raw_diff)
 
-    def rows(corpus: Corpus, scores: list[float]) -> tuple[ProblemResult, ...]:
+    def rows(corpus: Corpus, scores: Sequence[float]) -> tuple[ProblemResult, ...]:
         out = []
         for p, s in zip(corpus.problems, scores):
             lr = calibration.apply(s)
@@ -192,6 +181,31 @@ def evaluate_corpus(
     )
 
 
+def evaluate_corpus(
+    train: Corpus,
+    test: Corpus,
+    config: LambdaConfig,
+    lexicon: Optional[MaskingLexicon] = None,
+    parallel: int = 1,
+) -> EvaluationResult:
+    """Run the full protocol: score train, calibrate, score test, report.
+
+    Both splits are masked before any scoring, the shared reference pool
+    once.
+    """
+    check_author_disjoint(train, test)
+    train_labels = _require_labels(train, "train")
+    test_labels = _require_labels(test, "test")
+    train, test = _mask_corpora((train, test), lexicon)
+
+    logger.info("scoring %d train problems", len(train.problems))
+    train_scores = [t.total for t in score_corpus(train, config, lexicon, parallel)]
+    calibration = _calibrate(train_scores, train_labels)
+    logger.info("scoring %d test problems", len(test.problems))
+    test_scores = [t.total for t in score_corpus(test, config, lexicon, parallel)]
+    return _report(config, calibration, train, train_scores, test, test_scores, test_labels)
+
+
 def sweep_grid(
     train: Corpus,
     test: Corpus,
@@ -203,28 +217,44 @@ def sweep_grid(
 ) -> list[dict]:
     """Evaluate every (refs, order) cell of a grid; long-form result rows.
 
-    Both splits are masked once, before the first cell.
+    Each row equals the metrics of ``evaluate_corpus`` on the cell's config,
+    but the work is shared: every cell's config is checked first, both
+    splits are masked once, and each split is scored once for the whole
+    grid (one process pool per split with ``parallel`` > 1). Each problem
+    is counted once, at the grid's largest order and reference count, and
+    each cell keeps only its document scores. Each cell is then calibrated
+    and reported as ``evaluate_corpus`` does.
     """
     if not ref_counts or not orders:
         raise ValueError("sweep grids must be non-empty")
+    cells = [replace(base_config, refs=r, order=n) for r in ref_counts for n in orders]
+    check_author_disjoint(train, test)
+    train_labels = _require_labels(train, "train")
+    test_labels = _require_labels(test, "test")
     train, test = _mask_corpora((train, test), lexicon)
+
+    logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
+    train_scores = list(zip(*_score_problems(train, cells, parallel, totals=True)))
+    calibrations = [_calibrate(scores, train_labels) for scores in train_scores]
+    logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
+    test_scores = list(zip(*_score_problems(test, cells, parallel, totals=True)))
     rows = []
-    for r in ref_counts:
-        for n in orders:
-            cfg = replace(base_config, refs=r, order=n)
-            logger.info("sweep cell refs=%d order=%d", r, n)
-            result = evaluate_corpus(train, test, cfg, lexicon, parallel)
-            rows.append(
-                {
-                    "refs": r,
-                    "order": n,
-                    "accuracy": result.report.accuracy,
-                    "auc": result.report.auc,
-                    "cllr": result.report.cllr,
-                    "cllr_min": result.report.cllr_min,
-                    "cllr_cal": result.report.cllr_cal,
-                }
-            )
+    for cfg, calibration, train_cell, test_cell in zip(
+        cells, calibrations, train_scores, test_scores
+    ):
+        logger.info("sweep cell refs=%d order=%d", cfg.refs, cfg.order)
+        result = _report(cfg, calibration, train, train_cell, test, test_cell, test_labels)
+        rows.append(
+            {
+                "refs": cfg.refs,
+                "order": cfg.order,
+                "accuracy": result.report.accuracy,
+                "auc": result.report.auc,
+                "cllr": result.report.cllr,
+                "cllr_min": result.report.cllr_min,
+                "cllr_cal": result.report.cllr_cal,
+            }
+        )
     return rows
 
 

@@ -12,7 +12,9 @@ known-author training set so the comparison is like-for-like. All 1 + r
 models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
 ``ngram``; models trained apart are each scored on their own count table
-and their rows stacked into the same matrix.
+and their rows stacked into the same matrix. A corpus's reference pool is
+gathered and coded once, and a problem scored for several reference counts
+and orders (a sweep) is counted once, at the largest of each.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -295,6 +297,91 @@ def _doc_sentences(docs: Sequence[Document], lexicon: Optional[MaskingLexicon]) 
     return sentences
 
 
+@dataclass(frozen=True)
+class _Pool:
+    """What every problem scored against one reference pool shares: the
+    pool's sentences, the vocabulary of their tokens and its token codes."""
+
+    sentences: list[Sentence]
+    vocab: Vocabulary
+    codes: dict[str, int]
+
+    @classmethod
+    def of(
+        cls, reference_docs: Sequence[Document], lexicon: Optional[MaskingLexicon] = None
+    ) -> "_Pool":
+        sentences = _doc_sentences(reference_docs, lexicon)
+        vocab = Vocabulary.from_sentences(sentences)
+        return cls(sentences, vocab, token_codes(vocab))
+
+
+def _score_problem(
+    problem: VerificationProblem,
+    pool: _Pool,
+    configs: Sequence[LambdaConfig],
+    lexicon: Optional[MaskingLexicon] = None,
+    totals: bool = False,
+) -> list:
+    """Score one problem for configs that differ only in ``refs`` and
+    ``order``: each config's trace, or with ``totals`` only its total.
+
+    The problem is counted once, at the largest order, over the author and
+    the largest number of reference samples. The first r samples of that
+    draw are the samples of r, and a model's counts at a lower order are its
+    counts of the grams up to that length, so the kernel runs once per
+    distinct order, on the table cut to it, and each config scores the
+    author's row and its first r reference rows.
+    """
+    first = configs[0]
+    if any(replace(c, refs=first.refs, order=first.order) != first for c in configs):
+        raise ValueError("configs scored together may differ only in refs and order")
+    known = _doc_sentences(problem.known_docs, lexicon)
+    unknown = _doc_sentences(problem.unknown_docs, lexicon)
+    if not known:
+        raise DataError(f"problem {problem.id!r}: no known-author sentences")
+    if not unknown:
+        raise DataError(f"problem {problem.id!r}: no unknown-document sentences")
+    if not pool.sentences:
+        raise DataError(f"problem {problem.id!r}: no reference sentences")
+
+    known_vocab = Vocabulary.from_sentences(known)
+    seed = derive_seed(first.seed, problem.id)
+    samples = sample_reference_sets(
+        range(len(pool.sentences)),
+        size=len(known),
+        count=max(c.refs for c in configs),
+        seed=seed,
+        sampling=first.sampling,
+    )
+    # The pool's codes serve unless the known side adds tokens to the
+    # vocabulary. One index for all 1 + r models: the known side and each
+    # distinct sampled pool sentence are windowed once.
+    codes = pool.codes
+    if not known_vocab.items <= pool.vocab.items:
+        codes = token_codes(Vocabulary(pool.vocab.items | known_vocab.items))
+    drawn = np.unique(np.concatenate(samples))
+    table = CountTable.from_sentences(
+        code_sentences((*known, *(pool.sentences[i] for i in drawn)), codes),
+        [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
+        max(c.order for c in configs),
+        len(codes),
+    )
+    unknown_codes = code_sentences(unknown, codes)
+    probs = {}
+    for order in {c.order for c in configs}:
+        cut = table.truncated(order)
+        if first.discount_mode == "modified":
+            discounts = [
+                DiscountSchedule.estimate_modified(coc, fallback=first.discount)
+                for coc in cut.count_of_counts()
+            ]
+        else:
+            discounts = [DiscountSchedule.constant(first.discount)] * cut.n_models
+        probs[order] = sentence_probs(cut, discounts, unknown_codes)
+    traces = (_trace(unknown, probs[c.order][: 1 + c.refs], c, seed, problem.id) for c in configs)
+    return [t.total for t in traces] if totals else list(traces)
+
+
 def verify_problem(
     problem: VerificationProblem,
     reference_docs: Sequence[Document],
@@ -305,54 +392,19 @@ def verify_problem(
 
     Tagged documents, the reference pool's included, are masked on every
     call (with the bundled lexicon unless another is given); masked
-    documents are used as they are. ``score_corpus`` masks a whole corpus
-    once and then calls this per problem, so prefer it for many problems.
-    One vocabulary is built from the known-author and reference training
-    material and shared by every model; unknown-document tokens outside it
-    fall to the unknown token at scoring time. The sampling seed is derived
-    from the config seed and the problem id. The models are counted once,
-    over one index of the known side and the distinct sampled reference
-    sentences; the trace equals that of ``lambda_document`` on the same
-    models trained apart.
+    documents are used as they are. The pool's sentences, their vocabulary
+    and its token codes are built on every call too. ``score_corpus`` masks
+    a whole corpus and builds these once, then scores each problem, so
+    prefer it for many problems. One vocabulary, the pool's tokens plus
+    the known side's, is shared by every model; unknown-document tokens
+    outside it fall to the unknown token at scoring time. The sampling seed is
+    derived from the config seed and the problem id. The models are counted
+    once, over one index of the known side and the distinct sampled
+    reference sentences; the trace equals that of ``lambda_document`` on
+    the same models trained apart.
     """
-    known = _doc_sentences(problem.known_docs, lexicon)
-    unknown = _doc_sentences(problem.unknown_docs, lexicon)
-    refs = _doc_sentences(reference_docs, lexicon)
-    if not known:
-        raise DataError(f"problem {problem.id!r}: no known-author sentences")
-    if not unknown:
-        raise DataError(f"problem {problem.id!r}: no unknown-document sentences")
-    if not refs:
-        raise DataError(f"problem {problem.id!r}: no reference sentences")
-
-    vocab = Vocabulary.from_sentences([*known, *refs])
-    seed = derive_seed(config.seed, problem.id)
-    samples = sample_reference_sets(
-        range(len(refs)),
-        size=len(known),
-        count=config.refs,
-        seed=seed,
-        sampling=config.sampling,
-    )
-    # One index for all 1 + r models: the known side and each distinct
-    # sampled pool sentence are windowed once.
-    codes = token_codes(vocab)
-    drawn = np.unique(np.concatenate(samples))
-    table = CountTable.from_sentences(
-        code_sentences((*known, *(refs[i] for i in drawn)), codes),
-        [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
-        config.order,
-        len(codes),
-    )
-    if config.discount_mode == "modified":
-        discounts = [
-            DiscountSchedule.estimate_modified(coc, fallback=config.discount)
-            for coc in table.count_of_counts()
-        ]
-    else:
-        discounts = [DiscountSchedule.constant(config.discount)] * (1 + config.refs)
-    probs = sentence_probs(table, discounts, code_sentences(unknown, codes))
-    return _trace(unknown, probs, config, seed, problem.id)
+    (trace,) = _score_problem(problem, _Pool.of(reference_docs, lexicon), [config], lexicon)
+    return trace
 
 
 def score_corpus(
@@ -367,8 +419,12 @@ def score_corpus(
     is scored (with the bundled lexicon unless another is given), so each
     tagged document is masked once per call, not once per problem. A
     malformed tagged document therefore fails before the first problem is
-    scored. To score many problems against one pool, call this (or
-    ``evaluate_corpus``) rather than ``verify_problem`` in a loop.
+    scored. The pool's sentences, their vocabulary and its token codes are
+    likewise built once per call (once per worker process). Each trace
+    equals that of
+    ``verify_problem`` on the same problem. To score many problems against
+    one pool, call this (or ``evaluate_corpus``) rather than
+    ``verify_problem`` in a loop.
 
     ``parallel`` > 1 fans problems out over a process pool. Each worker
     receives the masked pool and the config once, at start-up, and each job
@@ -377,40 +433,58 @@ def score_corpus(
     raises ``WorkerError`` naming the first problem, in submission order,
     whose result was lost.
     """
+    masked = mask_corpus(corpus, lexicon if lexicon is not None else default_lexicon())
+    return [cells[0] for cells in _score_problems(masked, [config], parallel)]
+
+
+def _score_problems(
+    corpus: Corpus, configs: Sequence[LambdaConfig], parallel: int = 1, totals: bool = False
+) -> list[list]:
+    """Score every problem of a masked corpus for configs that differ only
+    in ``refs`` and ``order``, as ``_score_problem`` does: per problem, in
+    problem order, each config's trace or, with ``totals``, its total.
+
+    The pool is prepared once, in this process or in each worker. See
+    ``score_corpus`` for ``parallel``.
+    """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
-    masked = mask_corpus(corpus, lexicon if lexicon is not None else default_lexicon())
-    problems, refs = masked.problems, masked.reference_docs
+    problems = corpus.problems
     if parallel == 1 or len(problems) <= 1:
-        return [verify_problem(p, refs, config) for p in problems]
+        pool = _Pool.of(corpus.reference_docs)
+        return [_score_problem(p, pool, configs, totals=totals) for p in problems]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    traces: list[LambdaTrace] = []
+    results: list[list] = []
     with ProcessPoolExecutor(
-        max_workers=parallel, initializer=_init_worker, initargs=(refs, config)
-    ) as pool:
+        max_workers=parallel,
+        initializer=_init_worker,
+        initargs=(corpus.reference_docs, configs, totals),
+    ) as executor:
         try:
-            for trace in pool.map(_verify_in_worker, problems):
-                traces.append(trace)
+            for cells in executor.map(_verify_in_worker, problems):
+                results.append(cells)
         except BrokenProcessPool as exc:
             raise WorkerError(
-                f"problem {problems[len(traces)].id!r}: a worker process died "
+                f"problem {problems[len(results)].id!r}: a worker process died "
                 "before returning its result"
             ) from exc
-    return traces
+    return results
 
 
-# Per-process state of a score_corpus worker: (masked reference docs, config),
-# set once by the pool initializer so each job pickles only its problem.
+# Per-process state of a _score_problems worker: (pool, configs, totals), set
+# once by the pool initializer so each job pickles only its problem.
 _worker_job: tuple = ()
 
 
-def _init_worker(reference_docs: tuple[Document, ...], config: LambdaConfig) -> None:
+def _init_worker(
+    reference_docs: tuple[Document, ...], configs: Sequence[LambdaConfig], totals: bool
+) -> None:
     global _worker_job
-    _worker_job = (reference_docs, config)
+    _worker_job = (_Pool.of(reference_docs), configs, totals)
 
 
-def _verify_in_worker(problem: VerificationProblem) -> LambdaTrace:
-    reference_docs, config = _worker_job
-    return verify_problem(problem, reference_docs, config)
+def _verify_in_worker(problem: VerificationProblem) -> list:
+    pool, configs, totals = _worker_job
+    return _score_problem(problem, pool, configs, totals=totals)

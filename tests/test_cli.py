@@ -249,10 +249,11 @@ class TestEvaluate:
     def test_dead_worker_exit_4(self, corpus_dir, monkeypatch, capfd):
         assert load_corpus(corpus_dir / "train.jsonl").problems[0].id == DOOMED_PROBLEM
         monkeypatch.setattr(scoring, "_verify_in_worker", _die_on_doomed_problem)
-        assert run(["evaluate", corpus_dir, "--parallel", "2"] + FAST_MODEL) == 4
-        err = capfd.readouterr().err
-        assert "Traceback" not in err
-        assert repr(DOOMED_PROBLEM) in err
+        for argv in (["evaluate"], ["sweep", "--r-grid", "1,2", "--n-grid", "1,2"]):
+            assert run([*argv, corpus_dir, "--parallel", "2"] + FAST_MODEL) == 4
+            err = capfd.readouterr().err
+            assert "Traceback" not in err
+            assert repr(DOOMED_PROBLEM) in err
 
 
 class TestSweep:
@@ -274,8 +275,9 @@ class TestSweep:
         assert len(lines) == 3
 
     def test_bad_grid_exit_2(self, corpus_dir):
-        argv = ["sweep", corpus_dir, "--r-grid", "a,b"] + FAST_MODEL
-        assert run(argv) == 2
+        for grid in ("a,b", "3,0"):
+            argv = ["sweep", corpus_dir, "--r-grid", grid] + FAST_MODEL
+            assert run(argv) == 2
 
 
 class TestCrossGenre:

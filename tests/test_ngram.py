@@ -4,6 +4,7 @@ import math
 import random
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -485,6 +486,50 @@ class TestCountTableKept:
         model.prob("a", ("b",))
         model.sentence_logprob(("a", "b"))
         assert len(from_raw_calls) == 1
+
+
+# Coded sentences over four tokens (codes 0-3; 4 and 5 are the markers), a
+# few repeated, and models that train on repeated sentence numbers.
+@st.composite
+def counted_models(draw):
+    sentence = st.lists(st.integers(0, 3), min_size=1, max_size=6)
+    distinct = draw(st.lists(sentence, min_size=1, max_size=4))
+    sentences = distinct + draw(st.lists(st.sampled_from(distinct), max_size=3))
+    model = st.lists(st.integers(0, len(sentences) - 1), min_size=1, max_size=6)
+    return sentences, draw(st.lists(model, min_size=1, max_size=4))
+
+
+class TestTruncatedTable:
+    """A table counted at order N and cut to n < N is the table counted at
+    order n, array for array: the sweep scores every order of its grid from
+    one count."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        counted=counted_models(),
+        orders=st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True),
+    )
+    def test_equals_counting_at_the_lower_order(self, counted, orders):
+        sentences, models = counted
+        low, high = sorted(orders)
+        cut = CountTable.from_sentences(sentences, models, high, 6).truncated(low)
+        direct = CountTable.from_sentences(sentences, models, low, 6)
+        assert cut.index.order == direct.index.order == low
+        for got, want in zip(cut.index.keys, direct.index.keys, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(cut.index.suffix, direct.index.suffix)
+        assert np.array_equal(cut.index.starts, direct.index.starts)
+        assert cut.n_models == direct.n_models
+        assert np.array_equal(cut.keys, direct.keys)
+        assert np.array_equal(cut.counts, direct.counts)
+        assert cut.count_of_counts() == direct.count_of_counts()
+
+    def test_own_order_is_the_table_and_others_are_rejected(self):
+        table = CountTable.from_sentences([[0, 1, 2]], [[0]], 3, 6)
+        assert table.truncated(3) is table
+        for order in (0, 4):
+            with pytest.raises(ValueError, match="order"):
+                table.truncated(order)
 
 
 class TestSerialization:

@@ -3,7 +3,9 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from grammarlr import scoring
 from grammarlr.calibration import decide
 from grammarlr.corpus import Corpus, CorpusError
 from grammarlr.protocol import (
@@ -13,7 +15,7 @@ from grammarlr.protocol import (
     evaluate_corpus,
     sweep_grid,
 )
-from grammarlr.scoring import LambdaConfig
+from grammarlr.scoring import SAMPLING_MODES, LambdaConfig
 from grammarlr.synth import DEFAULT_ALPHABET, suffixed_alphabet, synth_corpus
 
 SYNTH_ARGS = dict(
@@ -180,6 +182,30 @@ class TestEvaluate:
             evaluate_corpus(train, empty, config)
 
 
+# Small enough that the sweep property test can evaluate every cell apart.
+SWEEP_CORPORA = split(sentences_per_doc=5)
+
+
+def per_cell_rows(train, test, base, ref_counts, orders):
+    rows = []
+    for r in ref_counts:
+        for n in orders:
+            cfg = dataclasses.replace(base, refs=r, order=n)
+            report = evaluate_corpus(train, test, cfg).report
+            rows.append(
+                {
+                    "refs": r,
+                    "order": n,
+                    "accuracy": report.accuracy,
+                    "auc": report.auc,
+                    "cllr": report.cllr,
+                    "cllr_min": report.cllr_min,
+                    "cllr_cal": report.cllr_cal,
+                }
+            )
+    return rows
+
+
 class TestSweep:
     def test_grid_rows(self, corpora, config):
         train, test = corpora
@@ -207,6 +233,46 @@ class TestSweep:
         train, test = corpora
         with pytest.raises(ValueError, match="non-empty"):
             sweep_grid(train, test, config, ref_counts=[], orders=[2])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        ref_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        discount_mode=st.sampled_from(("constant", "modified")),
+        sampling=st.sampled_from(SAMPLING_MODES),
+        seed=st.integers(0, 1000),
+    )
+    @example(ref_counts=[5, 2, 5], orders=[3, 1, 3], discount_mode="modified",
+             sampling="with_replacement", seed=3)
+    def test_rows_equal_one_evaluation_per_cell(
+        self, ref_counts, orders, discount_mode, sampling, seed
+    ):
+        # The sweep counts each problem once for its whole grid; each row
+        # must still be the row of a separate evaluation of its cell.
+        train, test = SWEEP_CORPORA
+        base = LambdaConfig(seed=seed, discount_mode=discount_mode, sampling=sampling)
+        rows = sweep_grid(train, test, base, ref_counts, orders)
+        assert json.dumps(rows) == json.dumps(per_cell_rows(train, test, base, ref_counts, orders))
+
+    def test_parallel_matches_serial(self, corpora, config):
+        train, test = corpora
+        serial = sweep_grid(train, test, config, [3, 1], [1, 3], parallel=1)
+        parallel = sweep_grid(train, test, config, [3, 1], [1, 3], parallel=2)
+        assert json.dumps(parallel) == json.dumps(serial)
+
+    def test_invalid_cell_fails_before_any_scoring(self, corpora, config, monkeypatch):
+        calls = []
+        real = scoring.sentence_probs
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scoring, "sentence_probs", spy)
+        train, test = corpora
+        with pytest.raises(ValueError, match="refs"):
+            sweep_grid(train, test, config, ref_counts=[3, 0], orders=[2])
+        assert calls == []
 
 
 class TestCrossGenre:

@@ -24,6 +24,7 @@ from grammarlr.ngram import (
 )
 from grammarlr.protocol import evaluate_corpus
 from grammarlr.scoring import (
+    SAMPLING_MODES,
     LambdaConfig,
     LambdaTrace,
     TokenScore,
@@ -119,6 +120,18 @@ class TestSampling:
             pool, size=6, count=1, seed=5, sampling="with_replacement"
         )
         assert len(samples[0]) == 6  # duplicates forced by pigeonhole
+
+    @pytest.mark.parametrize("sampling", SAMPLING_MODES)
+    @pytest.mark.parametrize("pool_size", [12, 3], ids=["pool-larger", "pool-smaller"])
+    def test_first_k_samples_are_the_samples_of_k(self, sampling, pool_size):
+        # The sweep draws once, for its largest r, and gives each smaller r
+        # the first r samples; a pool smaller than the sample falls back to
+        # sampling with replacement.
+        pool = self._pool(pool_size)
+        for seed in (0, 13):
+            full = sample_reference_sets(pool, size=5, count=8, seed=seed, sampling=sampling)
+            for k in range(1, 8):
+                assert sample_reference_sets(pool, 5, k, seed, sampling) == full[:k]
 
     def test_deterministic_in_seed(self):
         pool = self._pool(9)
@@ -399,6 +412,9 @@ COUNT_ONCE_CASES = {
     "constant-order2-oov-unknown": (
         LambdaConfig(order=2, refs=5, seed=6, discount=0.4), {"oov": True}
     ),
+    "modified-order3-known-side-adds-tokens": (
+        LambdaConfig(order=3, refs=4, seed=8, discount_mode="modified"), {"known_only": "bb"}
+    ),
     "modified-order3-empty-n2-bin": (
         LambdaConfig(order=3, refs=4, seed=7, discount_mode="modified", discount=0.6),
         {"single_sentence": True},
@@ -419,6 +435,11 @@ class TestCountOncePath:
         if shape.get("single_sentence"):
             known = Document(id="p1-k1", sentences=(("a", "b", "c", "d", "e"),))
             problem = replace(problem, known_docs=(known,))
+        if "known_only" in shape:
+            # A token only the known side holds, sorting inside the pool's
+            # tokens, shifts the codes of the pool tokens after it.
+            known = Document(id="p1-k3", sentences=(("a", shape["known_only"], "c"),))
+            problem = replace(problem, known_docs=(*problem.known_docs, known))
         pool = make_refs(rng, n=shape.get("pool_docs", 4))
         expected, author, (known, samples, vocab, unknown) = public_path_trace(
             problem, pool, cfg
@@ -429,6 +450,8 @@ class TestCountOncePath:
             assert sum(len(d.sentences) for d in pool) < len(known)
         if "oov" in shape:
             assert any(t not in vocab for s in unknown for t in s)
+        if "known_only" in shape:
+            assert all(shape["known_only"] not in s for d in pool for s in d.sentences)
         if shape.get("single_sentence"):
             # n2 is empty, so the count-2 discount is the fallback.
             assert author.discounts.bins[1] == cfg.discount
