@@ -234,10 +234,10 @@ def sweep_grid(
     train, test = _mask_corpora((train, test), lexicon)
 
     logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
-    train_scores = list(zip(*_score_problems(train, cells, parallel, totals=True)))
+    train_scores = _cell_totals(train, cells, parallel)
     calibrations = [_calibrate(scores, train_labels) for scores in train_scores]
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
-    test_scores = list(zip(*_score_problems(test, cells, parallel, totals=True)))
+    test_scores = _cell_totals(test, cells, parallel)
     rows = []
     for cfg, calibration, train_cell, test_cell in zip(
         cells, calibrations, train_scores, test_scores
@@ -256,6 +256,14 @@ def sweep_grid(
             }
         )
     return rows
+
+
+def _cell_totals(
+    corpus: Corpus, cells: Sequence[LambdaConfig], parallel: int
+) -> list[tuple[float, ...]]:
+    """Each cell's document scores, in problem order."""
+    traces = _score_problems(corpus, cells, parallel)
+    return list(zip(*([t.total for t in problem] for problem in traces)))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import html as _html
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .ngram import EOS
 from .scoring import LambdaTrace
@@ -68,11 +69,13 @@ def rank_sentences(trace: LambdaTrace) -> tuple[int, ...]:
 def zscore_bins(trace: LambdaTrace) -> HighlightDoc:
     """Standardize token scores within the document and bucket them.
 
-    A document whose token scores have zero variance (every position scored
-    identically, e.g. author and reference models coincide) gets no
-    highlights at all, plus a warning, rather than arbitrary ones.
+    Reads the trace's score column and sentence bounds, not its
+    ``TokenScore``s. A document whose token scores have zero variance
+    (every position scored identically, e.g. author and reference models
+    coincide) gets no highlights at all, plus a warning, rather than
+    arbitrary ones.
     """
-    scores = [ts.score for ts in trace.token_scores]
+    scores = trace.scores.tolist()
     if not scores:
         raise ValueError("trace has no token scores")
     n = len(scores)
@@ -80,37 +83,30 @@ def zscore_bins(trace: LambdaTrace) -> HighlightDoc:
     var = math.fsum((s - mean) ** 2 for s in scores) / n
     sd = math.sqrt(var)
 
-    n_sentences = len(trace.sentence_scores)
-    sent_tokens: list[list[str]] = [[] for _ in range(n_sentences)]
-    sent_bins: list[list[str]] = [[] for _ in range(n_sentences)]
-    sent_scores: list[list[float]] = [[] for _ in range(n_sentences)]
-
     if sd == 0.0:
         warnings.warn(
             "token scores have zero variance; no positions highlighted",
             RuntimeWarning,
         )
-    for ts in trace.token_scores:
-        if sd == 0.0:
-            bin_name = BIN_NONE
-        else:
-            z = (ts.score - mean) / sd
-            if z > 2.0:
-                bin_name = BIN_DARK
-            elif z > 1.0:
-                bin_name = BIN_MEDIUM
-            elif z > 0.5:
-                bin_name = BIN_LIGHT
-            else:
-                bin_name = BIN_NONE
-        sent_tokens[ts.sentence_index].append(ts.token)
-        sent_bins[ts.sentence_index].append(bin_name)
-        sent_scores[ts.sentence_index].append(ts.score)
 
+    def bin_of(score: float) -> str:
+        if sd == 0.0:
+            return BIN_NONE
+        z = (score - mean) / sd
+        if z > 2.0:
+            return BIN_DARK
+        if z > 1.0:
+            return BIN_MEDIUM
+        if z > 0.5:
+            return BIN_LIGHT
+        return BIN_NONE
+
+    spans = list(pairwise(trace.bounds))
+    sent_scores = tuple(tuple(scores[a:b]) for a, b in spans)
     return HighlightDoc(
-        sentences=tuple(tuple(t) for t in sent_tokens),
-        bins=tuple(tuple(b) for b in sent_bins),
-        token_scores=tuple(tuple(s) for s in sent_scores),
+        sentences=tuple(trace.tokens[a:b] for a, b in spans),
+        bins=tuple(tuple(bin_of(s) for s in sent) for sent in sent_scores),
+        token_scores=sent_scores,
         sentence_scores=trace.sentence_scores,
         ranking=rank_sentences(trace),
     )

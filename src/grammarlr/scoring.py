@@ -6,6 +6,15 @@ model's probability. Sentence and document scores are sums over token
 scores, so every document score decomposes exactly into per-token
 contributions and traces stay audit-friendly.
 
+Each position's mean is exactly rounded: it equals ``math.fsum`` of the r
+log ratios over r, bit for bit. It is computed for all positions at once
+as an array sum with error-free transformations, and only a column whose
+compensated sum lies too near a rounding boundary is summed by
+``math.fsum`` (see ``_exact_sums`` for the bound). Probabilities are logged
+with ``math.log`` once per distinct value. A ``LambdaTrace`` holds its
+positions as columns (scores, display tokens, sentence bounds) and builds
+``TokenScore`` objects only when they are asked for.
+
 Reference models are trained on sentence samples drawn from a pool of
 documents by other authors; each sample has the same size as the
 known-author training set so the comparison is like-for-like. All 1 + r
@@ -22,7 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass, replace
+from functools import cached_property
+from itertools import accumulate, pairwise
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +77,10 @@ class LambdaConfig:
     sampling: str = "without_replacement"
 
     def __post_init__(self) -> None:
+        for name in ("order", "refs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer: {value!r}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1: {self.order}")
         if self.refs < 1:
@@ -103,30 +119,159 @@ class TokenScore:
     score: float
 
 
-@dataclass(frozen=True)
 class LambdaTrace:
-    """Full decomposition of a document score.
+    """Full decomposition of a document score, held as columns.
+
+    ``scores`` is a read-only float64 array with one score per scored
+    position, sentence after sentence, each sentence's tokens then its end
+    marker. ``tokens`` holds the display token of each position, and
+    sentence ``i`` spans ``scores[bounds[i]:bounds[i + 1]]``.
+    ``token_scores`` presents the same positions as ``TokenScore``s with
+    Python float scores; it is built on first access and then kept (or kept
+    as given, when the trace was constructed from ``TokenScore``s).
 
     ``total`` equals the sum of ``sentence_scores`` equals the sum of token
-    scores (checked at construction to a 1e-9 absolute tolerance).
-    ``seed`` is the effective sampling seed actually used, which for
-    problem-level runs is derived from the config seed and the problem id.
+    scores (checked at construction to a 1e-9 absolute tolerance). ``seed``
+    is the effective sampling seed actually used, which for problem-level
+    runs is derived from the config seed and the problem id.
+
+    The keyword constructor takes ``TokenScore``s, which must run sentence
+    by sentence with positions 1, 2, ... within each sentence;
+    ``from_columns`` builds a trace from the columns and sums its sentences.
+    Traces are immutable, compare and hash by their ``TokenScore``s and the
+    other fields, and pickle as their columns.
     """
 
-    token_scores: tuple[TokenScore, ...]
-    sentence_scores: tuple[float, ...]
-    total: float
-    config: LambdaConfig
-    seed: int
-    problem_id: Optional[str] = None
+    def __init__(
+        self,
+        token_scores: Sequence[TokenScore],
+        sentence_scores: Sequence[float],
+        total: float,
+        config: LambdaConfig,
+        seed: int,
+        problem_id: Optional[str] = None,
+    ) -> None:
+        token_scores = tuple(token_scores)
+        index = [ts.sentence_index for ts in token_scores]
+        in_range = not index or (index[0] >= 0 and index[-1] < len(sentence_scores))
+        if index != sorted(index) or not in_range:
+            raise ContractError("token scores must run sentence by sentence")
+        bounds = tuple(bisect_left(index, si) for si in range(len(sentence_scores) + 1))
+        positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
+        if [ts.position for ts in token_scores] != positions:
+            raise ContractError("token positions must run 1, 2, ... within each sentence")
+        self._fill(
+            np.array([ts.score for ts in token_scores], dtype=np.float64),
+            tuple(ts.token for ts in token_scores),
+            bounds,
+            tuple(sentence_scores),
+            total,
+            config,
+            seed,
+            problem_id,
+        )
+        vars(self)["token_scores"] = token_scores
 
-    def __post_init__(self) -> None:
-        by_tokens = math.fsum(ts.score for ts in self.token_scores)
-        by_sentences = math.fsum(self.sentence_scores)
-        if abs(by_tokens - self.total) > 1e-9 or abs(by_sentences - self.total) > 1e-9:
+    @classmethod
+    def from_columns(
+        cls,
+        scores: np.ndarray,
+        tokens: Sequence[str],
+        bounds: Sequence[int],
+        config: LambdaConfig,
+        seed: int,
+        problem_id: Optional[str] = None,
+    ) -> "LambdaTrace":
+        """A trace of per-position scores: each sentence score is the
+        exactly rounded sum of its slice, and the total that of the
+        sentence scores."""
+        values = np.asarray(scores, dtype=np.float64).tolist()
+        sentence_scores = tuple(math.fsum(values[a:b]) for a, b in pairwise(bounds))
+        trace = cls.__new__(cls)
+        trace._fill(
+            scores, tuple(tokens), tuple(bounds), sentence_scores,
+            math.fsum(sentence_scores), config, seed, problem_id,
+        )
+        return trace
+
+    def _fill(
+        self,
+        scores: np.ndarray,
+        tokens: tuple[str, ...],
+        bounds: tuple[int, ...],
+        sentence_scores: tuple[float, ...],
+        total: float,
+        config: LambdaConfig,
+        seed: int,
+        problem_id: Optional[str],
+    ) -> None:
+        scores = np.asarray(scores, dtype=np.float64).view()
+        scores.flags.writeable = False
+        if (
+            scores.shape != (len(tokens),)
+            or len(bounds) != len(sentence_scores) + 1
+            or (bounds[0], bounds[-1]) != (0, len(tokens))
+            or list(bounds) != sorted(bounds)
+        ):
+            raise ContractError("trace columns disagree in length")
+        vars(self).update(
+            scores=scores,
+            tokens=tokens,
+            bounds=bounds,
+            sentence_scores=sentence_scores,
+            total=total,
+            config=config,
+            seed=seed,
+            problem_id=problem_id,
+        )
+        by_tokens = math.fsum(scores.tolist())
+        by_sentences = math.fsum(sentence_scores)
+        if abs(by_tokens - total) > 1e-9 or abs(by_sentences - total) > 1e-9:
             raise ContractError(
                 "trace total does not decompose into sentence and token sums"
             )
+
+    @cached_property
+    def token_scores(self) -> tuple[TokenScore, ...]:
+        values = self.scores.tolist()
+        return tuple(
+            TokenScore(self.tokens[i], si, i - a + 1, values[i])
+            for si, (a, b) in enumerate(pairwise(self.bounds))
+            for i in range(a, b)
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.token_scores, self.sentence_scores, self.total,
+            self.config, self.seed, self.problem_id,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LambdaTrace(token_scores={self.token_scores!r}, "
+            f"sentence_scores={self.sentence_scores!r}, total={self.total!r}, "
+            f"config={self.config!r}, seed={self.seed!r}, problem_id={self.problem_id!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore_trace, (
+            self.scores, self.tokens, self.bounds, self.sentence_scores,
+            self.total, self.config, self.seed, self.problem_id,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,6 +316,14 @@ class LambdaTrace:
     @classmethod
     def from_json(cls, text: str) -> "LambdaTrace":
         return cls.from_json_dict(json.loads(text))
+
+
+def _restore_trace(
+    scores, tokens, bounds, sentence_scores, total, config, seed, problem_id
+) -> LambdaTrace:
+    trace = LambdaTrace.__new__(LambdaTrace)
+    trace._fill(scores, tokens, bounds, sentence_scores, total, config, seed, problem_id)
+    return trace
 
 
 def derive_seed(seed: int, problem_id: str) -> int:
@@ -245,47 +398,111 @@ def lambda_document(
     if not all(sentences):
         raise DataError("cannot score an empty sentence")
     probs = np.stack([m.token_probs(sentences) for m in (author_model, *reference_models)])
-    return _trace(sentences, probs, config, seed, problem_id)
+    return _trace(_log_probs(probs), _layout(sentences), config, seed, problem_id)
+
+
+def _log_probs(probs: np.ndarray) -> np.ndarray:
+    """``math.log`` of every probability, taken once per distinct value.
+    (``np.log`` differs from ``math.log`` in the last bit on some inputs.)"""
+    values, where = np.unique(probs, return_inverse=True)
+    logs = np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
+    return logs[where.reshape(probs.shape)]
+
+
+def _layout(sentences: Sequence[Sentence]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The display tokens of a document's scored positions, each sentence's
+    tokens then its end marker, and the offsets where its sentences start
+    (plus the end)."""
+    tokens = tuple(t for sent in sentences for t in (*sent, EOS))
+    return tokens, tuple(accumulate((len(sent) + 1 for sent in sentences), initial=0))
 
 
 def _trace(
-    sentences: Sequence[Sentence],
-    probs: np.ndarray,
+    logs: np.ndarray,
+    layout: tuple[tuple[str, ...], tuple[int, ...]],
     config: LambdaConfig,
     seed: int,
     problem_id: Optional[str],
 ) -> LambdaTrace:
-    """Score sentences from their (1 + r) x positions probability matrix,
-    the author's row first: per position, the exactly rounded mean over
-    references of the author's log probability minus the reference's."""
-    # math.log once per distinct probability, then the exactly rounded mean
-    # of the r log ratios at each position.
-    values, where = np.unique(probs, return_inverse=True)
-    logs = np.array([math.log(v) for v in values.tolist()])[where.reshape(probs.shape)]
-    r = len(probs) - 1
-    scores = iter([math.fsum(ratios.tolist()) / r for ratios in (logs[0] - logs[1:]).T])
-
-    token_scores: list[TokenScore] = []
-    sentence_scores: list[float] = []
-    for si, sent in enumerate(sentences):
-        per_token: list[float] = []
-        for pos in range(1, len(sent) + 2):
-            score = next(scores)
-            display = sent[pos - 1] if pos <= len(sent) else EOS
-            token_scores.append(
-                TokenScore(token=display, sentence_index=si, position=pos, score=score)
-            )
-            per_token.append(score)
-        sentence_scores.append(math.fsum(per_token))
-    total = math.fsum(sentence_scores)
-    return LambdaTrace(
-        token_scores=tuple(token_scores),
-        sentence_scores=tuple(sentence_scores),
-        total=total,
-        config=config,
-        seed=seed,
-        problem_id=problem_id,
+    """Score a document from its (1 + r) x positions matrix of log
+    probabilities, the author's row first: per position, the exactly
+    rounded mean over references of the author's log probability minus the
+    reference's."""
+    r = len(logs) - 1
+    return LambdaTrace.from_columns(
+        _exact_sums(logs[0] - logs[1:]) / r, *layout, config, seed, problem_id
     )
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's error-free TwoSum: s = fl(a + b) and the e with a + b = s + e
+    exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_sum_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add the rows of ``x`` pairwise with TwoSum: the rounded row sum, and
+    the rows of rounding errors, whose exact sum is what the rounded sum
+    misses of the exact one."""
+    if not len(x):
+        return np.zeros(x.shape[1:]), x
+    errors = []
+    while len(x) > 1:
+        half = len(x) // 2
+        s, e = _two_sum(x[:half], x[half : 2 * half])
+        errors.append(e)
+        x = np.concatenate((s, x[2 * half :])) if len(x) % 2 else s
+    return x[0], np.concatenate(errors) if errors else x[:0]
+
+
+# The acceptance threshold's margin, and the least |y| it applies to: there
+# half an ulp of y, shrunk by the margin, is still an exact normal number.
+_MARGIN = 1.0 - 2.0**-20
+_LEAST_CHECKED = 2.0**-968
+
+
+def _exact_sums(rows: np.ndarray) -> np.ndarray:
+    """The column sums of ``rows``, each equal bit for bit to ``math.fsum``
+    of its column: exactly rounded, ties to even.
+
+    The "faithful, then verify" scheme of Ogita, Rump & Oishi (2005,
+    "Accurate Sum and Dot Product") and Rump, Ogita & Oishi (2008), in array
+    form. With TwoSum error-free, every column's exact sum S is
+
+        S = s + sum(e) = s + c + sum(e2) = y + t + sum(e2)
+
+    where s and the errors e come from adding the rows pairwise (log2 r
+    array passes rather than r), c and the errors e2 from adding the e
+    likewise, and y + t = s + c from one more TwoSum. Where every e2 is
+    zero, S = s + c exactly, so y = fl(s + c) is S rounded to nearest, ties
+    to even, as ``math.fsum`` rounds it. Otherwise c2, the rounded sum of
+    the n < r e2, is within about (n - 1) u sum|e2| of sum(e2)
+    (u = 2**-53), and 2 r eps sum|e2| (eps = 2**-52) bounds that with room
+    to spare, also for the rounding of sum|e2| itself, so
+
+        |S - y| <= |t| + |c2| + 2 r eps sum|e2|.
+
+    y is S correctly rounded when that bound is below half the gap from y
+    to its nearer neighbour; the 2**-20 margin covers the two roundings in
+    adding up the bound, and |y| >= 2**-968 keeps the threshold exact. Any
+    other column (a zero or tiny y, a bound too close to the half gap, a
+    non-finite value) is summed by ``math.fsum`` (Shewchuk 1997).
+    """
+    s, e = _two_sum_rows(rows)
+    c, e2 = _two_sum_rows(e)
+    y, t = _two_sum(s, c)
+    spread = np.abs(e2).sum(axis=0)
+    size = np.abs(y)
+    half_gap = 0.5 * np.minimum(np.spacing(size), size - np.nextafter(size, 0.0))
+    bound = np.abs(t) + np.abs(e2.sum(axis=0)) + 2 * len(rows) * np.finfo(np.float64).eps * spread
+    exact = np.isfinite(y) & (y != 0.0) & (
+        (spread == 0.0) | ((size >= _LEAST_CHECKED) & (bound < half_gap * _MARGIN))
+    )
+    for j in np.flatnonzero(~exact).tolist():
+        y[j] = math.fsum(rows[:, j].tolist())
+    return y
 
 
 def _doc_sentences(docs: Sequence[Document], lexicon: Optional[MaskingLexicon]) -> list[Sentence]:
@@ -320,17 +537,17 @@ def _score_problem(
     pool: _Pool,
     configs: Sequence[LambdaConfig],
     lexicon: Optional[MaskingLexicon] = None,
-    totals: bool = False,
-) -> list:
+) -> list[LambdaTrace]:
     """Score one problem for configs that differ only in ``refs`` and
-    ``order``: each config's trace, or with ``totals`` only its total.
+    ``order``: each config's trace.
 
     The problem is counted once, at the largest order, over the author and
     the largest number of reference samples. The first r samples of that
     draw are the samples of r, and a model's counts at a lower order are its
     counts of the grams up to that length, so the kernel runs once per
-    distinct order, on the table cut to it, and each config scores the
-    author's row and its first r reference rows.
+    distinct order, on the table cut to it, and that order's probabilities
+    are logged once; each config scores the author's row and its first r
+    reference rows of that log matrix.
     """
     first = configs[0]
     if any(replace(c, refs=first.refs, order=first.order) != first for c in configs):
@@ -367,7 +584,7 @@ def _score_problem(
         len(codes),
     )
     unknown_codes = code_sentences(unknown, codes)
-    probs = {}
+    logs = {}
     for order in {c.order for c in configs}:
         cut = table.truncated(order)
         if first.discount_mode == "modified":
@@ -377,9 +594,9 @@ def _score_problem(
             ]
         else:
             discounts = [DiscountSchedule.constant(first.discount)] * cut.n_models
-        probs[order] = sentence_probs(cut, discounts, unknown_codes)
-    traces = (_trace(unknown, probs[c.order][: 1 + c.refs], c, seed, problem.id) for c in configs)
-    return [t.total for t in traces] if totals else list(traces)
+        logs[order] = _log_probs(sentence_probs(cut, discounts, unknown_codes))
+    layout = _layout(unknown)
+    return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]
 
 
 def verify_problem(
@@ -438,11 +655,11 @@ def score_corpus(
 
 
 def _score_problems(
-    corpus: Corpus, configs: Sequence[LambdaConfig], parallel: int = 1, totals: bool = False
-) -> list[list]:
+    corpus: Corpus, configs: Sequence[LambdaConfig], parallel: int = 1
+) -> list[list[LambdaTrace]]:
     """Score every problem of a masked corpus for configs that differ only
     in ``refs`` and ``order``, as ``_score_problem`` does: per problem, in
-    problem order, each config's trace or, with ``totals``, its total.
+    problem order, each config's trace.
 
     The pool is prepared once, in this process or in each worker. See
     ``score_corpus`` for ``parallel``.
@@ -452,15 +669,15 @@ def _score_problems(
     problems = corpus.problems
     if parallel == 1 or len(problems) <= 1:
         pool = _Pool.of(corpus.reference_docs)
-        return [_score_problem(p, pool, configs, totals=totals) for p in problems]
+        return [_score_problem(p, pool, configs) for p in problems]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    results: list[list] = []
+    results: list[list[LambdaTrace]] = []
     with ProcessPoolExecutor(
         max_workers=parallel,
         initializer=_init_worker,
-        initargs=(corpus.reference_docs, configs, totals),
+        initargs=(corpus.reference_docs, configs),
     ) as executor:
         try:
             for cells in executor.map(_verify_in_worker, problems):
@@ -473,18 +690,16 @@ def _score_problems(
     return results
 
 
-# Per-process state of a _score_problems worker: (pool, configs, totals), set
-# once by the pool initializer so each job pickles only its problem.
+# Per-process state of a _score_problems worker: (pool, configs), set once
+# by the pool initializer so each job pickles only its problem.
 _worker_job: tuple = ()
 
 
-def _init_worker(
-    reference_docs: tuple[Document, ...], configs: Sequence[LambdaConfig], totals: bool
-) -> None:
+def _init_worker(reference_docs: tuple[Document, ...], configs: Sequence[LambdaConfig]) -> None:
     global _worker_job
-    _worker_job = (_Pool.of(reference_docs), configs, totals)
+    _worker_job = (_Pool.of(reference_docs), configs)
 
 
-def _verify_in_worker(problem: VerificationProblem) -> list:
-    pool, configs, totals = _worker_job
-    return _score_problem(problem, pool, configs, totals=totals)
+def _verify_in_worker(problem: VerificationProblem) -> list[LambdaTrace]:
+    pool, configs = _worker_job
+    return _score_problem(problem, pool, configs)

@@ -10,6 +10,7 @@ internals beyond the pseudo-token spellings.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -212,6 +213,41 @@ def oracle_lambda_document(
                 history = (history + [t])[-(order - 1) :]
         sentence_scores.append(sum(per_sent))
     return token_scores, sentence_scores, sum(sentence_scores)
+
+
+def oracle_trace_json(sentences, probs, config_dict, seed, problem_id):
+    """The JSON of a document's score trace, by the per-position loop.
+
+    ``probs`` is the (1 + r) x positions probability matrix, the author's
+    row first, one column per token and end marker. Each position scores
+    ``math.fsum`` of the r log ratios over r; each sentence, ``math.fsum``
+    of its position scores; the total, ``math.fsum`` of the sentence
+    scores.
+    """
+    logs = [[math.log(p) for p in row] for row in probs.tolist()]
+    r = len(logs) - 1
+    column = 0
+    token_scores = []
+    sentence_scores = []
+    for si, sent in enumerate(sentences):
+        per_token = []
+        for pos, token in enumerate([*sent, EOS], start=1):
+            score = math.fsum(logs[0][column] - ref[column] for ref in logs[1:]) / r
+            column += 1
+            token_scores.append(
+                {"token": token, "sentence_index": si, "position": pos, "lambda": score}
+            )
+            per_token.append(score)
+        sentence_scores.append(math.fsum(per_token))
+    obj = {
+        "problem_id": problem_id,
+        "config": config_dict,
+        "seed": seed,
+        "total": math.fsum(sentence_scores),
+        "sentence_scores": sentence_scores,
+        "token_scores": token_scores,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "))
 
 
 def oracle_isotonic(scores, labels):

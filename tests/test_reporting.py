@@ -102,6 +102,27 @@ class TestZscoreBins:
             zscore_bins(empty)
 
 
+class TestColumnsAndTokenScoresAgree:
+    """``zscore_bins`` reads the score column and the sentence bounds; a
+    trace built from columns and the same trace built from ``TokenScore``s
+    give equal highlight documents and equal rendered output."""
+
+    SCORES = [[0.0, 2.5, -1.0], [0.4], [6.0, 0.1, 0.2, 0.3], [1.5]]
+
+    def test_equal_highlights_and_output(self):
+        listed = make_trace(self.SCORES)
+        columns = LambdaTrace.from_columns(
+            listed.scores.copy(), listed.tokens, listed.bounds, listed.config, listed.seed
+        )
+        assert "token_scores" not in vars(columns)
+        doc = zscore_bins(columns)
+        assert "token_scores" not in vars(columns)
+        assert doc == zscore_bins(listed)
+        assert {b for sent in doc.bins for b in sent} > {BIN_NONE}
+        for fmt in ("html", "ansi"):
+            assert render_highlight(doc, fmt) == render_highlight(zscore_bins(listed), fmt)
+
+
 class TestRanking:
     def test_descending_with_ties_in_document_order(self):
         trace = make_trace([[1.0], [3.0], [1.0], [3.0]])

@@ -1,12 +1,14 @@
 import math
+import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_lambda_document
+from oracles import oracle_lambda_document, oracle_trace_json
 
 from grammarlr import masking, scoring
 from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
@@ -72,6 +74,19 @@ class TestLambdaConfig:
     def test_json_round_trip(self):
         cfg = LambdaConfig(order=4, refs=7, seed=99, discount=0.5, discount_mode="modified")
         assert LambdaConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order", 2.5), ("order", True), ("refs", True), ("refs", 3.0),
+            ("seed", 1.5), ("seed", False), ("seed", "3"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LambdaConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            LambdaConfig.from_json_dict({**LambdaConfig().to_json_dict(), field: value})
 
 
 class TestDeriveSeed:
@@ -263,6 +278,217 @@ class TestLambdaDocument:
                 sentence_scores=(1.0,),
                 total=2.0,
                 config=cfg,
+                seed=0,
+            )
+
+
+# Summands that stress an exactly rounded sum: any magnitude from subnormal
+# to 2**1000 (so 101 of them cannot overflow), mantissas of all ones or of a
+# single one, and signed zeros.
+ADVERSARIAL_FLOATS = st.one_of(
+    st.floats(min_value=-(2.0**1000), max_value=2.0**1000),
+    st.builds(
+        math.ldexp,
+        st.sampled_from([1.0, -1.0, 1.5, -0.75, 1.0 + 2.0**-52, -(2.0 - 2.0**-52)]),
+        st.integers(-1074, 999),
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0]),
+)
+
+
+@st.composite
+def adversarial_columns(draw, r):
+    col = draw(st.lists(ADVERSARIAL_FLOATS, min_size=r, max_size=r))
+    kind = draw(st.sampled_from(["free", "cancel", "tie", "repeat"]))
+    if kind == "cancel":
+        # Pairs that cancel exactly around whatever is left.
+        half = r // 2
+        col[half : 2 * half] = [-v for v in col[:half]]
+    elif kind == "tie" and r >= 3:
+        # x plus half the gap to a neighbour of x (below a power of two the
+        # gap is half an ulp), an exact tie broken to even, nudged by a tiny
+        # amount or not, then pairs that cancel exactly.
+        x = col[0] or 1.0
+        half_gap = math.ulp(x) / draw(st.sampled_from([2.0, 4.0]))
+        nudge_sign = draw(st.sampled_from([0.0, 1.0, -1.0]))
+        nudge = nudge_sign * math.ldexp(abs(x), draw(st.integers(-150, -60)))
+        rest = [v for pair in zip(col[3::2], col[4::2]) for v in (pair[0], -pair[0])]
+        col = [x, math.copysign(half_gap, draw(st.sampled_from([1.0, -1.0]))), nudge, *rest]
+        col += [0.0] * (r - len(col))
+    elif kind == "repeat":
+        col = [col[0]] * r
+    return draw(st.permutations(col))
+
+
+class TestExactSums:
+    """``_exact_sums`` sums columns in array form and must round each one
+    exactly as ``math.fsum`` does."""
+
+    @staticmethod
+    def check(columns):
+        r = len(columns[0])
+        sums = scoring._exact_sums(np.array(columns, dtype=np.float64).T)
+        assert [v.hex() for v in sums.tolist()] == [math.fsum(c).hex() for c in columns]
+        assert [v.hex() for v in (sums / r).tolist()] == [(math.fsum(c) / r).hex() for c in columns]
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.one_of(st.sampled_from([1, 2, 101]), st.integers(1, 101)), data=st.data())
+    def test_equals_fsum_bit_for_bit(self, r, data):
+        self.check(data.draw(st.lists(adversarial_columns(r), min_size=1, max_size=6)))
+
+    def test_hand_picked_columns(self):
+        ulp_half = 2.0**-53
+        # Just below the tie under 1.0, whose lower gap is half its upper.
+        self.check([[1.0, -(2.0**-54), -(2.0**-200)], [1.0, -(2.0**-54), 2.0**-200]])
+        self.check([
+            [1.0, ulp_half, 0.0],
+            [1.0 + 2.0**-52, ulp_half, 0.0],
+            [1.0, ulp_half, ulp_half * 2.0**-60],
+            [2.0**1000, 1.0, -(2.0**1000)],
+            [-0.0, -0.0, -0.0],
+            [5e-324, 5e-324, -5e-324],
+            [0.1, 0.2, -0.3],
+        ])
+        self.check([[-0.0]])
+        self.check([[math.ldexp(1.0, e) for e in range(-1074, 1000, 20)] + [0.0] * 47])
+
+    def test_log_ratio_columns_take_the_array_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scoring.math, "fsum", lambda xs: calls.append(xs) or math.nan)
+        logs = np.log(np.random.default_rng(7).random((101, 500)))
+        scoring._exact_sums(logs[0] - logs[1:])
+        assert calls == []
+
+
+probabilities = st.floats(min_value=2.0**-1074, max_value=1.0)
+
+
+class TestTraceMatchesLoopOracle:
+    """The columnar trace equals, byte for byte, the trace the per-position
+    loop builds (``oracles.oracle_trace_json``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=5).map(tuple),
+            min_size=1,
+            max_size=5,
+        ),
+        r=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_to_json_byte_identical(self, sentences, r, data):
+        positions = sum(len(s) + 1 for s in sentences)
+        # A few shared values make duplicate probabilities within and
+        # across rows, as backed-off models give.
+        shared = data.draw(st.lists(probabilities, min_size=1, max_size=3))
+        entry = st.one_of(probabilities, st.sampled_from(shared))
+        probs = np.array(
+            data.draw(st.lists(st.lists(entry, min_size=positions, max_size=positions),
+                               min_size=1 + r, max_size=1 + r))
+        )
+        cfg = LambdaConfig(order=3, refs=r, seed=5)
+        trace = scoring._trace(scoring._log_probs(probs), scoring._layout(sentences), cfg, 17, "p9")
+        assert trace.to_json() == oracle_trace_json(sentences, probs, cfg.to_json_dict(), 17, "p9")
+
+    def test_lambda_document_byte_identical(self):
+        rng = random.Random(83)
+        _, _, _, _, author, refs = TestLambdaDocument()._models(rng, order=3, n_refs=6)
+        unknown = [("a",), *random_sentences(rng, 3), ("b",)]
+        probs = np.stack([m.token_probs(unknown) for m in (author, *refs)])
+        assert len(np.unique(probs)) < probs.size
+        trace = lambda_document(unknown, author, refs, seed=3, problem_id="q")
+        assert trace.to_json() == oracle_trace_json(
+            unknown, probs, trace.config.to_json_dict(), 3, "q"
+        )
+
+
+def trace_both_ways(sentence_score_lists, seed=3, problem_id="p"):
+    """The same trace built from columns and from ``TokenScore``s."""
+    cfg = LambdaConfig(order=2, refs=4)
+    scores = [s for sent in sentence_score_lists for s in sent]
+    tokens = [f"w{i}" for i in range(len(scores))]
+    bounds = [0]
+    for sent in sentence_score_lists:
+        bounds.append(bounds[-1] + len(sent))
+    columns = LambdaTrace.from_columns(np.array(scores), tokens, bounds, cfg, seed, problem_id)
+    token_scores = [
+        TokenScore(tokens[i], si, i - bounds[si] + 1, scores[i])
+        for si in range(len(sentence_score_lists))
+        for i in range(bounds[si], bounds[si + 1])
+    ]
+    sentence_scores = [math.fsum(sent) for sent in sentence_score_lists]
+    listed = LambdaTrace(
+        token_scores=token_scores,
+        sentence_scores=sentence_scores,
+        total=math.fsum(sentence_scores),
+        config=cfg,
+        seed=seed,
+        problem_id=problem_id,
+    )
+    return columns, listed
+
+
+class TestColumnarTrace:
+    SCORES = [[0.25, -1.5, 3.0], [0.1], [], [1e-3, 2.0]]
+
+    def test_columns_and_token_scores_agree(self):
+        columns, listed = trace_both_ways(self.SCORES)
+        assert columns == listed and listed == columns
+        assert hash(columns) == hash(listed)
+        assert columns.token_scores == listed.token_scores
+        assert all(type(ts.score) is float for ts in columns.token_scores)
+        assert columns.sentence_scores == listed.sentence_scores
+        assert columns.total == listed.total
+        assert columns.scores.tolist() == listed.scores.tolist()
+        assert (columns.tokens, columns.bounds) == (listed.tokens, listed.bounds)
+        assert columns.bounds == (0, 3, 4, 4, 6)
+        reseeded = LambdaTrace.from_columns(
+            columns.scores, columns.tokens, columns.bounds, columns.config, 4, "p"
+        )
+        assert columns != reseeded
+
+    def test_pickle_round_trip(self):
+        columns, listed = trace_both_ways(self.SCORES)
+        for trace in (columns, listed):
+            clone = pickle.loads(pickle.dumps(trace))
+            assert clone == columns and clone == listed
+            assert not clone.scores.flags.writeable
+            assert clone.to_json() == trace.to_json()
+
+    def test_json_round_trip(self):
+        columns, listed = trace_both_ways(self.SCORES)
+        assert columns.to_json() == listed.to_json()
+        for trace in (columns, listed):
+            clone = LambdaTrace.from_json(trace.to_json())
+            assert clone == columns and clone == listed
+            assert clone.to_json() == trace.to_json()
+
+    def test_immutable(self):
+        columns, listed = trace_both_ways(self.SCORES)
+        for trace in (columns, listed):
+            with pytest.raises(FrozenInstanceError):
+                trace.total = 0.0
+            with pytest.raises(ValueError):
+                trace.scores[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "token_scores, sentence_scores",
+        [
+            ((TokenScore("a", 1, 1, 1.0), TokenScore("b", 0, 1, 1.0)), (1.0, 1.0)),
+            ((TokenScore("a", 0, 2, 1.0),), (1.0,)),
+            ((TokenScore("a", 0, 1, 1.0), TokenScore("b", 0, 1, 1.0)), (2.0,)),
+            ((TokenScore("a", 1, 1, 1.0),), (1.0,)),
+            ((TokenScore("a", -1, 1, 1.0),), (1.0,)),
+        ],
+    )
+    def test_token_scores_must_run_sentence_by_sentence(self, token_scores, sentence_scores):
+        with pytest.raises(ContractError):
+            LambdaTrace(
+                token_scores=token_scores,
+                sentence_scores=sentence_scores,
+                total=math.fsum(sentence_scores),
+                config=LambdaConfig(order=1, refs=1),
                 seed=0,
             )
 
