@@ -12,14 +12,23 @@ Three layers live here:
 Documents come in two flavours. A *tagged* document still carries
 (surface, pos) pairs and must be masked before modelling; a *masked*
 document holds plain token strings and is ready for counting.
+
+Tagged text is checked once, at the door: ``parse_tagged_document``
+validates each line and builds its tokens and document without checking
+them again, with each surface interned and each POS the canonical label
+string. A reference sidecar whose content was the last one loaded is not
+parsed again (``load_reference_docs``), so the train and test splits of one
+corpus directory share one parsed pool per process.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorpusError, ParseError
 
@@ -62,23 +71,40 @@ NEWLINE_MARKER = "<NL>"
 # contain them.
 RESERVED_SURFACES = frozenset({"<BOS>", "<EOS>", "<UNK>"})
 
+# Each label mapped to itself: one lookup both checks a parsed label and
+# yields the canonical string object.
+_CANONICAL_POS = {label: label for label in POS_LABELS}
+
 Sentence = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    """One token of a tagged stream: the surface form and its POS label."""
-
+class _TokenFields(NamedTuple):
     surface: str
     pos: str
 
-    def __post_init__(self) -> None:
-        if not self.surface:
+
+class TaggedToken(_TokenFields):
+    """One token of a tagged stream: the surface form and its POS label.
+
+    A NamedTuple, so it compares equal to the plain ``(surface, pos)`` pair.
+    The constructor (and ``_replace``) validates; ``parse_tagged_document``
+    validates each line itself and builds tokens with ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, pos: str) -> "TaggedToken":
+        if not surface:
             raise ParseError("token surface must be non-empty")
-        if "\t" in self.surface or "\n" in self.surface:
-            raise ParseError(f"token surface contains format characters: {self.surface!r}")
-        if self.pos not in POS_LABELS:
-            raise ParseError(f"unknown POS label {self.pos!r}")
+        if "\t" in surface or "\n" in surface:
+            raise ParseError(f"token surface contains format characters: {surface!r}")
+        if pos not in POS_LABELS:
+            raise ParseError(f"unknown POS label {pos!r}")
+        return tuple.__new__(cls, (surface, pos))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[str]) -> "TaggedToken":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -118,6 +144,14 @@ class Document:
                     )
         if len(kinds) > 1:
             raise CorpusError(f"document {self.id!r} mixes tagged and masked sentences")
+
+    @classmethod
+    def _trusted(cls, id: str, sentences: tuple[tuple, ...]) -> "Document":
+        """A Document from parts the caller has already validated."""
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "id", id)
+        object.__setattr__(doc, "sentences", sentences)
+        return doc
 
     @property
     def is_tagged(self) -> bool:
@@ -229,13 +263,13 @@ def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Docum
     Raises ParseError for an empty or non-string ``doc_id``, and with a
     1-based line number for malformed lines, unknown POS labels, or an input
     with no tokens at all. ASCII "..." surfaces are normalized to the single
-    ellipsis character.
+    ellipsis character. Each line is validated once, here: the tokens and
+    the document are built without the constructors' checks.
     """
     if not isinstance(doc_id, str) or not doc_id:
         raise ParseError(f"document id must be a non-empty string: {doc_id!r}")
     lines = text.splitlines() if isinstance(text, str) else text
     stream: list[Optional[TaggedToken]] = []
-    saw_token = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         stripped = line.strip()
@@ -250,19 +284,25 @@ def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Docum
         surface, pos = fields
         if not surface:
             raise ParseError(f"{doc_id}: line {lineno}: empty surface")
-        if pos not in POS_LABELS:
+        label = _CANONICAL_POS.get(pos)
+        if label is None:
             raise ParseError(f"{doc_id}: line {lineno}: unknown POS label {pos!r}")
+        if "\n" in surface:
+            raise ParseError(f"token surface contains format characters: {surface!r}")
         if surface == "...":
             surface = "…"
-        stream.append(TaggedToken(surface, pos))
-        saw_token = True
-    if not saw_token:
-        raise ParseError(f"{doc_id}: empty document")
+        stream.append(tuple.__new__(TaggedToken, (sys.intern(surface), label)))
     sentences = segment_sentences(stream)
-    return Document(id=doc_id, sentences=tuple(sentences))
+    if not sentences:
+        raise ParseError(f"{doc_id}: empty document")
+    return Document._trusted(doc_id, tuple(sentences))
 
 
-def _doc_from_json(obj: dict, base_dir: Path, where: str) -> Document:
+def _doc_from_json(
+    obj: dict, base_dir: Path, where: str, tagged_bytes: Optional[dict[str, bytes]] = None
+) -> Document:
+    """One document entry; a tagged file already read is taken from
+    ``tagged_bytes`` (keyed by its path as the entry names it)."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: document entry is not an object")
     doc_id = obj.get("id")
@@ -287,7 +327,8 @@ def _doc_from_json(obj: dict, base_dir: Path, where: str) -> Document:
             raise CorpusError(f"{where}: document {doc_id!r} has invalid tagged path")
         path = base_dir / rel
         try:
-            text = path.read_text(encoding="utf-8")
+            data = tagged_bytes[rel] if tagged_bytes and rel in tagged_bytes else path.read_bytes()
+            text = data.decode("utf-8")
         except (OSError, ValueError) as exc:
             raise CorpusError(
                 f"{where}: cannot read tagged file {str(path)!r}: {exc}"
@@ -304,10 +345,18 @@ def _doc_to_json(doc: Document) -> dict:
     return {"id": doc.id, "sentences": [list(s) for s in doc.sentences]}
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except (OSError, ValueError) as exc:
+        raise CorpusError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def _iter_jsonl(path: Path, data: bytes) -> Iterator[tuple[int, dict]]:
+    """The JSON entries of a JSONL file's bytes, with their line numbers."""
+    try:
+        text = data.decode("utf-8")
+    except ValueError as exc:
         raise CorpusError(f"cannot read {str(path)!r}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -330,13 +379,58 @@ def _resolve_refs_path(problems_path: Path) -> Optional[Path]:
     return None
 
 
+# The last reference sidecar load_reference_docs parsed: (key, documents).
+_last_reference_load: tuple = (None, ())
+
+
 def load_reference_docs(path: Union[str, Path]) -> tuple[Document, ...]:
-    """Load a sidecar JSONL of reference documents."""
+    """Load a sidecar JSONL of reference documents.
+
+    The documents of the last sidecar parsed are kept, keyed by its resolved
+    path and a sha256 over its bytes and those of every tagged file it
+    names. A call on identical content returns that same tuple without
+    parsing, so the train and test splits of one corpus directory parse a
+    shared pool once per process. A load that fails is never kept.
+    """
+    global _last_reference_load
     path = Path(path)
-    docs = []
-    for lineno, obj in _iter_jsonl(path):
-        docs.append(_doc_from_json(obj, path.parent, f"{path.name}: line {lineno}"))
-    return tuple(docs)
+    data = _read_bytes(path)
+    entries: list[tuple[int, dict]] = []
+    error: Optional[CorpusError] = None
+    try:
+        entries.extend(_iter_jsonl(path, data))
+    except CorpusError as exc:
+        # Raised after the documents of the lines before it, as a
+        # line-by-line load would.
+        error = exc
+    digest = hashlib.sha256(data)
+    tagged_bytes: dict[str, bytes] = {}
+    keyed = error is None
+    for _, obj in entries:
+        rel = obj.get("tagged") if isinstance(obj, dict) else None
+        if not isinstance(rel, str) or not rel or rel in tagged_bytes:
+            continue
+        try:
+            blob = (path.parent / rel).read_bytes()
+        except (OSError, ValueError):
+            # Its document, if it is read, raises below.
+            keyed = False
+            break
+        tagged_bytes[rel] = blob
+        digest.update(len(blob).to_bytes(8, "little"))
+        digest.update(blob)
+    key = (path.resolve(), digest.hexdigest()) if keyed else None
+    if key is not None and key == _last_reference_load[0]:
+        return _last_reference_load[1]
+    docs = tuple(
+        _doc_from_json(obj, path.parent, f"{path.name}: line {lineno}", tagged_bytes)
+        for lineno, obj in entries
+    )
+    if error is not None:
+        raise error
+    if key is not None:
+        _last_reference_load = (key, docs)
+    return docs
 
 
 def load_corpus(
@@ -354,7 +448,7 @@ def load_corpus(
     problems_path = Path(problems_path)
     problems = []
     field_partitions = set()
-    for lineno, obj in _iter_jsonl(problems_path):
+    for lineno, obj in _iter_jsonl(problems_path, _read_bytes(problems_path)):
         where = f"{problems_path.name}: line {lineno}"
         if not isinstance(obj, dict):
             raise CorpusError(f"{where}: problem entry is not an object")

@@ -8,6 +8,10 @@ its POS label, erasing topical content while preserving sentence shape.
 
 Placeholder glyphs pass through masking verbatim, so masking an
 already-masked stream is the identity.
+
+Masking is a pure function of (surface, POS, lexicon), so each lexicon
+keeps a memo of the tokens it has masked, and a sentence is masked by one
+lookup per token; only a token not seen before goes through ``mask_token``.
 """
 
 from __future__ import annotations
@@ -75,13 +79,18 @@ class MaskingLexicon:
     def glyphs(self) -> frozenset[str]:
         return frozenset(self.placeholders.values())
 
+    @cached_property
+    def _masked(self) -> dict[TaggedToken, str]:
+        """``mask_token`` of each token this lexicon has masked."""
+        return {}
+
 
 def load_lexicon(path: Union[str, Path]) -> MaskingLexicon:
     """Load a lexicon file: a [retain] section of one surface per line and a
     [placeholders] section of POS<TAB>glyph lines. Blank lines are ignored."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise LexiconError(f"cannot read lexicon {str(path)!r}: {exc}") from exc
     return parse_lexicon(text, name=str(path))
 
@@ -147,7 +156,14 @@ def mask_sentence(
     sentence: Sequence[TaggedToken], lexicon: MaskingLexicon
 ) -> tuple[str, ...]:
     """Mask one sentence; output has exactly one token per input token."""
-    return tuple(mask_token(tok, lexicon) for tok in sentence)
+    memo = lexicon._masked
+    try:
+        return tuple(map(memo.__getitem__, sentence))
+    except KeyError:
+        for tok in sentence:
+            if tok not in memo:
+                memo[tok] = mask_token(tok, lexicon)
+        return tuple(map(memo.__getitem__, sentence))
 
 
 def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:

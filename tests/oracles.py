@@ -4,8 +4,10 @@ Everything here recomputes results from first principles: counts by literal
 window enumeration over padded sentences, type statistics by iterating the
 whole candidate token set, smoothing by a direct transcription of the
 recursion, and isotonic regression by exhaustive search over contiguous
-partitions in exact rational arithmetic. Nothing is shared with the package
-internals beyond the pseudo-token spellings.
+partitions in exact rational arithmetic, and tagged-text parsing by the
+earlier dataclass-token parser transcribed whole. Nothing is shared with
+the package internals beyond the pseudo-token spellings and the tagged
+format's labels.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -300,3 +303,81 @@ def oracle_isotonic(scores, labels):
             best_sse = sse
             best_fit = fit
     return [float(v) for v in best_fit]
+
+
+# The tagged-text parser as it was before tokens became tuples: a frozen
+# dataclass token validated in its constructor, a stream with None for each
+# hard break, and a separate segmentation pass. It raises OracleParseError
+# wherever that parser raised ParseError, with the same message.
+
+ORACLE_POS_LABELS = frozenset(
+    {"NOUN", "PROPN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP", "CONJ", "PART",
+     "NUM", "PUNCT", "SYM", "OTHER"}
+)
+ORACLE_TERMINALS = frozenset({".", "!", "?", "…"})
+
+
+class OracleParseError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    surface: str
+    pos: str
+
+    def __post_init__(self):
+        if not self.surface:
+            raise OracleParseError("token surface must be non-empty")
+        if "\t" in self.surface or "\n" in self.surface:
+            raise OracleParseError(f"token surface contains format characters: {self.surface!r}")
+        if self.pos not in ORACLE_POS_LABELS:
+            raise OracleParseError(f"unknown POS label {self.pos!r}")
+
+
+def oracle_segment(items):
+    sentences, current = [], []
+    for item in items:
+        if item is None:
+            if current:
+                sentences.append(current)
+            current = []
+            continue
+        current.append(item)
+        if item.surface in ORACLE_TERMINALS:
+            sentences.append(current)
+            current = []
+    if current:
+        sentences.append(current)
+    return sentences
+
+
+def oracle_parse_tagged(text, doc_id):
+    """Sentences of (surface, pos) pairs for ``surface<TAB>pos`` lines."""
+    if not isinstance(doc_id, str) or not doc_id:
+        raise OracleParseError(f"document id must be a non-empty string: {doc_id!r}")
+    lines = text.splitlines() if isinstance(text, str) else text
+    stream = []
+    saw_token = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.strip() == "<NL>":
+            stream.append(None)
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise OracleParseError(
+                f"{doc_id}: line {lineno}: expected 'surface<TAB>pos', got {len(fields)} field(s)"
+            )
+        surface, pos = fields
+        if not surface:
+            raise OracleParseError(f"{doc_id}: line {lineno}: empty surface")
+        if pos not in ORACLE_POS_LABELS:
+            raise OracleParseError(f"{doc_id}: line {lineno}: unknown POS label {pos!r}")
+        if surface == "...":
+            surface = "…"
+        stream.append(OracleToken(surface, pos))
+        saw_token = True
+    if not saw_token:
+        raise OracleParseError(f"{doc_id}: empty document")
+    return [[(t.surface, t.pos) for t in sent] for sent in oracle_segment(stream)]

@@ -100,6 +100,17 @@ class TestMask:
     def test_missing_file_exit_3(self, tmp_path):
         assert run(["mask", tmp_path / "nope.jsonl", "--out", tmp_path / "o"]) == 3
 
+    @pytest.mark.parametrize("command", ["mask", "evaluate"])
+    def test_lexicon_not_utf8_exit_3(self, corpus_dir, tmp_path, capsys, command):
+        lexicon = tmp_path / "bad-lexicon.txt"
+        lexicon.write_bytes(b"\xff\xfe[retain]\n")
+        if command == "mask":
+            argv = ["mask", corpus_dir / "train.jsonl", "--out", tmp_path / "o.jsonl"]
+        else:
+            argv = ["evaluate", corpus_dir] + FAST_MODEL
+        assert run(argv + ["--lexicon", lexicon]) == 3
+        assert "bad-lexicon.txt" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_stdout_json(self, corpus_dir, capsys):

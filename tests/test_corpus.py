@@ -1,10 +1,12 @@
 import json
+import os
+import pickle
 import random
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grammarlr.corpus import (
     Corpus,
@@ -12,11 +14,13 @@ from grammarlr.corpus import (
     TaggedToken,
     VerificationProblem,
     load_corpus,
+    load_reference_docs,
     parse_tagged_document,
     segment_sentences,
     serialize_corpus,
 )
 from grammarlr.errors import CorpusError, GrammarLRError, ParseError
+from oracles import OracleParseError, oracle_parse_tagged
 
 
 def tok(surface, pos="NOUN"):
@@ -40,6 +44,21 @@ class TestTaggedToken:
     def test_format_characters_rejected(self):
         with pytest.raises(ParseError):
             TaggedToken("a\tb", "NOUN")
+
+    def test_replace_validates(self):
+        with pytest.raises(ParseError):
+            TaggedToken("the", "DET")._replace(surface="")
+
+    def test_equals_plain_pair(self):
+        t = TaggedToken("the", "DET")
+        assert t == ("the", "DET") and hash(t) == hash(("the", "DET"))
+        assert tuple(t) == ("the", "DET")
+
+    def test_pickle_round_trip(self):
+        t = TaggedToken("the", "DET")
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is TaggedToken
+        assert (back.surface, back.pos) == ("the", "DET")
 
 
 class TestSegmentSentences:
@@ -127,6 +146,55 @@ class TestParseTaggedDocument:
     def test_bad_doc_id_is_parse_error(self, doc_id):
         with pytest.raises(ParseError, match="document id"):
             parse_tagged_document("a\tNOUN\n", doc_id)
+
+
+# Lines for the parser oracle test: every kind of line the format has, and
+# the ways a line can be malformed. A drawn document is well-formed lines
+# and breaks with at most one malformed line among them.
+token_lines = st.sampled_from(
+    ["The\tDET", "cat\tNOUN", "sat\tVERB", ".\tPUNCT", "!\tPUNCT", "?\tPUNCT",
+     "…\tPUNCT", "...\tPUNCT", "..\tPUNCT", "<BOS>\tSYM", "a b\tADJ", " x\tNOUN", "a\rb\tNUM"]
+)
+break_lines = st.sampled_from(["", " ", "\t", " \t ", "<NL>", " <NL> "])
+bad_lines = st.sampled_from(
+    ["<nl>", "a\tb\tc", "a\tNOUN\t", "\tNOUN", "x\tNOPE", "x\tnoun", "x\tNOUN ",
+     "a\nb\tNOUN", "a\tNO\nUN", "a\tNOUN\r"]
+) | st.text(alphabet="ab.?\t\n\r <>NOUPL", max_size=8)
+
+
+class TestParserOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(token_lines | token_lines | break_lines, max_size=12),
+        bad=st.none() | bad_lines,
+        at=st.integers(min_value=0, max_value=12),
+        as_text=st.booleans(),
+        end=st.sampled_from(["\n", "\r\n", "\r", ""]),
+        doc_id=st.sampled_from(["d1", "doc", "d2", "x", "y", "z", "", None]),
+    )
+    @example(lines=["cat\tNOUN"], bad="a\nb\tNOUN", at=1, as_text=False, end="\n", doc_id="d1")
+    @example(lines=["a\tDET", ".\tPUNCT", "b\tNOUN"], bad=None, at=0, as_text=True, end="\r\n", doc_id="d1")
+    def test_matches_previous_parser(self, lines, bad, at, as_text, end, doc_id):
+        """Same sentences as (surface, pos) pairs, or the same error, as
+        the parser the oracle transcribes, for text (lines joined by
+        ``end``, or by a newline when it is empty) and for line input (each
+        line ending in ``end``)."""
+        if bad is not None:
+            lines.insert(at, bad)
+        source = (end or "\n").join(lines) if as_text else [line + end for line in lines]
+        try:
+            expected = oracle_parse_tagged(source, doc_id)
+        except OracleParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_tagged_document(source, doc_id)
+            assert type(info.value) is ParseError
+            assert str(info.value) == str(exc)
+            return
+        doc = parse_tagged_document(source, doc_id)
+        assert doc.id == doc_id and doc.is_tagged
+        assert [[(t.surface, t.pos) for t in s] for s in doc.sentences] == expected
+        assert all(type(t) is TaggedToken for s in doc.sentences for t in s)
+        assert doc == Document(id=doc_id, sentences=doc.sentences)
 
 
 class TestDocumentValidation:
@@ -319,6 +387,86 @@ class TestLoadAndSerialize:
         )
         with pytest.raises(CorpusError, match="mask"):
             serialize_corpus(Corpus(problems=(prob,)), tmp_path / "x.jsonl")
+
+
+def tagged_dir(base):
+    """A train/test split in ``base`` sharing a tagged refs.jsonl."""
+    (base / "r1.tsv").write_text("The\tDET\ncat\tNOUN\n.\tPUNCT\n", encoding="utf-8")
+    (base / "r2.tsv").write_text("A\tDET\ndog\tNOUN\nran\tVERB\n", encoding="utf-8")
+    refs = [{"id": "r1", "tagged": "r1.tsv"}, {"id": "r2", "tagged": "r2.tsv"}]
+    (base / "refs.jsonl").write_text("\n".join(map(json.dumps, refs)) + "\n", encoding="utf-8")
+    for i, part in enumerate(("train", "test")):
+        doc = {"id": f"{part}-d", "sentences": [["a", "."]]}
+        prob = {"id": f"p{i}", "label": "Y", "unknown": [doc], "known": [{**doc, "id": f"{part}-k"}]}
+        (base / f"{part}.jsonl").write_text(json.dumps(prob) + "\n", encoding="utf-8")
+    return base
+
+
+class TestSharedReferencePool:
+    def test_splits_share_one_parsed_pool(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        train = load_corpus(base / "train.jsonl", partition="train")
+        test = load_corpus(base / "test.jsonl", partition="test")
+        assert train.reference_docs == test.reference_docs
+        assert train.reference_docs is test.reference_docs
+        assert [d.id for d in train.reference_docs] == ["r1", "r2"]
+
+    def test_same_size_rewrite_with_restored_mtime_is_seen(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        first = load_reference_docs(base / "refs.jsonl")
+        path = base / "r1.tsv"
+        stat = path.stat()
+        path.write_text("The\tDET\nrat\tNOUN\n.\tPUNCT\n", encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        second = load_reference_docs(base / "refs.jsonl")
+        assert [t.surface for t in first[0].sentences[0]] == ["The", "cat", "."]
+        assert [t.surface for t in second[0].sentences[0]] == ["The", "rat", "."]
+
+    def test_rewritten_sidecar_is_seen(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        load_reference_docs(base / "refs.jsonl")
+        (base / "refs.jsonl").write_text(json.dumps({"id": "r2", "tagged": "r2.tsv"}) + "\n")
+        assert [d.id for d in load_reference_docs(base / "refs.jsonl")] == ["r2"]
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"r1.tsv": "cat\tNOPE\n"},
+            {"r2.tsv": None},
+            {"refs.jsonl": '{"id": "r1", "tagged": "r1.tsv"}\n{not json\n'},
+        ],
+    )
+    def test_malformed_sidecar_raises_on_every_call(self, tmp_path, broken):
+        base = tagged_dir(tmp_path)
+        load_reference_docs(base / "refs.jsonl")
+        for name, text in broken.items():
+            if text is None:
+                (base / name).unlink()
+            else:
+                (base / name).write_text(text, encoding="utf-8")
+        errors = []
+        for _ in range(2):
+            with pytest.raises((CorpusError, ParseError)) as info:
+                load_reference_docs(base / "refs.jsonl")
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_first_error_in_file_order(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        (base / "r1.tsv").write_text("cat\tNOPE\n", encoding="utf-8")
+        with (base / "refs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(ParseError, match="NOPE"):
+            load_reference_docs(base / "refs.jsonl")
+
+    def test_unread_tagged_path_is_not_an_error(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        entry = {"id": "r3", "sentences": [["x", "."]], "tagged": "missing.tsv"}
+        with (base / "refs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry) + "\n")
+        for _ in range(2):
+            assert [d.id for d in load_reference_docs(base / "refs.jsonl")] == ["r1", "r2", "r3"]
 
 
 # Corpus files for the loader's property tests: JSON lines of problems and

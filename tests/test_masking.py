@@ -217,6 +217,12 @@ class TestLexiconParsing:
         with pytest.raises(LexiconError, match="cannot read"):
             load_lexicon(tmp_path / "nope.txt")
 
+    def test_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"[retain]\ncaf\xe9\n")
+        with pytest.raises(LexiconError, match="latin1.txt"):
+            load_lexicon(path)
+
 
 class TestLexiconParsingProperties:
     @settings(max_examples=50, deadline=None)
@@ -272,6 +278,31 @@ class TestDefaultLexicon:
         assert masked[4] == "is"
         assert masked[6] == lex.placeholders["NOUN"]
         assert masked[7] == "."
+
+
+class TestMaskMemo:
+    def test_lexicons_differing_in_retain_keep_their_own_masks(self):
+        token = TaggedToken("Cat", "NOUN")
+        plain = small_lexicon()
+        keeps_cat = MaskingLexicon(retain=plain.retain | {"cat"}, placeholders=dict(PLACEHOLDERS))
+        for _ in range(2):
+            assert mask_sentence((token,), plain) == ("N",)
+            assert mask_sentence((token,), keeps_cat) == ("cat",)
+
+    def test_memo_agrees_with_mask_token(self):
+        lex = small_lexicon()
+        sentence = tuple(
+            TaggedToken(surface, pos)
+            for surface, pos in [("The", "DET"), ("N", "NOUN"), ("Not", "PART"), ("x", "SYM"), ("The", "DET")]
+        )
+        expected = tuple(mask_token(t, lex) for t in sentence)
+        assert mask_sentence(sentence, lex) == expected
+        assert mask_sentence(sentence, lex) == expected
+        assert mask_sentence(sentence[:2], lex) == expected[:2]
+
+    def test_non_token_items_still_fail(self):
+        with pytest.raises(AttributeError):
+            mask_sentence(("the",), small_lexicon())
 
 
 class TestDocumentAndCorpus:
