@@ -6,10 +6,10 @@ corpora, ``mask`` turns tagged corpora into function-token streams,
 protocol, ``sweep`` grids over reference counts and model orders, and
 ``crossgenre`` swaps reference pools between domains.
 
-Exit codes: 0 success, 2 usage error, 3 data error (unreadable or invalid
-inputs), 4 internal contract violation or a worker process that died during
-a ``--parallel`` run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging
-on stderr.
+Exit codes: 0 success, 2 usage error (an output path that cannot be
+written included), 3 data error (unreadable or invalid inputs), 4 internal
+contract violation or a worker process that died during a ``--parallel``
+run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .calibration import CalibrationModel, decide, log10_lr
 from .corpus import Corpus, load_corpus, serialize_corpus
@@ -123,9 +124,19 @@ def _load_split(args: argparse.Namespace) -> tuple[Corpus, Corpus]:
     return train, test
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Report a failure to write the output at ``path`` as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _write_or_print(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -136,7 +147,8 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
     alphabet = suffixed_alphabet(args.alphabet_suffix)
     kwargs = dict(
         seed=args.seed,
@@ -153,7 +165,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     refs_path = out / "refs.jsonl"
     for partition in ("train", "test"):
         corpus = synth_corpus(partition=partition, **kwargs)
-        serialize_corpus(corpus, out / f"{partition}.jsonl", refs_path=refs_path)
+        with _writing(args.out):
+            serialize_corpus(corpus, out / f"{partition}.jsonl", refs_path=refs_path)
         logger.info("%s: %d problems", partition, len(corpus.problems))
     print(f"wrote train.jsonl, test.jsonl, refs.jsonl to {out}")
     return 0
@@ -163,7 +176,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     lexicon = _lexicon_from_args(args) or default_lexicon()
     masked = mask_corpus(corpus, lexicon)
-    serialize_corpus(masked, args.out)
+    with _writing(args.out):
+        serialize_corpus(masked, args.out)
     n_docs = sum(
         len(p.unknown_docs) + len(p.known_docs) for p in masked.problems
     ) + len(masked.reference_docs)
@@ -205,13 +219,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result_text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trace.json").write_text(trace.to_json() + "\n", encoding="utf-8")
-        (out / "result.json").write_text(result_text, encoding="utf-8")
-        if args.format != "json":
-            report = render_highlight(zscore_bins(trace), fmt=args.format)
-            name = "report.html" if args.format == "html" else "report.txt"
-            (out / name).write_text(report, encoding="utf-8")
+        with _writing(args.out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "trace.json").write_text(trace.to_json() + "\n", encoding="utf-8")
+            (out / "result.json").write_text(result_text, encoding="utf-8")
+            if args.format != "json":
+                report = render_highlight(zscore_bins(trace), fmt=args.format)
+                name = "report.html" if args.format == "html" else "report.txt"
+                (out / name).write_text(report, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(result_text)
@@ -226,11 +241,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     lexicon = _lexicon_from_args(args)
     result = evaluate_corpus(train, test, config, lexicon, parallel=args.parallel)
     if args.calibration_out:
-        Path(args.calibration_out).write_text(
-            json.dumps(result.calibration.to_json_dict(), sort_keys=True, indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
+        with _writing(args.calibration_out):
+            Path(args.calibration_out).write_text(
+                json.dumps(result.calibration.to_json_dict(), sort_keys=True, indent=2)
+                + "\n",
+                encoding="utf-8",
+            )
     if args.format == "json":
         _write_or_print(result.to_json(), args.out)
     else:
@@ -302,20 +318,21 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     result = cross_genre(corpora, config, lexicon, parallel=args.parallel)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "crossgenre.json").write_text(
-            json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        for attr, fname in (
-            ("accuracy", "accuracy.csv"),
-            ("cllr", "cllr.csv"),
-            ("accuracy_loss", "accuracy_loss.csv"),
-            ("cllr_excess", "cllr_excess.csv"),
-        ):
-            (out / fname).write_text(
-                _matrix_csv(result.names, getattr(result, attr)), encoding="utf-8"
+        with _writing(args.out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "crossgenre.json").write_text(
+                json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n",
+                encoding="utf-8",
             )
+            for attr, fname in (
+                ("accuracy", "accuracy.csv"),
+                ("cllr", "cllr.csv"),
+                ("accuracy_loss", "accuracy_loss.csv"),
+                ("cllr_excess", "cllr_excess.csv"),
+            ):
+                (out / fname).write_text(
+                    _matrix_csv(result.names, getattr(result, attr)), encoding="utf-8"
+                )
         print(f"wrote matrices to {args.out}")
     else:
         sys.stdout.write(json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n")

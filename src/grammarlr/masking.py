@@ -26,6 +26,7 @@ from .corpus import (
     CONTENT_POS,
     FUNCTION_POS,
     POS_LABELS,
+    RESERVED_SURFACES,
     Corpus,
     Document,
     TaggedToken,
@@ -167,13 +168,19 @@ def mask_sentence(
 
 
 def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
-    """Mask a tagged document; already-masked documents pass through."""
+    """Mask a tagged document; already-masked documents pass through.
+
+    Each masked token is a lexicon glyph or a casefolded surface, never
+    empty, and a casefolded surface is never reserved: the reserved tokens
+    hold capitals. So the masked document is checked again only when a
+    glyph is spelled like a reserved token.
+    """
     if not doc.is_tagged:
         return doc
-    return Document(
-        id=doc.id,
-        sentences=tuple(mask_sentence(s, lexicon) for s in doc.sentences),
-    )
+    sentences = tuple(mask_sentence(s, lexicon) for s in doc.sentences)
+    if lexicon.glyphs.isdisjoint(RESERVED_SURFACES):
+        return Document._trusted(doc.id, sentences)
+    return Document(id=doc.id, sentences=sentences)
 
 
 def mask_corpus(corpus: Corpus, lexicon: MaskingLexicon) -> Corpus:

@@ -22,17 +22,23 @@ suffix (``gram[1:]``) are ids too. There is one indexer,
 :meth:`GramIndex.from_stream`, and one counter,
 :meth:`CountTable.from_sentences`. A :class:`CountTable` holds the counts of
 one or many models over one index. Continuation counts, context totals and
-count-of-count bins are ``bincount`` reductions over suffix and context
-ids, and all models are evaluated together, level by level, as one
-models x positions array. The scoring pipeline counts once per problem: it
-windows the known side and each distinct sampled reference sentence once,
-and each of the 1 + r models is the count of its sentences' gram ids.
-Ids are sorted by gram length, so a table counted at order N holds the
-table of every lower order as a prefix (:meth:`CountTable.truncated`).
-:func:`train` counts the same way, with one model, reads the raw count
-table off the index and hands the model that one-model table, from which
-its probabilities come. A :class:`GrammarModel` built from raw counts
-alone (a deserialized one) indexes them on its first probability query.
+count-of-count bins are ``bincount`` reductions over suffix and context ids,
+and all models are evaluated together, level by level, as one models x
+positions array. The kernel builds these statistics only for the entries of
+the grams the queries reach: their contexts, the grams they read as
+numerators or as children of those contexts, and the extensions that make up
+those children's continuation counts. For a problem at the paper's defaults
+(order 10, 100 references) that can be a third of its table. The other
+entries are never read, so they are never computed. The scoring pipeline
+counts once per problem: it windows the known side and each distinct sampled
+reference sentence once, and each of the 1 + r models is the count of its
+sentences' gram ids. Ids are sorted by gram length, so a table counted at
+order N holds the table of every lower order as a prefix
+(:meth:`CountTable.truncated`). :func:`train` counts the same way, with one
+model, reads the raw count table off the index and hands the model that
+one-model table, from which its probabilities come. A :class:`GrammarModel`
+built from raw counts alone (a deserialized one) indexes them on its first
+probability query.
 """
 
 from __future__ import annotations
@@ -456,24 +462,59 @@ def kneser_ney_probs(
     total, gamma = removed mass / total, p = alpha + gamma * p_lower. A
     context the model has not seen passes p_lower through; the root backs
     off to the uniform 1 / (|V| + 1).
+
+    The statistics are built only where the queries reach. The queries'
+    contexts and the root are *asked*: a query reads their total, gamma
+    and own count. The query grams and the children of asked contexts are
+    *read*: a query reads their continuation counts, as numerators or
+    summed into an asked context's total and count-of-count bins. Below the
+    top order, a read gram's continuation count is the number of its
+    *extensions*, the grams at level 2 or more whose suffix it is. The
+    reductions run over the entries of these three kinds of gram alone, in
+    table order, so each value a query reads comes from the same operands,
+    in the same order, as over the whole table, and the probabilities are
+    the same bit for bit. Entries of other grams are not computed at all,
+    and values at entries that are only extensions (their own continuation
+    counts, say) miss some of their operands and are left stale. No query
+    reads either.
     """
     index = table.index
     keys, counts, n_models = table.keys, table.counts, table.n_models
-    model = keys % n_models
     gram_id = keys // n_models
+
+    ids = index.encode(tokens, prev)
+    grams = ids[:, positions]
+    contexts = np.zeros_like(grams)
+    contexts[1:] = ids[:-1, prev[positions]]
+
+    # What the queries reach, marked per gram id; the extra last slot is
+    # ``missing``. The root is the first context of every query.
+    asked = np.zeros(index.size + 1, dtype=bool)
+    asked[contexts] = True
+    child = asked[index.context]
+    child[0] = False  # the root is its own context, not its own child
+    read = np.append(child, False)
+    read[grams] = True
+    extension = (index.level >= 2) & read[index.suffix]
+    entries = np.flatnonzero((read[:-1] | asked[:-1] | extension)[gram_id])
+    if len(entries) < len(keys):
+        keys, counts, gram_id = keys[entries], counts[entries], gram_id[entries]
+    model = keys % n_models
     level = index.level[gram_id]
 
     def locate(grams: np.ndarray, models: np.ndarray) -> np.ndarray:
-        """Entries of grams the models hold (tables are closed, so all are)."""
+        """Entries of needed grams the models hold (tables are closed, so
+        all are)."""
         return np.searchsorted(keys, grams * n_models + models)
 
     # Continuation counts: raw at the top order, distinct left extensions
     # (entries whose suffix is the gram) below.
-    extends = (counts > 0) & (level >= 2)
+    extends = (counts > 0) & extension[gram_id]
     suffix_at = locate(index.suffix[gram_id[extends]], model[extends])
     ckn = np.where(level == index.order, counts, np.bincount(suffix_at, minlength=len(keys)))
-    # Context totals and count-of-count bins over the same counts.
-    counted = (ckn > 0) & (index.last[gram_id] != index.width - 2)
+    # Totals and count-of-count bins of the asked contexts over the same
+    # counts.
+    counted = (ckn > 0) & (index.last[gram_id] != index.width - 2) & child[gram_id]
     context_at = locate(index.context[gram_id[counted]], model[counted])
     c_counted = ckn[counted]
     total = np.bincount(context_at, weights=c_counted, minlength=len(keys))
@@ -486,20 +527,33 @@ def kneser_ney_probs(
     # max(c - D(c), 0); as a context, its total and gamma. A context the
     # model has not seen, or whose total is 0, gets total inf and gamma 1,
     # so that alpha + gamma * p_lower is exactly p_lower.
-    schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
-    schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
-    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
-    numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
-    removed = np.empty(len(keys))
-    for schedule, i in schedule_ids.items():
-        mine = schedule_of == i
-        removed[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine])
+    schedules = list(dict.fromkeys(discounts))
+    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedules])
     usable = (total > 0) & ((counts > 0) | (gram_id == 0))
-    gamma = np.where(usable, removed / np.where(usable, total, 1.0), 1.0)
+    at = np.flatnonzero(usable)
+    bins = n1[at], n2[at], n3[at]
+    if len(schedules) == 1:
+        numerator = np.maximum(ckn - discount[0][np.minimum(ckn, 3)], 0.0)
+        removed = schedules[0].removed_mass(*bins)
+    else:
+        schedule_ids = {s: i for i, s in enumerate(schedules)}
+        schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
+        numerator = np.maximum(ckn - discount[schedule_of, np.minimum(ckn, 3)], 0.0)
+        # The usable entries of one schedule are one slice of them grouped
+        # by schedule.
+        schedule_at = schedule_of[at]
+        grouped = np.argsort(schedule_at, kind="stable")
+        ends = np.cumsum(np.bincount(schedule_at, minlength=len(schedules)))
+        removed = np.empty(len(at))
+        for schedule, lo, hi in zip(schedules, [0, *ends[:-1]], ends):
+            mine = grouped[lo:hi]
+            removed[mine] = schedule.removed_mass(*(b[mine] for b in bins))
+    gamma = np.ones(len(keys))
+    gamma[at] = removed / total[at]
     total = np.where(usable, total, np.inf)
 
     # The entries of gram g are first[g]:first[g + 1]; a gram outside the
-    # index has none.
+    # index, or one no query reaches, has none.
     first = np.zeros(index.size + 2, dtype=np.int64)
     np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
 
@@ -516,10 +570,6 @@ def kneser_ney_probs(
             out.append(dense)
         return out
 
-    ids = index.encode(tokens, prev)
-    grams = ids[:, positions]
-    contexts = np.zeros_like(grams)
-    contexts[1:] = ids[:-1, prev[positions]]
     block = max(1, _QUERY_BLOCK // n_models)
     out = np.empty((n_models, len(positions)))
     for lo in range(0, len(positions), block):

@@ -4,10 +4,12 @@ Everything here recomputes results from first principles: counts by literal
 window enumeration over padded sentences, type statistics by iterating the
 whole candidate token set, smoothing by a direct transcription of the
 recursion, and isotonic regression by exhaustive search over contiguous
-partitions in exact rational arithmetic, and tagged-text parsing by the
-earlier dataclass-token parser transcribed whole. Nothing is shared with
-the package internals beyond the pseudo-token spellings and the tagged
-format's labels.
+partitions in exact rational arithmetic, tagged-text parsing by the
+earlier dataclass-token parser transcribed whole, and the array kernel by
+its earlier whole-table form, also transcribed whole. Nothing is shared
+with the package internals beyond the pseudo-token spellings, the tagged
+format's labels, and the count table and discount schedules that the
+whole-table kernel reads as its inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+
+import numpy as np
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -168,6 +172,108 @@ def scalar_kn_prob(raw, tables, order, discounts, vocab_size, token, context):
         return alpha + removed(*bins[g]) / totals[g] * level(g[1:])
 
     return level(ctx)
+
+
+# The Kneser-Ney array kernel as it was when it built its statistics for
+# every entry of the count table, transcribed whole. The kernel that builds
+# them only where the queries reach must agree with it bit for bit.
+
+_ORACLE_QUERY_BLOCK = 1 << 12
+
+
+def whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions):
+    """Interpolated Kneser-Ney probabilities of every model at every query.
+
+    The queries are the tokens at ``positions`` of a coded stream, each
+    after the tokens before it: ``tokens`` and ``prev`` as
+    :meth:`GramIndex.encode` takes them. ``discounts[m]`` is model m's
+    schedule. Returns an array of shape (models, queries).
+
+    Each model's continuation counts (raw at the top order, distinct left
+    extensions below), context totals and count-of-count bins are
+    reductions over the table's suffix and context ids; grams ending in the
+    begin marker are not continuations. Evaluation runs from the root up,
+    one level at a time for all models and queries, with the operations of
+    the scalar recursion in the same order: alpha = max(c - D(c), 0) /
+    total, gamma = removed mass / total, p = alpha + gamma * p_lower. A
+    context the model has not seen passes p_lower through; the root backs
+    off to the uniform 1 / (|V| + 1).
+    """
+    index = table.index
+    keys, counts, n_models = table.keys, table.counts, table.n_models
+    model = keys % n_models
+    gram_id = keys // n_models
+    level = index.level[gram_id]
+
+    def locate(grams: np.ndarray, models: np.ndarray) -> np.ndarray:
+        """Entries of grams the models hold (tables are closed, so all are)."""
+        return np.searchsorted(keys, grams * n_models + models)
+
+    # Continuation counts: raw at the top order, distinct left extensions
+    # (entries whose suffix is the gram) below.
+    extends = (counts > 0) & (level >= 2)
+    suffix_at = locate(index.suffix[gram_id[extends]], model[extends])
+    ckn = np.where(level == index.order, counts, np.bincount(suffix_at, minlength=len(keys)))
+    # Context totals and count-of-count bins over the same counts.
+    counted = (ckn > 0) & (index.last[gram_id] != index.width - 2)
+    context_at = locate(index.context[gram_id[counted]], model[counted])
+    c_counted = ckn[counted]
+    total = np.bincount(context_at, weights=c_counted, minlength=len(keys))
+    n1, n2, n3 = (
+        np.bincount(context_at[sel], minlength=len(keys))
+        for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
+    )
+
+    # Per entry, under its model's schedule: as a gram, the alpha numerator
+    # max(c - D(c), 0); as a context, its total and gamma. A context the
+    # model has not seen, or whose total is 0, gets total inf and gamma 1,
+    # so that alpha + gamma * p_lower is exactly p_lower.
+    schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
+    schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
+    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
+    numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
+    removed = np.empty(len(keys))
+    for schedule, i in schedule_ids.items():
+        mine = schedule_of == i
+        removed[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine])
+    usable = (total > 0) & ((counts > 0) | (gram_id == 0))
+    gamma = np.where(usable, removed / np.where(usable, total, 1.0), 1.0)
+    total = np.where(usable, total, np.inf)
+
+    # The entries of gram g are first[g]:first[g + 1]; a gram outside the
+    # index has none.
+    first = np.zeros(index.size + 2, dtype=np.int64)
+    np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
+
+    def gather(query: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.ndarray]:
+        """(models, queries) arrays of per-entry values at each query gram,
+        with the fill value where a model does not hold the gram."""
+        start, held = first[query], first[query + 1] - first[query]
+        entry = np.repeat(start - np.cumsum(held) + held, held) + np.arange(held.sum())
+        where = (model[entry], np.repeat(np.arange(len(query)), held))
+        out = []
+        for values, fill in columns:
+            dense = np.full((n_models, len(query)), fill)
+            dense[where] = values[entry]
+            out.append(dense)
+        return out
+
+    ids = index.encode(tokens, prev)
+    grams = ids[:, positions]
+    contexts = np.zeros_like(grams)
+    contexts[1:] = ids[:-1, prev[positions]]
+    block = max(1, _ORACLE_QUERY_BLOCK // n_models)
+    out = np.empty((n_models, len(positions)))
+    for lo in range(0, len(positions), block):
+        p = np.full((n_models, len(positions[lo : lo + block])), 1.0 / (index.width - 1))
+        for n in range(index.order):
+            (alpha_numerator,) = gather(grams[n, lo : lo + block], (numerator, 0.0))
+            context_total, context_gamma = gather(
+                contexts[n, lo : lo + block], (total, np.inf), (gamma, 1.0)
+            )
+            p = alpha_numerator / context_total + context_gamma * p
+        out[:, lo : lo + block] = p
+    return out
 
 
 def oracle_sentence_logprob(raw, order, discounts, vocab_items, sentence):

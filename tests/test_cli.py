@@ -329,6 +329,54 @@ class TestCrossGenre:
         assert run(["crossgenre", corpus_dir] + FAST_MODEL) == 2
 
 
+
+class TestUnwritableOutput:
+    """An output that cannot be written ends in a usage error naming the
+    path, exit 2, never a traceback."""
+
+    @pytest.fixture()
+    def blocker(self, tmp_path):
+        """A plain file where a directory is wanted."""
+        path = tmp_path / "blocker"
+        path.write_text("", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def assert_cannot_write(argv, path, capsys):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {str(path)!r}: ")
+
+    def test_synth(self, blocker, capsys):
+        argv = ["synth", "--out", blocker, "--authors", "6", "--sentences-per-doc", "4"]
+        self.assert_cannot_write(argv, blocker, capsys)
+
+    def test_mask(self, corpus_dir, blocker, capsys):
+        out = blocker / "masked.jsonl"
+        self.assert_cannot_write(["mask", corpus_dir / "train.jsonl", "--out", out], out, capsys)
+
+    def test_verify(self, corpus_dir, blocker, capsys):
+        pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
+        argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid, "--out", blocker]
+        self.assert_cannot_write(argv + FAST_MODEL, blocker, capsys)
+
+    def test_evaluate(self, corpus_dir, tmp_path, blocker, capsys):
+        argv = ["evaluate", corpus_dir, "--out", tmp_path] + FAST_MODEL
+        self.assert_cannot_write(argv, tmp_path, capsys)
+        calibration = blocker / "calibration.json"
+        argv = ["evaluate", corpus_dir, "--calibration-out", calibration] + FAST_MODEL
+        self.assert_cannot_write(argv, calibration, capsys)
+
+    def test_sweep(self, corpus_dir, blocker, capsys):
+        out = blocker / "sweep.csv"
+        argv = ["sweep", corpus_dir, "--r-grid", "2", "--n-grid", "2", "--out", out]
+        self.assert_cannot_write(argv + FAST_MODEL, out, capsys)
+
+    def test_crossgenre(self, corpus_dir, blocker, capsys):
+        argv = ["crossgenre", corpus_dir, corpus_dir, "--names", "a,b", "--out", blocker]
+        self.assert_cannot_write(argv + FAST_MODEL, blocker, capsys)
+
+
 class TestLogging:
     def test_log_env_smoke(self, corpus_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRAMMARLR_LOG", "INFO")

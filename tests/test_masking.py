@@ -12,7 +12,7 @@ from grammarlr.corpus import (
     TaggedToken,
     VerificationProblem,
 )
-from grammarlr.errors import LexiconError
+from grammarlr.errors import CorpusError, LexiconError
 from grammarlr.masking import (
     MaskingLexicon,
     default_lexicon,
@@ -310,6 +310,20 @@ class TestDocumentAndCorpus:
         lex = small_lexicon()
         doc = Document(id="d", sentences=(("the", "N", "."),))
         assert mask_document(doc, lex) is doc
+
+    @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
+    def test_reserved_glyph_still_fails_naming_the_document(self, reserved):
+        lex = MaskingLexicon(
+            retain=frozenset({"the"}), placeholders={**PLACEHOLDERS, "NOUN": reserved}
+        )
+        tagged = Document(
+            id="d1", sentences=((TaggedToken("The", "DET"), TaggedToken("cat", "NOUN")),)
+        )
+        with pytest.raises(CorpusError) as caught:
+            mask_document(tagged, lex)
+        assert str(caught.value) == f"document 'd1' contains reserved token {reserved!r}"
+        untouched = Document(id="d2", sentences=((TaggedToken("The", "DET"),),))
+        assert mask_document(untouched, lex).sentences == (("the",),)
 
     def test_mask_corpus_preserves_structure(self):
         lex = small_lexicon()

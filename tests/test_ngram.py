@@ -17,6 +17,7 @@ from oracles import (
     oracle_suffix_type_count,
     scalar_kn_prob,
     scalar_kn_tables,
+    whole_table_kneser_ney_probs,
 )
 
 from grammarlr.errors import ModelFormatError
@@ -30,7 +31,11 @@ from grammarlr.ngram import (
     Vocabulary,
     deserialize_model,
     dump_model,
+    kneser_ney_probs,
+    sentence_probs,
     serialize_model,
+    token_codes,
+    token_stream,
     train,
     train_with_estimated_discounts,
 )
@@ -530,6 +535,90 @@ class TestTruncatedTable:
         for order in (0, 4):
             with pytest.raises(ValueError, match="order"):
                 table.truncated(order)
+
+
+
+discount_schedules = st.one_of(
+    st.floats(0.05, 0.95).map(DiscountSchedule.constant),
+    st.tuples(*[st.floats(0.05, 0.95)] * 3).map(lambda bins: DiscountSchedule.modified(*bins)),
+)
+
+
+@st.composite
+def scored_tables(draw):
+    """A table of :func:`counted_models` at order 1-6, possibly cut to a
+    lower order, and one schedule per model from a pool of up to three, so
+    that models share schedules or mix the two modes."""
+    sentences, models = draw(counted_models())
+    order = draw(st.integers(1, 6))
+    table = CountTable.from_sentences(sentences, models, order, 6).truncated(
+        draw(st.integers(1, order))
+    )
+    pool = draw(st.lists(discount_schedules, min_size=1, max_size=3))
+    schedules = st.lists(st.sampled_from(pool), min_size=len(models), max_size=len(models))
+    return table, draw(schedules)
+
+
+class TestDemandDrivenKernel:
+    """The kernel builds its statistics only where the queries reach, and
+    gives the same probabilities, bit for bit, as the kernel that built them
+    for the whole table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scored=scored_tables(),
+        queries=st.lists(st.lists(st.integers(0, 3), max_size=7), max_size=3),
+    )
+    def test_sentence_streams(self, scored, queries):
+        table, discounts = scored
+        tokens, prev, starts = token_stream(queries, 6)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
+        got = sentence_probs(table, discounts, queries)
+        assert got.shape == (table.n_models, len(positions))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scored=scored_tables(), context=st.lists(st.integers(0, 5), max_size=7))
+    def test_distribution_streams(self, scored, context):
+        """One context, the markers allowed in it, then every code after it,
+        as ``GrammarModel.prob`` queries: an end marker in the context makes
+        a context no model holds."""
+        table, discounts = scored
+        n = len(context)
+        tokens = np.array([*context, *range(6)], dtype=np.int64)
+        prev = np.append(np.arange(-1, n - 1), np.full(6, n - 1)).astype(np.int64)
+        positions = np.arange(n, n + 6)
+        want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
+        assert np.array_equal(kneser_ney_probs(table, discounts, tokens, prev, positions), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw=st.dictionaries(
+            st.lists(st.sampled_from(("a", "b", BOS, EOS)), min_size=1, max_size=5).map(tuple),
+            st.integers(1, 4),
+            min_size=1,
+            max_size=12,
+        ),
+        schedule=discount_schedules,
+        stream=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.booleans()), max_size=12),
+    )
+    def test_raw_tables_with_cut_streams(self, raw, schedule, stream):
+        """A raw table, closed or not, as deserialized models tabulate
+        theirs, queried on a stream where some positions have predecessor
+        -1 and any subset of positions, none included, is scored."""
+        codes = token_codes(Vocabulary(frozenset({"a", "b", UNK})))
+        table = CountTable.from_raw(raw, max(len(g) for g in raw), codes)
+        tokens = np.array([code for code, _, _ in stream], dtype=np.int64)
+        prev = np.array(
+            [i - 1 if joined and i else -1 for i, (_, joined, _) in enumerate(stream)],
+            dtype=np.int64,
+        )
+        positions = np.flatnonzero([scored for _, _, scored in stream]).astype(np.int64)
+        want = whole_table_kneser_ney_probs(table, [schedule], tokens, prev, positions)
+        got = kneser_ney_probs(table, [schedule], tokens, prev, positions)
+        assert got.shape == (1, len(positions))
+        assert np.array_equal(got, want)
 
 
 class TestSerialization:
