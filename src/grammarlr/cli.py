@@ -6,9 +6,10 @@ corpora, ``mask`` turns tagged corpora into function-token streams,
 protocol, ``sweep`` grids over reference counts and model orders, and
 ``crossgenre`` swaps reference pools between domains.
 
-Exit codes: 0 success, 2 usage error (an output path that cannot be
-written included), 3 data error (unreadable or invalid inputs), 4 internal
-contract violation or a worker process that died during a ``--parallel``
+Exit codes: 0 success, 1 an output that failed while being written (a full
+disk, an I/O error), 2 usage error (an output path that cannot be written
+included, found before any scoring), 3 data error (unreadable or invalid
+inputs), 4 internal contract violation or a worker process that died during a ``--parallel``
 run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging on stderr.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import logging
@@ -124,13 +126,51 @@ def _load_split(args: argparse.Namespace) -> tuple[Corpus, Corpus]:
     return train, test
 
 
+class OutputError(Exception):
+    """An output that failed while it was being written (a full disk, an
+    I/O error): not a usage error, since nothing about the path was
+    wrong."""
+
+
+def _check_output(path: Optional[str], directory: bool = False) -> None:
+    """Raise a usage error at once if the output at ``path`` could not be
+    written when the command is done.
+
+    A file output must not be a directory, and its parent must be a
+    writable directory. A directory output is made with its parents, so
+    the nearest of it and its ancestors that exists must be a writable
+    directory. Commands check their outputs before they score anything, so
+    a run that would fail fails before its work, not after.
+    """
+    if not path:
+        return
+    target = Path(path)
+    if directory:
+        where = target
+        while not where.exists() and where != where.parent:
+            where = where.parent
+        code = None if where.is_dir() else errno.ENOTDIR
+    elif target.is_dir():
+        where, code = target, errno.EISDIR
+    elif target.exists():
+        where, code = target, None
+    else:
+        where = target.parent
+        code = None if where.is_dir() else errno.ENOTDIR if where.exists() else errno.ENOENT
+    if code is None and not os.access(where, os.W_OK | (os.X_OK if where.is_dir() else 0)):
+        code = errno.EACCES
+    if code is not None:
+        raise UsageError(f"cannot write {str(path)!r}: {os.strerror(code)}")
+
+
 @contextmanager
 def _writing(path: str) -> Iterator[None]:
-    """Report a failure to write the output at ``path`` as a usage error."""
+    """Report a failure while writing the output at ``path``: one that
+    :func:`_check_output` could not foresee."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+        raise OutputError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -146,6 +186,7 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_output(args.out, directory=True)
     out = Path(args.out)
     with _writing(args.out):
         out.mkdir(parents=True, exist_ok=True)
@@ -173,6 +214,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
+    _check_output(args.out)
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     lexicon = _lexicon_from_args(args) or default_lexicon()
     masked = mask_corpus(corpus, lexicon)
@@ -188,6 +230,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.calibrated and not args.calibration:
         raise UsageError("--calibrated requires --calibration")
+    _check_output(args.out, directory=True)
     calib = None
     if args.calibration:
         try:
@@ -236,6 +279,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_output(args.out)
+    _check_output(args.calibration_out)
     train, test = _load_split(args)
     config = _config_from_args(args)
     lexicon = _lexicon_from_args(args)
@@ -272,6 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"grids must be comma-separated integers: {exc}") from exc
     if not ref_counts or not orders:
         raise UsageError("grids must be non-empty")
+    _check_output(args.out)
     rows = sweep_grid(
         train, test, config, ref_counts, orders, lexicon, parallel=args.parallel
     )
@@ -309,6 +355,7 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     )
     if len(names) != len(args.corpus_dirs):
         raise UsageError("--names must match the number of corpus directories")
+    _check_output(args.out, directory=True)
     corpora = []
     for name, d in zip(names, args.corpus_dirs):
         base = Path(d)
@@ -431,6 +478,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -497,8 +497,7 @@ def kneser_ney_probs(
     read[grams] = True
     extension = (index.level >= 2) & read[index.suffix]
     entries = np.flatnonzero((read[:-1] | asked[:-1] | extension)[gram_id])
-    if len(entries) < len(keys):
-        keys, counts, gram_id = keys[entries], counts[entries], gram_id[entries]
+    keys, counts, gram_id = keys[entries], counts[entries], gram_id[entries]
     model = keys % n_models
     level = index.level[gram_id]
 
@@ -527,29 +526,17 @@ def kneser_ney_probs(
     # max(c - D(c), 0); as a context, its total and gamma. A context the
     # model has not seen, or whose total is 0, gets total inf and gamma 1,
     # so that alpha + gamma * p_lower is exactly p_lower.
-    schedules = list(dict.fromkeys(discounts))
-    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedules])
+    schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
+    schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
+    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
+    numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
+    # Gamma at the usable entries, one schedule at a time.
     usable = (total > 0) & ((counts > 0) | (gram_id == 0))
     at = np.flatnonzero(usable)
-    bins = n1[at], n2[at], n3[at]
-    if len(schedules) == 1:
-        numerator = np.maximum(ckn - discount[0][np.minimum(ckn, 3)], 0.0)
-        removed = schedules[0].removed_mass(*bins)
-    else:
-        schedule_ids = {s: i for i, s in enumerate(schedules)}
-        schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
-        numerator = np.maximum(ckn - discount[schedule_of, np.minimum(ckn, 3)], 0.0)
-        # The usable entries of one schedule are one slice of them grouped
-        # by schedule.
-        schedule_at = schedule_of[at]
-        grouped = np.argsort(schedule_at, kind="stable")
-        ends = np.cumsum(np.bincount(schedule_at, minlength=len(schedules)))
-        removed = np.empty(len(at))
-        for schedule, lo, hi in zip(schedules, [0, *ends[:-1]], ends):
-            mine = grouped[lo:hi]
-            removed[mine] = schedule.removed_mass(*(b[mine] for b in bins))
     gamma = np.ones(len(keys))
-    gamma[at] = removed / total[at]
+    for schedule, i in schedule_ids.items():
+        mine = at[schedule_of[at] == i]
+        gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
     total = np.where(usable, total, np.inf)
 
     # The entries of gram g are first[g]:first[g + 1]; a gram outside the

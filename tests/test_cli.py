@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import multiprocessing
@@ -5,7 +6,7 @@ import os
 
 import pytest
 
-from grammarlr import scoring
+from grammarlr import cli, scoring
 from grammarlr.calibration import CalibrationModel
 from grammarlr.cli import main
 from grammarlr.corpus import load_corpus
@@ -331,8 +332,8 @@ class TestCrossGenre:
 
 
 class TestUnwritableOutput:
-    """An output that cannot be written ends in a usage error naming the
-    path, exit 2, never a traceback."""
+    """An output path that cannot be written ends in a usage error naming
+    the path, exit 2, before any work is done; never a traceback."""
 
     @pytest.fixture()
     def blocker(self, tmp_path):
@@ -341,40 +342,85 @@ class TestUnwritableOutput:
         path.write_text("", encoding="utf-8")
         return path
 
-    @staticmethod
-    def assert_cannot_write(argv, path, capsys):
-        capsys.readouterr()
-        assert run(argv) == 2
-        assert capsys.readouterr().err.startswith(f"usage error: cannot write {str(path)!r}: ")
+    @pytest.fixture()
+    def assert_cannot_write(self, monkeypatch, capsys):
+        """Run a command whose every kind of work fails the test if it is
+        reached, and require the usage error for ``path``."""
 
-    def test_synth(self, blocker, capsys):
+        def reached(*args, **kwargs):
+            raise AssertionError("the command worked before it checked its output")
+
+        def check(argv, path):
+            for name in (
+                "synth_corpus",
+                "mask_corpus",
+                "verify_problem",
+                "evaluate_corpus",
+                "sweep_grid",
+                "cross_genre",
+            ):
+                monkeypatch.setattr(cli, name, reached)
+            capsys.readouterr()
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {str(path)!r}: ")
+
+        return check
+
+    def test_synth(self, blocker, assert_cannot_write):
         argv = ["synth", "--out", blocker, "--authors", "6", "--sentences-per-doc", "4"]
-        self.assert_cannot_write(argv, blocker, capsys)
+        assert_cannot_write(argv, blocker)
 
-    def test_mask(self, corpus_dir, blocker, capsys):
+    def test_mask(self, corpus_dir, blocker, assert_cannot_write):
         out = blocker / "masked.jsonl"
-        self.assert_cannot_write(["mask", corpus_dir / "train.jsonl", "--out", out], out, capsys)
+        assert_cannot_write(["mask", corpus_dir / "train.jsonl", "--out", out], out)
 
-    def test_verify(self, corpus_dir, blocker, capsys):
+    def test_verify(self, corpus_dir, blocker, assert_cannot_write):
         pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
         argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid, "--out", blocker]
-        self.assert_cannot_write(argv + FAST_MODEL, blocker, capsys)
+        assert_cannot_write(argv + FAST_MODEL, blocker)
 
-    def test_evaluate(self, corpus_dir, tmp_path, blocker, capsys):
-        argv = ["evaluate", corpus_dir, "--out", tmp_path] + FAST_MODEL
-        self.assert_cannot_write(argv, tmp_path, capsys)
+    def test_evaluate(self, corpus_dir, tmp_path, blocker, assert_cannot_write):
+        assert_cannot_write(["evaluate", corpus_dir, "--out", tmp_path] + FAST_MODEL, tmp_path)
         calibration = blocker / "calibration.json"
         argv = ["evaluate", corpus_dir, "--calibration-out", calibration] + FAST_MODEL
-        self.assert_cannot_write(argv, calibration, capsys)
+        assert_cannot_write(argv, calibration)
 
-    def test_sweep(self, corpus_dir, blocker, capsys):
+    def test_sweep(self, corpus_dir, blocker, assert_cannot_write):
         out = blocker / "sweep.csv"
         argv = ["sweep", corpus_dir, "--r-grid", "2", "--n-grid", "2", "--out", out]
-        self.assert_cannot_write(argv + FAST_MODEL, out, capsys)
+        assert_cannot_write(argv + FAST_MODEL, out)
 
-    def test_crossgenre(self, corpus_dir, blocker, capsys):
+    def test_crossgenre(self, corpus_dir, blocker, assert_cannot_write):
         argv = ["crossgenre", corpus_dir, corpus_dir, "--names", "a,b", "--out", blocker]
-        self.assert_cannot_write(argv + FAST_MODEL, blocker, capsys)
+        assert_cannot_write(argv + FAST_MODEL, blocker)
+
+    def test_missing_parent(self, corpus_dir, tmp_path, assert_cannot_write):
+        out = tmp_path / "absent" / "evaluate.json"
+        assert_cannot_write(["evaluate", corpus_dir, "--out", out] + FAST_MODEL, out)
+
+    def test_missing_directories_pass(self, tmp_path, capsys):
+        """A directory output is made with its parents."""
+        out = tmp_path / "absent" / "deeper"
+        assert run(["synth", "--out", out, "--authors", "6", "--sentences-per-doc", "4"]) == 0
+        assert (out / "train.jsonl").exists()
+
+
+class TestFailedWrite:
+    def test_write_error_is_not_a_usage_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        """A write that fails on a good path (here a full disk) exits 1 with
+        the path and the cause."""
+
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "evaluate.json"
+        monkeypatch.setattr(cli.Path, "write_text", full)
+        capsys.readouterr()
+        assert run(["evaluate", corpus_dir, "--out", out] + FAST_MODEL) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert os.strerror(errno.ENOSPC) in err
 
 
 class TestLogging:

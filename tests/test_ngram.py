@@ -20,6 +20,7 @@ from oracles import (
     whole_table_kneser_ney_probs,
 )
 
+from grammarlr import ngram
 from grammarlr.errors import ModelFormatError
 from grammarlr.ngram import (
     BOS,
@@ -39,7 +40,8 @@ from grammarlr.ngram import (
     train,
     train_with_estimated_discounts,
 )
-from grammarlr.scoring import lambda_document
+from grammarlr.scoring import LambdaConfig, lambda_document, verify_problem
+from grammarlr.synth import synth_corpus
 
 ALPHABET = ("a", "b", "c", "d", "e")
 
@@ -619,6 +621,25 @@ class TestDemandDrivenKernel:
         got = kneser_ney_probs(table, [schedule], tokens, prev, positions)
         assert got.shape == (1, len(positions))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["constant", "modified"])
+    def test_paper_defaults(self, mode, monkeypatch):
+        """Every kernel call of a synthetic problem scored at the paper's
+        defaults (order 10, 100 references), where the questioned
+        document's queries reach only part of the table."""
+        corpus = synth_corpus(seed=3, authors=5, sentences_per_doc=12)
+        kernel = ngram.kneser_ney_probs
+        same = []
+
+        def checked(*args):
+            got = kernel(*args)
+            same.append(np.array_equal(got, whole_table_kneser_ney_probs(*args)))
+            return got
+
+        monkeypatch.setattr(ngram, "kneser_ney_probs", checked)
+        config = LambdaConfig(order=10, refs=100, discount_mode=mode)
+        verify_problem(corpus.problems[0], corpus.reference_docs, config)
+        assert same and all(same)
 
 
 class TestSerialization:
