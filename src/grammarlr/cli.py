@@ -228,8 +228,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.calibrated and not args.calibration:
-        raise UsageError("--calibrated requires --calibration")
     _check_output(args.out, directory=True)
     calib = None
     if args.calibration:
@@ -428,11 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", default=None)
     _add_model_flags(p)
     p.add_argument("--calibration", default=None, help="calibration model JSON")
-    p.add_argument(
-        "--calibrated",
-        action="store_true",
-        help="emit a calibrated log LR and decision (requires --calibration)",
-    )
     p.add_argument("--out", default=None, help="output directory for artifacts")
     p.add_argument("--format", choices=("html", "ansi", "json"), default="html")
     p.set_defaults(func=cmd_verify)

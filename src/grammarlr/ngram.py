@@ -435,10 +435,6 @@ class CountTable:
         return [dict(zip((1, 2, 3, 4), row)) for row in np.stack(per_count, axis=1).tolist()]
 
 
-# Queries evaluated per block: bounds the models x queries scratch arrays.
-_QUERY_BLOCK = 1 << 12
-
-
 def kneser_ney_probs(
     table: CountTable,
     discounts: Sequence[DiscountSchedule],
@@ -459,9 +455,12 @@ def kneser_ney_probs(
     begin marker are not continuations. Evaluation runs from the root up,
     one level at a time for all models and queries, with the operations of
     the scalar recursion in the same order: alpha = max(c - D(c), 0) /
-    total, gamma = removed mass / total, p = alpha + gamma * p_lower. A
-    context the model has not seen passes p_lower through; the root backs
-    off to the uniform 1 / (|V| + 1).
+    total, gamma = removed mass / total, p = alpha + gamma * p_lower. The
+    root backs off to the uniform 1 / (|V| + 1). A level updates p only at
+    the (model, query) pairs whose model holds the query's context: a
+    closed table that lacks a context lacks every gram under it, so there
+    the recursion passes p_lower through, and leaving p as it is gives the
+    same value.
 
     The statistics are built only where the queries reach. The queries'
     contexts and the root are *asked*: a query reads their total, gamma
@@ -523,9 +522,10 @@ def kneser_ney_probs(
     )
 
     # Per entry, under its model's schedule: as a gram, the alpha numerator
-    # max(c - D(c), 0); as a context, its total and gamma. A context the
-    # model has not seen, or whose total is 0, gets total inf and gamma 1,
-    # so that alpha + gamma * p_lower is exactly p_lower.
+    # max(c - D(c), 0); as a context, its total and gamma. A held context
+    # that is not usable (its total is 0, or it has no count and is not the
+    # root) gets total inf and gamma 1, so that alpha + gamma * p_lower is
+    # exactly p_lower.
     schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
     schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
     discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
@@ -544,31 +544,26 @@ def kneser_ney_probs(
     first = np.zeros(index.size + 2, dtype=np.int64)
     np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
 
-    def gather(query: np.ndarray, *columns: tuple[np.ndarray, float]) -> list[np.ndarray]:
-        """(models, queries) arrays of per-entry values at each query gram,
-        with the fill value where a model does not hold the gram."""
-        start, held = first[query], first[query + 1] - first[query]
-        entry = np.repeat(start - np.cumsum(held) + held, held) + np.arange(held.sum())
-        where = (model[entry], np.repeat(np.arange(len(query)), held))
-        out = []
-        for values, fill in columns:
-            dense = np.full((n_models, len(query)), fill)
-            dense[where] = values[entry]
-            out.append(dense)
-        return out
+    n_queries = len(positions)
 
-    block = max(1, _QUERY_BLOCK // n_models)
-    out = np.empty((n_models, len(positions)))
-    for lo in range(0, len(positions), block):
-        p = np.full((n_models, len(positions[lo : lo + block])), 1.0 / (index.width - 1))
-        for n in range(index.order):
-            (alpha_numerator,) = gather(grams[n, lo : lo + block], (numerator, 0.0))
-            context_total, context_gamma = gather(
-                contexts[n, lo : lo + block], (total, np.inf), (gamma, 1.0)
-            )
-            p = alpha_numerator / context_total + context_gamma * p
-        out[:, lo : lo + block] = p
-    return out
+    def held(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of each query gram, and the flat position
+        ``model * n_queries + query`` of each in ``p``."""
+        start, count = first[query], first[query + 1] - first[query]
+        entry = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return entry, model[entry] * n_queries + np.repeat(np.arange(n_queries), count)
+
+    # A gram a model does not hold has alpha numerator 0; a context it does
+    # not hold leaves p as it is (see the docstring).
+    p = np.full(n_models * n_queries, 1.0 / (index.width - 1))
+    alpha = np.empty_like(p)
+    for n in range(index.order):
+        entry, at = held(grams[n])
+        alpha.fill(0.0)
+        alpha[at] = numerator[entry]
+        entry, at = held(contexts[n])
+        p[at] = alpha[at] / total[entry] + gamma[entry] * p[at]
+    return p.reshape(n_models, n_queries)
 
 
 # Conditional distributions a model keeps for repeated prob() queries.

@@ -25,7 +25,7 @@ from .calibration import (
 from .corpus import Corpus, Document
 from .errors import CorpusError
 from .masking import MaskingLexicon, default_lexicon, mask_corpus
-from .scoring import LambdaConfig, _score_problems, score_corpus
+from .scoring import LambdaConfig, _score_problems
 
 logger = logging.getLogger("grammarlr")
 
@@ -193,17 +193,8 @@ def evaluate_corpus(
     Both splits are masked before any scoring, the shared reference pool
     once.
     """
-    check_author_disjoint(train, test)
-    train_labels = _require_labels(train, "train")
-    test_labels = _require_labels(test, "test")
-    train, test = _mask_corpora((train, test), lexicon)
-
-    logger.info("scoring %d train problems", len(train.problems))
-    train_scores = [t.total for t in score_corpus(train, config, lexicon, parallel)]
-    calibration = _calibrate(train_scores, train_labels)
-    logger.info("scoring %d test problems", len(test.problems))
-    test_scores = [t.total for t in score_corpus(test, config, lexicon, parallel)]
-    return _report(config, calibration, train, train_scores, test, test_scores, test_labels)
+    (result,) = _evaluate_cells(train, test, [config], lexicon, parallel)
+    return result
 
 
 def sweep_grid(
@@ -228,6 +219,30 @@ def sweep_grid(
     if not ref_counts or not orders:
         raise ValueError("sweep grids must be non-empty")
     cells = [replace(base_config, refs=r, order=n) for r in ref_counts for n in orders]
+    return [
+        {
+            "refs": result.config.refs,
+            "order": result.config.order,
+            "accuracy": result.report.accuracy,
+            "auc": result.report.auc,
+            "cllr": result.report.cllr,
+            "cllr_min": result.report.cllr_min,
+            "cllr_cal": result.report.cllr_cal,
+        }
+        for result in _evaluate_cells(train, test, cells, lexicon, parallel)
+    ]
+
+
+def _evaluate_cells(
+    train: Corpus,
+    test: Corpus,
+    cells: Sequence[LambdaConfig],
+    lexicon: Optional[MaskingLexicon],
+    parallel: int,
+) -> list[EvaluationResult]:
+    """The protocol for configs that differ only in ``refs`` and ``order``:
+    mask both splits, score each once for all cells, then calibrate and
+    report each cell."""
     check_author_disjoint(train, test)
     train_labels = _require_labels(train, "train")
     test_labels = _require_labels(test, "test")
@@ -238,24 +253,12 @@ def sweep_grid(
     calibrations = [_calibrate(scores, train_labels) for scores in train_scores]
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
     test_scores = _cell_totals(test, cells, parallel)
-    rows = []
-    for cfg, calibration, train_cell, test_cell in zip(
-        cells, calibrations, train_scores, test_scores
-    ):
-        logger.info("sweep cell refs=%d order=%d", cfg.refs, cfg.order)
-        result = _report(cfg, calibration, train, train_cell, test, test_cell, test_labels)
-        rows.append(
-            {
-                "refs": cfg.refs,
-                "order": cfg.order,
-                "accuracy": result.report.accuracy,
-                "auc": result.report.auc,
-                "cllr": result.report.cllr,
-                "cllr_min": result.report.cllr_min,
-                "cllr_cal": result.report.cllr_cal,
-            }
+    return [
+        _report(cfg, calibration, train, train_cell, test, test_cell, test_labels)
+        for cfg, calibration, train_cell, test_cell in zip(
+            cells, calibrations, train_scores, test_scores
         )
-    return rows
+    ]
 
 
 def _cell_totals(

@@ -643,12 +643,12 @@ def score_corpus(
     one pool, call this (or ``evaluate_corpus``) rather than
     ``verify_problem`` in a loop.
 
-    ``parallel`` > 1 fans problems out over a process pool. Each worker
-    receives the masked pool and the config once, at start-up, and each job
-    carries only its problem. Results are reduced in submission order so
-    parallel runs are bit-identical to serial ones. A worker that dies
-    raises ``WorkerError`` naming the first problem, in submission order,
-    whose result was lost.
+    ``parallel`` > 1 fans problems out over a process pool of at most one
+    worker per problem. Each worker receives the masked pool and the config
+    once, at start-up, and each job carries only its problem. Results are
+    reduced in submission order so parallel runs are bit-identical to serial
+    ones. A worker that dies raises ``WorkerError`` naming the first
+    problem, in submission order, whose result was lost.
     """
     masked = mask_corpus(corpus, lexicon if lexicon is not None else default_lexicon())
     return [cells[0] for cells in _score_problems(masked, [config], parallel)]
@@ -675,7 +675,7 @@ def _score_problems(
 
     results: list[list[LambdaTrace]] = []
     with ProcessPoolExecutor(
-        max_workers=parallel,
+        max_workers=min(parallel, len(problems)),
         initializer=_init_worker,
         initargs=(corpus.reference_docs, configs),
     ) as executor:

@@ -138,10 +138,6 @@ class TestVerify:
         result = json.loads((out / "result.json").read_text(encoding="utf-8"))
         assert trace["total"] == pytest.approx(result["lambda"])
 
-    def test_calibrated_requires_model_file(self, corpus_dir):
-        argv = ["verify", corpus_dir / "test.jsonl", "--problem", "x", "--calibrated"]
-        assert run(argv + FAST_MODEL) == 2
-
     def test_calibrated_decision(self, corpus_dir, tmp_path, capsys):
         calib_path = tmp_path / "calibration.json"
         assert (
@@ -167,7 +163,6 @@ class TestVerify:
             "json",
             "--calibration",
             calib_path,
-            "--calibrated",
         ]
         assert run(argv + FAST_MODEL) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import pickle
 import random
@@ -597,6 +598,37 @@ class TestScoreCorpus:
         rng = random.Random(113)
         with pytest.raises(ValueError):
             score_corpus(self._corpus(rng), LambdaConfig(order=2, refs=2), parallel=0)
+
+    def test_at_most_one_worker_per_problem(self, monkeypatch):
+        """A pool starts no more workers than there are problems: each one
+        prepares the reference pool at start-up."""
+        sizes = []
+
+        class InProcessPool:
+            """Runs the pool's jobs in this process; records its size."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scoring, "_worker_job", ())
+        rng = random.Random(127)
+        corpus = self._corpus(rng)
+        cfg = LambdaConfig(order=2, refs=2, seed=1)
+        parallel = score_corpus(corpus, cfg, parallel=8)
+        assert sizes == [3]
+        serial = score_corpus(corpus, cfg, parallel=1)
+        assert [t.to_json() for t in parallel] == [t.to_json() for t in serial]
 
 
 def public_path_trace(problem, pool, cfg):
