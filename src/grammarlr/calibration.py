@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,12 +65,7 @@ class CalibrationModel:
         return self.intercept + self.slope * score - self.prior_log_odds
 
     def to_json_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "prior_log_odds": self.prior_log_odds,
-            "separated": self.separated,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CalibrationModel":
@@ -398,20 +393,7 @@ class MetricsReport:
     cllr_cal: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fn": self.fn,
-            "fp": self.fp,
-            "tn": self.tn,
-            "cllr": self.cllr,
-            "cllr_min": self.cllr_min,
-            "cllr_cal": self.cllr_cal,
-        }
+        return asdict(self)
 
 
 def build_metrics_report(
@@ -425,15 +407,8 @@ def build_metrics_report(
     full = cllr_from_log_lrs(same, diff)
     floor, cal = cllr_min_from_log_lrs(same, diff)
     return MetricsReport(
-        accuracy=counts["accuracy"],
+        **counts,
         auc=roc_auc(list(log_lrs), labels),
-        precision=counts["precision"],
-        recall=counts["recall"],
-        f1=counts["f1"],
-        tp=counts["tp"],
-        fn=counts["fn"],
-        fp=counts["fp"],
-        tn=counts["tn"],
         cllr=full,
         cllr_min=floor,
         cllr_cal=cal,

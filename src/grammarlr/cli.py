@@ -7,9 +7,9 @@ protocol, ``sweep`` grids over reference counts and model orders, and
 ``crossgenre`` swaps reference pools between domains.
 
 Exit codes: 0 success, 1 an output that failed while being written (a full
-disk, an I/O error), 2 usage error (an output path that cannot be written
-included, found before any scoring), 3 data error (unreadable or invalid
-inputs), 4 internal contract violation or a worker process that died during a ``--parallel``
+disk, an I/O error), 2 usage error (a bad flag or an output path that
+cannot be written, found before any input is read), 3 data error
+(unreadable or invalid inputs), 4 internal contract violation or a worker process that died during a ``--parallel``
 run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging on stderr.
 """
 
@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     WorkerError,
 )
-from .masking import MaskingLexicon, default_lexicon, load_lexicon, mask_corpus
+from .masking import MaskingLexicon, load_lexicon, mask_corpus
 from .protocol import cross_genre, evaluate_corpus, sweep_grid
 from .reporting import render_highlight, zscore_bins
 from .scoring import SAMPLING_MODES, LambdaConfig, verify_problem
@@ -139,7 +139,7 @@ def _check_output(path: Optional[str], directory: bool = False) -> None:
     A file output must not be a directory, and its parent must be a
     writable directory. A directory output is made with its parents, so
     the nearest of it and its ancestors that exists must be a writable
-    directory. Commands check their outputs before they score anything, so
+    directory. Commands check their outputs before they read any input, so
     a run that would fail fails before its work, not after.
     """
     if not path:
@@ -216,8 +216,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_mask(args: argparse.Namespace) -> int:
     _check_output(args.out)
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
-    lexicon = _lexicon_from_args(args) or default_lexicon()
-    masked = mask_corpus(corpus, lexicon)
+    masked = mask_corpus(corpus, _lexicon_from_args(args))
     with _writing(args.out):
         serialize_corpus(masked, args.out)
     n_docs = sum(
@@ -228,6 +227,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     _check_output(args.out, directory=True)
     calib = None
     if args.calibration:
@@ -241,9 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = next((p for p in corpus.problems if p.id == args.problem), None)
     if problem is None:
         raise DataError(f"problem id {args.problem!r} not found in {args.corpus}")
-    config = _config_from_args(args)
-    lexicon = _lexicon_from_args(args)
-    trace = verify_problem(problem, corpus.reference_docs, config, lexicon)
+    trace = verify_problem(problem, corpus.reference_docs, config, _lexicon_from_args(args))
 
     result = {
         "problem_id": problem.id,
@@ -277,10 +275,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     _check_output(args.out)
     _check_output(args.calibration_out)
     train, test = _load_split(args)
-    config = _config_from_args(args)
     lexicon = _lexicon_from_args(args)
     result = evaluate_corpus(train, test, config, lexicon, parallel=args.parallel)
     if args.calibration_out:
@@ -305,9 +303,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    train, test = _load_split(args)
     config = _config_from_args(args)
-    lexicon = _lexicon_from_args(args)
     try:
         ref_counts = [int(v) for v in args.r_grid.split(",") if v.strip()]
         orders = [int(v) for v in args.n_grid.split(",") if v.strip()]
@@ -315,7 +311,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"grids must be comma-separated integers: {exc}") from exc
     if not ref_counts or not orders:
         raise UsageError("grids must be non-empty")
+    if min(ref_counts + orders) < 1:
+        raise UsageError("grid values must be >= 1")
     _check_output(args.out)
+    train, test = _load_split(args)
+    lexicon = _lexicon_from_args(args)
     rows = sweep_grid(
         train, test, config, ref_counts, orders, lexicon, parallel=args.parallel
     )
@@ -345,7 +345,6 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     if len(args.corpus_dirs) < 2:
         raise UsageError("crossgenre needs at least two corpus directories")
     config = _config_from_args(args)
-    lexicon = _lexicon_from_args(args)
     names = (
         args.names.split(",")
         if args.names
@@ -360,7 +359,7 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
         train = load_corpus(base / "train.jsonl", partition="train")
         test = load_corpus(base / "test.jsonl", partition="test")
         corpora.append((name, train, test))
-    result = cross_genre(corpora, config, lexicon, parallel=args.parallel)
+    result = cross_genre(corpora, config, _lexicon_from_args(args), parallel=args.parallel)
     if args.out:
         out = Path(args.out)
         with _writing(args.out):

@@ -16,11 +16,11 @@ lookup per token; only a token not seen before goes through ``mask_token``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .corpus import (
     CONTENT_POS,
@@ -183,22 +183,47 @@ def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
     return Document(id=doc.id, sentences=sentences)
 
 
-def mask_corpus(corpus: Corpus, lexicon: MaskingLexicon) -> Corpus:
-    """Mask every tagged document in a corpus, problems and references
-    alike; already-masked documents are kept as they are."""
+def mask_problems(
+    pairs: Sequence[tuple[Sequence[VerificationProblem], Sequence[Document]]],
+    lexicon: Optional[MaskingLexicon] = None,
+) -> list[tuple[tuple[VerificationProblem, ...], tuple[Document, ...]]]:
+    """Mask (problems, reference pool) pairs before they are scored, with
+    the bundled lexicon unless another is given: each tagged document once,
+    and a pool once for all pairs whose pools are equal. Already-masked
+    documents are kept as they are. A pool may repeat ids or share
+    documents with the problems."""
+    lexicon = lexicon if lexicon is not None else default_lexicon()
 
-    def mask(docs: tuple[Document, ...]) -> tuple[Document, ...]:
+    def mask(docs: Sequence[Document]) -> tuple[Document, ...]:
         return tuple(mask_document(d, lexicon) if d.is_tagged else d for d in docs)
 
-    problems = tuple(
-        VerificationProblem(
-            id=p.id,
-            unknown_docs=mask(p.unknown_docs),
-            known_docs=mask(p.known_docs),
-            label=p.label,
-            author=p.author,
+    pools: list[tuple[tuple[Document, ...], tuple[Document, ...]]] = []
+    masked = []
+    for problems, refs in pairs:
+        pool = next((m for r, m in pools if r == refs), None)
+        if pool is None:
+            pool = mask(refs)
+            pools.append((refs, pool))
+        problems = tuple(
+            replace(p, unknown_docs=mask(p.unknown_docs), known_docs=mask(p.known_docs))
+            for p in problems
         )
-        for p in corpus.problems
-    )
-    refs = mask(corpus.reference_docs)
-    return Corpus(problems=problems, reference_docs=refs, partition=corpus.partition)
+        masked.append((problems, pool))
+    return masked
+
+
+def mask_corpora(
+    corpora: Sequence[Corpus], lexicon: Optional[MaskingLexicon] = None
+) -> list[Corpus]:
+    """``mask_corpus`` of each corpus, with a reference pool masked once for
+    all corpora whose pools are equal."""
+    masked = mask_problems([(c.problems, c.reference_docs) for c in corpora], lexicon)
+    return [replace(c, problems=p, reference_docs=pool) for c, (p, pool) in zip(corpora, masked)]
+
+
+def mask_corpus(corpus: Corpus, lexicon: Optional[MaskingLexicon] = None) -> Corpus:
+    """Mask every tagged document in a corpus, problems and references
+    alike, with the bundled lexicon unless another is given;
+    already-masked documents are kept as they are."""
+    (masked,) = mask_corpora([corpus], lexicon)
+    return masked

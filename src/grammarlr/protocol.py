@@ -5,6 +5,9 @@ calibration on those scores, then scores the test split and reports
 calibrated log LRs, decisions, and metric summaries. Train and test must be
 author-disjoint when author metadata is available; silently evaluating on
 seen authors would inflate every number.
+
+Each protocol checks its splits, then masks all its corpora with one call
+into ``masking`` before the first problem is scored.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .calibration import (
     decide,
     fit_calibration,
 )
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .errors import CorpusError
-from .masking import MaskingLexicon, default_lexicon, mask_corpus
+from .masking import MaskingLexicon, mask_corpora
 from .scoring import LambdaConfig, _score_problems
 
 logger = logging.getLogger("grammarlr")
@@ -81,15 +84,12 @@ class EvaluationResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _require_labels(corpus: Corpus, role: str) -> list[str]:
-    labels = []
+def _require_labels(corpus: Corpus, role: str) -> None:
     for p in corpus.problems:
         if p.label is None:
             raise CorpusError(f"{role} problem {p.id!r} has no label")
-        labels.append(p.label)
-    if not labels:
+    if not corpus.problems:
         raise CorpusError(f"{role} split has no problems")
-    return labels
 
 
 def check_author_disjoint(train: Corpus, test: Corpus) -> None:
@@ -107,27 +107,19 @@ def check_author_disjoint(train: Corpus, test: Corpus) -> None:
         )
 
 
-def _mask_corpora(
-    corpora: Sequence[Corpus], lexicon: Optional[MaskingLexicon]
+def _masked_splits(
+    splits: Sequence[tuple[Corpus, Corpus]], lexicon: Optional[MaskingLexicon]
 ) -> list[Corpus]:
-    """Mask corpora up front (with the bundled lexicon unless another is
-    given): each tagged document once, and a reference pool once for all
-    corpora whose reference documents are equal."""
-    lexicon = lexicon if lexicon is not None else default_lexicon()
-    pools: list[tuple[tuple[Document, ...], tuple[Document, ...]]] = []
-    masked = []
-    for corpus in corpora:
-        pool = next((m for refs, m in pools if refs == corpus.reference_docs), None)
-        if pool is None:
-            masked.append(mask_corpus(corpus, lexicon))
-            pools.append((corpus.reference_docs, masked[-1].reference_docs))
-        else:
-            problems = mask_corpus(replace(corpus, reference_docs=()), lexicon)
-            masked.append(replace(problems, reference_docs=pool))
-    return masked
+    """Check every (train, test) split, then mask all their corpora with
+    one call into ``masking``: the masked train and test of each split."""
+    for train, test in splits:
+        check_author_disjoint(train, test)
+        _require_labels(train, "train")
+        _require_labels(test, "test")
+    return mask_corpora([c for split in splits for c in split], lexicon)
 
 
-def _calibrate(train_scores: Sequence[float], train_labels: list[str]) -> CalibrationModel:
+def _calibrate(train_scores: Sequence[float], train_labels: Sequence[str]) -> CalibrationModel:
     calibration = fit_calibration(train_scores, train_labels)
     logger.info(
         "calibration: intercept=%.4f slope=%.4f separated=%s",
@@ -145,9 +137,9 @@ def _report(
     train_scores: Sequence[float],
     test: Corpus,
     test_scores: Sequence[float],
-    test_labels: list[str],
 ) -> EvaluationResult:
     """Apply a fitted calibration to both splits' scores and report."""
+    test_labels = test.labels
     test_log_lrs = [calibration.apply(s) for s in test_scores]
     report = build_metrics_report(test_log_lrs, test_labels)
     raw_same = [s for s, lab in zip(test_scores, test_labels) if lab == "Y"]
@@ -193,7 +185,7 @@ def evaluate_corpus(
     Both splits are masked before any scoring, the shared reference pool
     once.
     """
-    (result,) = _evaluate_cells(train, test, [config], lexicon, parallel)
+    (result,) = _evaluate_cells(*_masked_splits([(train, test)], lexicon), [config], parallel)
     return result
 
 
@@ -229,32 +221,25 @@ def sweep_grid(
             "cllr_min": result.report.cllr_min,
             "cllr_cal": result.report.cllr_cal,
         }
-        for result in _evaluate_cells(train, test, cells, lexicon, parallel)
+        for result in _evaluate_cells(
+            *_masked_splits([(train, test)], lexicon), cells, parallel
+        )
     ]
 
 
 def _evaluate_cells(
-    train: Corpus,
-    test: Corpus,
-    cells: Sequence[LambdaConfig],
-    lexicon: Optional[MaskingLexicon],
-    parallel: int,
+    train: Corpus, test: Corpus, cells: Sequence[LambdaConfig], parallel: int
 ) -> list[EvaluationResult]:
-    """The protocol for configs that differ only in ``refs`` and ``order``:
-    mask both splits, score each once for all cells, then calibrate and
-    report each cell."""
-    check_author_disjoint(train, test)
-    train_labels = _require_labels(train, "train")
-    test_labels = _require_labels(test, "test")
-    train, test = _mask_corpora((train, test), lexicon)
-
+    """The protocol on a checked, masked split for configs that differ only
+    in ``refs`` and ``order``: score each corpus once for all cells, then
+    calibrate and report each cell."""
     logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
     train_scores = _cell_totals(train, cells, parallel)
-    calibrations = [_calibrate(scores, train_labels) for scores in train_scores]
+    calibrations = [_calibrate(scores, train.labels) for scores in train_scores]
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
     test_scores = _cell_totals(test, cells, parallel)
     return [
-        _report(cfg, calibration, train, train_cell, test, test_cell, test_labels)
+        _report(cfg, calibration, train, train_cell, test, test_cell)
         for cfg, calibration, train_cell, test_cell in zip(
             cells, calibrations, train_scores, test_scores
         )
@@ -265,7 +250,7 @@ def _cell_totals(
     corpus: Corpus, cells: Sequence[LambdaConfig], parallel: int
 ) -> list[tuple[float, ...]]:
     """Each cell's document scores, in problem order."""
-    traces = _score_problems(corpus, cells, parallel)
+    traces = _score_problems(corpus.problems, corpus.reference_docs, cells, parallel)
     return list(zip(*([t.total for t in problem] for problem in traces)))
 
 
@@ -315,21 +300,19 @@ def cross_genre(
     Cell (i, j) swaps domain j's reference documents into domain i's train
     and test corpora and reruns the full protocol, calibration included. The
     diagonal therefore reproduces the plain within-domain evaluation. Every
-    corpus is masked once, before the first cell.
+    domain is checked, then every corpus masked once, before the first cell.
     """
     if len(corpora) < 2:
         raise ValueError("cross-domain runs need at least two corpora")
     names = tuple(name for name, _, _ in corpora)
-    masked = _mask_corpora([c for _, train, test in corpora for c in (train, test)], lexicon)
-    corpora = [
-        (name, masked[2 * i], masked[2 * i + 1]) for i, (name, _, _) in enumerate(corpora)
-    ]
+    masked = _masked_splits([(train, test) for _, train, test in corpora], lexicon)
+    domains = list(zip(names, masked[::2], masked[1::2]))
     acc_rows = []
     cllr_rows = []
-    for i, (name_i, train_i, test_i) in enumerate(corpora):
+    for name_i, train_i, test_i in domains:
         acc_row = []
         cllr_row = []
-        for j, (name_j, train_j, _test_j) in enumerate(corpora):
+        for name_j, train_j, _test_j in domains:
             train_swapped = replace(train_i, reference_docs=train_j.reference_docs)
             test_swapped = replace(test_i, reference_docs=train_j.reference_docs)
             logger.info("cross cell problems=%s refs=%s", name_i, name_j)

@@ -24,6 +24,9 @@ together as one models x positions matrix by the array kernel in
 and their rows stacked into the same matrix. A corpus's reference pool is
 gathered and coded once, and a problem scored for several reference counts
 and orders (a sweep) is counted once, at the largest of each.
+
+The scoring core reads masked documents only: every caller masks through
+``masking`` first and enters the core through ``_score_problems``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, replace
 from functools import cached_property
 from itertools import accumulate, pairwise
 from typing import Optional, Sequence
@@ -41,7 +44,7 @@ import numpy as np
 
 from .corpus import Corpus, Document, Sentence, VerificationProblem
 from .errors import ContractError, DataError, WorkerError
-from .masking import MaskingLexicon, default_lexicon, mask_corpus, mask_document
+from .masking import MaskingLexicon, mask_corpus, mask_problems
 from .ngram import (
     EOS,
     CountTable,
@@ -93,14 +96,7 @@ class LambdaConfig:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "refs": self.refs,
-            "seed": self.seed,
-            "discount": self.discount,
-            "discount_mode": self.discount_mode,
-            "sampling": self.sampling,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LambdaConfig":
@@ -505,13 +501,8 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
     return y
 
 
-def _doc_sentences(docs: Sequence[Document], lexicon: Optional[MaskingLexicon]) -> list[Sentence]:
-    sentences: list[Sentence] = []
-    for doc in docs:
-        if doc.is_tagged:
-            doc = mask_document(doc, lexicon if lexicon is not None else default_lexicon())
-        sentences.extend(doc.sentences)
-    return sentences
+def _doc_sentences(docs: Sequence[Document]) -> list[Sentence]:
+    return [sent for doc in docs for sent in doc.sentences]
 
 
 @dataclass(frozen=True)
@@ -524,10 +515,8 @@ class _Pool:
     codes: dict[str, int]
 
     @classmethod
-    def of(
-        cls, reference_docs: Sequence[Document], lexicon: Optional[MaskingLexicon] = None
-    ) -> "_Pool":
-        sentences = _doc_sentences(reference_docs, lexicon)
+    def of(cls, reference_docs: Sequence[Document]) -> "_Pool":
+        sentences = _doc_sentences(reference_docs)
         vocab = Vocabulary.from_sentences(sentences)
         return cls(sentences, vocab, token_codes(vocab))
 
@@ -536,9 +525,8 @@ def _score_problem(
     problem: VerificationProblem,
     pool: _Pool,
     configs: Sequence[LambdaConfig],
-    lexicon: Optional[MaskingLexicon] = None,
 ) -> list[LambdaTrace]:
-    """Score one problem for configs that differ only in ``refs`` and
+    """Score one masked problem for configs that differ only in ``refs`` and
     ``order``: each config's trace.
 
     The problem is counted once, at the largest order, over the author and
@@ -552,8 +540,8 @@ def _score_problem(
     first = configs[0]
     if any(replace(c, refs=first.refs, order=first.order) != first for c in configs):
         raise ValueError("configs scored together may differ only in refs and order")
-    known = _doc_sentences(problem.known_docs, lexicon)
-    unknown = _doc_sentences(problem.unknown_docs, lexicon)
+    known = _doc_sentences(problem.known_docs)
+    unknown = _doc_sentences(problem.unknown_docs)
     if not known:
         raise DataError(f"problem {problem.id!r}: no known-author sentences")
     if not unknown:
@@ -607,20 +595,21 @@ def verify_problem(
 ) -> LambdaTrace:
     """Run the full scoring pipeline for one verification problem.
 
-    Tagged documents, the reference pool's included, are masked on every
-    call (with the bundled lexicon unless another is given); masked
-    documents are used as they are. The pool's sentences, their vocabulary
-    and its token codes are built on every call too. ``score_corpus`` masks
-    a whole corpus and builds these once, then scores each problem, so
-    prefer it for many problems. One vocabulary, the pool's tokens plus
-    the known side's, is shared by every model; unknown-document tokens
-    outside it fall to the unknown token at scoring time. The sampling seed is
-    derived from the config seed and the problem id. The models are counted
-    once, over one index of the known side and the distinct sampled
-    reference sentences; the trace equals that of ``lambda_document`` on
-    the same models trained apart.
+    The problem and the reference pool, which may repeat ids or hold the
+    problem's own documents, are masked by ``masking.mask_problems`` on
+    every call (with the bundled lexicon unless another is given). The
+    pool's sentences, their vocabulary and its token codes are built on
+    every call too. ``score_corpus`` masks a whole corpus and builds these
+    once, then scores each problem, so prefer it for many problems. One
+    vocabulary, the pool's tokens plus the known side's, is shared by every
+    model; unknown-document tokens outside it fall to the unknown token at
+    scoring time. The sampling seed is derived from the config seed and the
+    problem id. The models are counted once, over one index of the known
+    side and the distinct sampled reference sentences; the trace equals
+    that of ``lambda_document`` on the same models trained apart.
     """
-    (trace,) = _score_problem(problem, _Pool.of(reference_docs, lexicon), [config], lexicon)
+    [(problems, pool)] = mask_problems([((problem,), reference_docs)], lexicon)
+    [(trace,)] = _score_problems(problems, pool, [config], 1)
     return trace
 
 
@@ -632,16 +621,15 @@ def score_corpus(
 ) -> list[LambdaTrace]:
     """Score every problem in a corpus, preserving problem order.
 
-    The corpus, reference pool included, is masked once before any problem
-    is scored (with the bundled lexicon unless another is given), so each
-    tagged document is masked once per call, not once per problem. A
-    malformed tagged document therefore fails before the first problem is
-    scored. The pool's sentences, their vocabulary and its token codes are
-    likewise built once per call (once per worker process). Each trace
-    equals that of
-    ``verify_problem`` on the same problem. To score many problems against
-    one pool, call this (or ``evaluate_corpus``) rather than
-    ``verify_problem`` in a loop.
+    The corpus, reference pool included, is masked by ``masking.mask_corpus``
+    before any problem is scored (with the bundled lexicon unless another
+    is given), so each tagged document is masked once per call, not once
+    per problem. A malformed tagged document therefore fails before the
+    first problem is scored. The pool's sentences, their vocabulary and its
+    token codes are likewise built once per call (once per worker process).
+    Each trace equals that of ``verify_problem`` on the same problem. To
+    score many problems against one pool, call this (or
+    ``evaluate_corpus``) rather than ``verify_problem`` in a loop.
 
     ``parallel`` > 1 fans problems out over a process pool of at most one
     worker per problem. Each worker receives the masked pool and the config
@@ -650,25 +638,29 @@ def score_corpus(
     ones. A worker that dies raises ``WorkerError`` naming the first
     problem, in submission order, whose result was lost.
     """
-    masked = mask_corpus(corpus, lexicon if lexicon is not None else default_lexicon())
-    return [cells[0] for cells in _score_problems(masked, [config], parallel)]
+    masked = mask_corpus(corpus, lexicon)
+    traces = _score_problems(masked.problems, masked.reference_docs, [config], parallel)
+    return [cells[0] for cells in traces]
 
 
 def _score_problems(
-    corpus: Corpus, configs: Sequence[LambdaConfig], parallel: int = 1
+    problems: Sequence[VerificationProblem],
+    reference_docs: Sequence[Document],
+    configs: Sequence[LambdaConfig],
+    parallel: int,
 ) -> list[list[LambdaTrace]]:
-    """Score every problem of a masked corpus for configs that differ only
-    in ``refs`` and ``order``, as ``_score_problem`` does: per problem, in
-    problem order, each config's trace.
+    """The one entry into scoring: score masked problems against a masked
+    reference pool for configs that differ only in ``refs`` and ``order``,
+    as ``_score_problem`` does: per problem, in problem order, each config's
+    trace.
 
     The pool is prepared once, in this process or in each worker. See
     ``score_corpus`` for ``parallel``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
-    problems = corpus.problems
     if parallel == 1 or len(problems) <= 1:
-        pool = _Pool.of(corpus.reference_docs)
+        pool = _Pool.of(reference_docs)
         return [_score_problem(p, pool, configs) for p in problems]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -677,7 +669,7 @@ def _score_problems(
     with ProcessPoolExecutor(
         max_workers=min(parallel, len(problems)),
         initializer=_init_worker,
-        initargs=(corpus.reference_docs, configs),
+        initargs=(reference_docs, configs),
     ) as executor:
         try:
             for cells in executor.map(_verify_in_worker, problems):

@@ -347,6 +347,7 @@ class TestUnwritableOutput:
 
         def check(argv, path):
             for name in (
+                "load_corpus",
                 "synth_corpus",
                 "mask_corpus",
                 "verify_problem",
@@ -399,6 +400,35 @@ class TestUnwritableOutput:
         out = tmp_path / "absent" / "deeper"
         assert run(["synth", "--out", out, "--authors", "6", "--sentences-per-doc", "4"]) == 0
         assert (out / "train.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{missing}/test.jsonl", "--problem", "p", "--order", "0"],
+        ["evaluate", "{missing}", "--order", "0"],
+        ["sweep", "{missing}", "--order", "0"],
+        ["crossgenre", "{missing}", "{missing}", "--order", "0"],
+        ["sweep", "{missing}", "--r-grid", "x"],
+        ["sweep", "{missing}", "--r-grid", "3,0"],
+        ["sweep", "{missing}", "--out", "{missing}/dir/sweep.csv"],
+    ],
+    ids=[
+        "verify-order",
+        "evaluate-order",
+        "sweep-order",
+        "crossgenre-order",
+        "sweep-grid",
+        "sweep-grid-value",
+        "sweep-out",
+    ],
+)
+def test_usage_error_before_any_input_is_read(tmp_path, capsys, argv):
+    """A bad flag or output path is a usage error, exit 2, even when the
+    inputs are missing too."""
+    missing = tmp_path / "missing"
+    assert run([a.format(missing=missing) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 class TestFailedWrite:

@@ -14,7 +14,7 @@ from oracles import oracle_lambda_document, oracle_trace_json
 from grammarlr import masking, scoring
 from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
 from grammarlr.errors import ContractError, DataError
-from grammarlr.masking import MaskingLexicon
+from grammarlr.masking import MaskingLexicon, default_lexicon, mask_corpus
 from grammarlr.ngram import (
     EOS,
     UNK,
@@ -25,7 +25,7 @@ from grammarlr.ngram import (
     train,
     train_with_estimated_discounts,
 )
-from grammarlr.protocol import evaluate_corpus
+from grammarlr.protocol import cross_genre, evaluate_corpus
 from grammarlr.scoring import (
     SAMPLING_MODES,
     LambdaConfig,
@@ -859,7 +859,6 @@ class TestScoreCorpusTagged:
             return real(doc, lexicon)
 
         monkeypatch.setattr(masking, "mask_document", counting)
-        monkeypatch.setattr(scoring, "mask_document", counting)
         score_corpus(corpus, self.CFG)
         doc_ids = [
             d.id for p in corpus.problems for d in (*p.unknown_docs, *p.known_docs)
@@ -916,7 +915,6 @@ class TestEvaluateTagged:
             return real(doc, lexicon)
 
         monkeypatch.setattr(masking, "mask_document", counting)
-        monkeypatch.setattr(scoring, "mask_document", counting)
         evaluate_corpus(train_split, test_split, LambdaConfig(order=2, refs=2, seed=5))
         doc_ids = [
             d.id
@@ -925,3 +923,49 @@ class TestEvaluateTagged:
             for d in (*p.unknown_docs, *p.known_docs)
         ] + [d.id for d in pool]
         assert masked == Counter(doc_ids)
+
+
+class TestCrossGenreTagged:
+    CFG = LambdaConfig(order=2, refs=2, seed=5)
+
+    def test_cells_match_evaluate_and_each_document_masked_once(self, monkeypatch):
+        rng = random.Random(149)
+        domains = []
+        for name in ("a", "b"):
+            pool = tuple(tagged_doc(rng, f"{name}-ref{i}") for i in range(5))
+            train_split = labelled_tagged_split(rng, f"{name}tr", pool)
+            domains.append((name, train_split, labelled_tagged_split(rng, f"{name}te", pool)))
+        masked = Counter()
+        real = masking.mask_document
+
+        def counting(doc, lexicon):
+            if doc.is_tagged:
+                masked[doc.id] += 1
+            return real(doc, lexicon)
+
+        monkeypatch.setattr(masking, "mask_document", counting)
+        result = cross_genre(domains, self.CFG, RETAIN_CAT)
+        monkeypatch.undo()
+        doc_ids = [
+            d.id
+            for _, train_split, test_split in domains
+            for split in (train_split, test_split)
+            for p in split.problems
+            for d in (*p.unknown_docs, *p.known_docs)
+        ] + [d.id for _, train_split, _ in domains for d in train_split.reference_docs]
+        assert masked == Counter(doc_ids)
+
+        for i, (_, train_i, test_i) in enumerate(domains):
+            for j, (_, train_j, _) in enumerate(domains):
+                pool = train_j.reference_docs
+                cell = evaluate_corpus(
+                    replace(train_i, reference_docs=pool),
+                    replace(test_i, reference_docs=pool),
+                    self.CFG,
+                    RETAIN_CAT,
+                )
+                assert result.accuracy[i][j] == cell.report.accuracy
+                assert result.cllr[i][j] == cell.report.cllr
+        for _, train_split, test_split in domains:
+            for split in (train_split, test_split):
+                assert mask_corpus(split) == mask_corpus(split, default_lexicon())
