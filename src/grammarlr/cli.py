@@ -29,16 +29,7 @@ from typing import Iterator, Optional
 
 from .calibration import CalibrationModel, decide, log10_lr
 from .corpus import Corpus, load_corpus, serialize_corpus
-from .errors import (
-    CalibrationError,
-    ContractError,
-    CorpusError,
-    DataError,
-    LexiconError,
-    ModelFormatError,
-    ParseError,
-    WorkerError,
-)
+from .errors import CalibrationError, ContractError, DataError, GrammarLRError, WorkerError
 from .masking import MaskingLexicon, load_lexicon, mask_corpus
 from .protocol import cross_genre, evaluate_corpus, sweep_grid
 from .reporting import render_highlight, zscore_bins
@@ -91,6 +82,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> LambdaConfig:
+    if getattr(args, "parallel", 1) < 1:
+        raise UsageError(f"parallel must be >= 1: {args.parallel}")
     try:
         return LambdaConfig(
             order=args.order,
@@ -187,28 +180,26 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_output(args.out, directory=True)
-    out = Path(args.out)
-    with _writing(args.out):
-        out.mkdir(parents=True, exist_ok=True)
-    alphabet = suffixed_alphabet(args.alphabet_suffix)
     kwargs = dict(
         seed=args.seed,
         authors=args.authors,
         problems_per_author=args.problems_per_author,
         divergence=args.divergence,
-        alphabet=alphabet,
+        alphabet=suffixed_alphabet(args.alphabet_suffix),
         sentences_per_doc=args.sentences_per_doc,
         known_docs_per_problem=args.known_docs,
         ref_authors=args.ref_authors,
         ref_docs_per_author=args.ref_docs,
         train_fraction=args.train_fraction,
     )
+    corpora = [synth_corpus(partition=partition, **kwargs) for partition in ("train", "test")]
+    out = Path(args.out)
     refs_path = out / "refs.jsonl"
-    for partition in ("train", "test"):
-        corpus = synth_corpus(partition=partition, **kwargs)
-        with _writing(args.out):
-            serialize_corpus(corpus, out / f"{partition}.jsonl", refs_path=refs_path)
-        logger.info("%s: %d problems", partition, len(corpus.problems))
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
+        for corpus in corpora:
+            serialize_corpus(corpus, out / f"{corpus.partition}.jsonl", refs_path=refs_path)
+            logger.info("%s: %d problems", corpus.partition, len(corpus.problems))
     print(f"wrote train.jsonl, test.jsonl, refs.jsonl to {out}")
     return 0
 
@@ -479,22 +470,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        CorpusError,
-        LexiconError,
-        DataError,
-        CalibrationError,
-        ModelFormatError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ContractError as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 4
     except WorkerError as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
         return 4
+    except GrammarLRError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -298,9 +298,10 @@ def cross_genre(
     """Evaluate each domain's problems under each domain's reference pool.
 
     Cell (i, j) swaps domain j's reference documents into domain i's train
-    and test corpora and reruns the full protocol, calibration included. The
-    diagonal therefore reproduces the plain within-domain evaluation. Every
-    domain is checked, then every corpus masked once, before the first cell.
+    and test corpora and reruns the protocol of ``evaluate_corpus`` on them,
+    calibration included. The diagonal therefore reproduces the plain
+    within-domain evaluation. Every domain is checked, then every corpus
+    masked once, before the first cell.
     """
     if len(corpora) < 2:
         raise ValueError("cross-domain runs need at least two corpora")
@@ -316,7 +317,7 @@ def cross_genre(
             train_swapped = replace(train_i, reference_docs=train_j.reference_docs)
             test_swapped = replace(test_i, reference_docs=train_j.reference_docs)
             logger.info("cross cell problems=%s refs=%s", name_i, name_j)
-            result = evaluate_corpus(train_swapped, test_swapped, config, lexicon, parallel)
+            (result,) = _evaluate_cells(train_swapped, test_swapped, [config], parallel)
             acc_row.append(result.report.accuracy)
             cllr_row.append(result.report.cllr)
         acc_rows.append(tuple(acc_row))

@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import accumulate, pairwise
 from typing import Optional, Sequence
@@ -115,6 +115,7 @@ class TokenScore:
     score: float
 
 
+@dataclass(frozen=True, eq=False)
 class LambdaTrace:
     """Full decomposition of a document score, held as columns.
 
@@ -123,50 +124,51 @@ class LambdaTrace:
     marker. ``tokens`` holds the display token of each position, and
     sentence ``i`` spans ``scores[bounds[i]:bounds[i + 1]]``.
     ``token_scores`` presents the same positions as ``TokenScore``s with
-    Python float scores; it is built on first access and then kept (or kept
-    as given, when the trace was constructed from ``TokenScore``s).
+    Python float scores; it is built on first access and then kept.
 
     ``total`` equals the sum of ``sentence_scores`` equals the sum of token
     scores (checked at construction to a 1e-9 absolute tolerance). ``seed``
     is the effective sampling seed actually used, which for problem-level
     runs is derived from the config seed and the problem id.
 
-    The keyword constructor takes ``TokenScore``s, which must run sentence
-    by sentence with positions 1, 2, ... within each sentence;
-    ``from_columns`` builds a trace from the columns and sums its sentences.
-    Traces are immutable, compare and hash by their ``TokenScore``s and the
-    other fields, and pickle as their columns.
+    The constructor takes the columns and the sentence scores;
+    ``from_columns`` sums the sentences itself. ``from_json`` reads the
+    ``TokenScore`` layout back and checks that it runs sentence by sentence
+    with positions 1, 2, ... within each sentence. Traces are immutable,
+    compare and hash by their ``TokenScore``s and the other fields, and
+    pickle as their columns.
     """
 
-    def __init__(
-        self,
-        token_scores: Sequence[TokenScore],
-        sentence_scores: Sequence[float],
-        total: float,
-        config: LambdaConfig,
-        seed: int,
-        problem_id: Optional[str] = None,
-    ) -> None:
-        token_scores = tuple(token_scores)
-        index = [ts.sentence_index for ts in token_scores]
-        in_range = not index or (index[0] >= 0 and index[-1] < len(sentence_scores))
-        if index != sorted(index) or not in_range:
-            raise ContractError("token scores must run sentence by sentence")
-        bounds = tuple(bisect_left(index, si) for si in range(len(sentence_scores) + 1))
-        positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
-        if [ts.position for ts in token_scores] != positions:
-            raise ContractError("token positions must run 1, 2, ... within each sentence")
-        self._fill(
-            np.array([ts.score for ts in token_scores], dtype=np.float64),
-            tuple(ts.token for ts in token_scores),
-            bounds,
-            tuple(sentence_scores),
-            total,
-            config,
-            seed,
-            problem_id,
+    scores: np.ndarray
+    tokens: tuple[str, ...]
+    bounds: tuple[int, ...]
+    sentence_scores: tuple[float, ...]
+    total: float
+    config: LambdaConfig
+    seed: int
+    problem_id: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        scores = np.asarray(self.scores, dtype=np.float64).view()
+        scores.flags.writeable = False
+        tokens, bounds = tuple(self.tokens), tuple(self.bounds)
+        sentence_scores = tuple(self.sentence_scores)
+        if (
+            scores.shape != (len(tokens),)
+            or len(bounds) != len(sentence_scores) + 1
+            or (bounds[0], bounds[-1]) != (0, len(tokens))
+            or list(bounds) != sorted(bounds)
+        ):
+            raise ContractError("trace columns disagree in length")
+        vars(self).update(
+            scores=scores, tokens=tokens, bounds=bounds, sentence_scores=sentence_scores
         )
-        vars(self)["token_scores"] = token_scores
+        by_tokens = math.fsum(scores.tolist())
+        by_sentences = math.fsum(sentence_scores)
+        if abs(by_tokens - self.total) > 1e-9 or abs(by_sentences - self.total) > 1e-9:
+            raise ContractError(
+                "trace total does not decompose into sentence and token sums"
+            )
 
     @classmethod
     def from_columns(
@@ -183,49 +185,10 @@ class LambdaTrace:
         sentence scores."""
         values = np.asarray(scores, dtype=np.float64).tolist()
         sentence_scores = tuple(math.fsum(values[a:b]) for a, b in pairwise(bounds))
-        trace = cls.__new__(cls)
-        trace._fill(
-            scores, tuple(tokens), tuple(bounds), sentence_scores,
-            math.fsum(sentence_scores), config, seed, problem_id,
+        return cls(
+            scores, tokens, bounds, sentence_scores, math.fsum(sentence_scores),
+            config, seed, problem_id,
         )
-        return trace
-
-    def _fill(
-        self,
-        scores: np.ndarray,
-        tokens: tuple[str, ...],
-        bounds: tuple[int, ...],
-        sentence_scores: tuple[float, ...],
-        total: float,
-        config: LambdaConfig,
-        seed: int,
-        problem_id: Optional[str],
-    ) -> None:
-        scores = np.asarray(scores, dtype=np.float64).view()
-        scores.flags.writeable = False
-        if (
-            scores.shape != (len(tokens),)
-            or len(bounds) != len(sentence_scores) + 1
-            or (bounds[0], bounds[-1]) != (0, len(tokens))
-            or list(bounds) != sorted(bounds)
-        ):
-            raise ContractError("trace columns disagree in length")
-        vars(self).update(
-            scores=scores,
-            tokens=tokens,
-            bounds=bounds,
-            sentence_scores=sentence_scores,
-            total=total,
-            config=config,
-            seed=seed,
-            problem_id=problem_id,
-        )
-        by_tokens = math.fsum(scores.tolist())
-        by_sentences = math.fsum(sentence_scores)
-        if abs(by_tokens - total) > 1e-9 or abs(by_sentences - total) > 1e-9:
-            raise ContractError(
-                "trace total does not decompose into sentence and token sums"
-            )
 
     @cached_property
     def token_scores(self) -> tuple[TokenScore, ...]:
@@ -250,24 +213,8 @@ class LambdaTrace:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __repr__(self) -> str:
-        return (
-            f"LambdaTrace(token_scores={self.token_scores!r}, "
-            f"sentence_scores={self.sentence_scores!r}, total={self.total!r}, "
-            f"config={self.config!r}, seed={self.seed!r}, problem_id={self.problem_id!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self) -> tuple:
-        return _restore_trace, (
-            self.scores, self.tokens, self.bounds, self.sentence_scores,
-            self.total, self.config, self.seed, self.problem_id,
-        )
+        return LambdaTrace, tuple(getattr(self, f.name) for f in fields(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,21 +236,25 @@ class LambdaTrace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LambdaTrace":
+        entries = obj["token_scores"]
+        sentence_scores = obj["sentence_scores"]
+        index = [ts["sentence_index"] for ts in entries]
+        in_range = not index or (index[0] >= 0 and index[-1] < len(sentence_scores))
+        if index != sorted(index) or not in_range:
+            raise ContractError("token scores must run sentence by sentence")
+        bounds = [bisect_left(index, si) for si in range(len(sentence_scores) + 1)]
+        positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
+        if [ts["position"] for ts in entries] != positions:
+            raise ContractError("token positions must run 1, 2, ... within each sentence")
         return cls(
-            token_scores=tuple(
-                TokenScore(
-                    token=ts["token"],
-                    sentence_index=ts["sentence_index"],
-                    position=ts["position"],
-                    score=ts["lambda"],
-                )
-                for ts in obj["token_scores"]
-            ),
-            sentence_scores=tuple(obj["sentence_scores"]),
-            total=obj["total"],
-            config=LambdaConfig.from_json_dict(obj["config"]),
-            seed=obj["seed"],
-            problem_id=obj.get("problem_id"),
+            np.array([ts["lambda"] for ts in entries], dtype=np.float64),
+            [ts["token"] for ts in entries],
+            bounds,
+            sentence_scores,
+            obj["total"],
+            LambdaConfig.from_json_dict(obj["config"]),
+            obj["seed"],
+            obj.get("problem_id"),
         )
 
     def to_json(self) -> str:
@@ -312,14 +263,6 @@ class LambdaTrace:
     @classmethod
     def from_json(cls, text: str) -> "LambdaTrace":
         return cls.from_json_dict(json.loads(text))
-
-
-def _restore_trace(
-    scores, tokens, bounds, sentence_scores, total, config, seed, problem_id
-) -> LambdaTrace:
-    trace = LambdaTrace.__new__(LambdaTrace)
-    trace._fill(scores, tokens, bounds, sentence_scores, total, config, seed, problem_id)
-    return trace
 
 
 def derive_seed(seed: int, problem_id: str) -> int:

@@ -83,6 +83,7 @@ class TestSynth:
 
     def test_bad_params_exit_2(self, tmp_path):
         assert run(["synth", "--out", tmp_path / "x", "--authors", "2"]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestMask:
@@ -412,6 +413,9 @@ class TestUnwritableOutput:
         ["sweep", "{missing}", "--r-grid", "x"],
         ["sweep", "{missing}", "--r-grid", "3,0"],
         ["sweep", "{missing}", "--out", "{missing}/dir/sweep.csv"],
+        ["evaluate", "{missing}", "--parallel", "0"],
+        ["sweep", "{missing}", "--parallel", "0"],
+        ["crossgenre", "{missing}", "{missing}", "--parallel", "0"],
     ],
     ids=[
         "verify-order",
@@ -421,6 +425,9 @@ class TestUnwritableOutput:
         "sweep-grid",
         "sweep-grid-value",
         "sweep-out",
+        "evaluate-parallel",
+        "sweep-parallel",
+        "crossgenre-parallel",
     ],
 )
 def test_usage_error_before_any_input_is_read(tmp_path, capsys, argv):

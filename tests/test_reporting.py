@@ -1,6 +1,6 @@
-import math
 import random
 
+import numpy as np
 import pytest
 
 from grammarlr.ngram import EOS
@@ -14,34 +14,28 @@ from grammarlr.reporting import (
     render_highlight,
     zscore_bins,
 )
-from grammarlr.scoring import LambdaConfig, LambdaTrace, TokenScore
+from grammarlr.scoring import LambdaConfig, LambdaTrace
 
 
 def make_trace(sentence_score_lists, tokens=None):
     """Build a trace from per-sentence score lists; last position is the end
     marker, like real traces."""
     cfg = LambdaConfig(order=2, refs=1)
-    token_scores = []
-    sentence_scores = []
-    for si, scores in enumerate(sentence_score_lists):
-        for pos, score in enumerate(scores, start=1):
+    scores = []
+    token_column = []
+    bounds = [0]
+    for si, sentence in enumerate(sentence_score_lists):
+        for pos, score in enumerate(sentence, start=1):
             if tokens is not None:
                 token = tokens[si][pos - 1]
-            elif pos == len(scores):
+            elif pos == len(sentence):
                 token = EOS
             else:
                 token = f"w{si}.{pos}"
-            token_scores.append(
-                TokenScore(token=token, sentence_index=si, position=pos, score=score)
-            )
-        sentence_scores.append(math.fsum(scores))
-    return LambdaTrace(
-        token_scores=tuple(token_scores),
-        sentence_scores=tuple(sentence_scores),
-        total=math.fsum(sentence_scores),
-        config=cfg,
-        seed=0,
-    )
+            token_column.append(token)
+            scores.append(score)
+        bounds.append(len(scores))
+    return LambdaTrace.from_columns(np.array(scores), token_column, bounds, cfg, seed=0)
 
 
 class TestZscoreBins:
@@ -91,21 +85,17 @@ class TestZscoreBins:
                 assert shade[low] <= shade[high]
 
     def test_empty_trace_rejected(self):
-        empty = LambdaTrace(
-            token_scores=(),
-            sentence_scores=(),
-            total=0.0,
-            config=LambdaConfig(order=2, refs=1),
-            seed=0,
+        empty = LambdaTrace.from_columns(
+            np.array([]), (), (0,), config=LambdaConfig(order=2, refs=1), seed=0
         )
         with pytest.raises(ValueError, match="no token scores"):
             zscore_bins(empty)
 
 
 class TestColumnsAndTokenScoresAgree:
-    """``zscore_bins`` reads the score column and the sentence bounds; a
-    trace built from columns and the same trace built from ``TokenScore``s
-    give equal highlight documents and equal rendered output."""
+    """``zscore_bins`` reads the score column and the sentence bounds and
+    never builds ``token_scores``; a trace and one built from a copy of its
+    columns give equal highlight documents and equal rendered output."""
 
     SCORES = [[0.0, 2.5, -1.0], [0.4], [6.0, 0.1, 0.2, 0.3], [1.5]]
 

@@ -4,10 +4,11 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import oracle_lambda_document, oracle_trace_json
 
@@ -275,7 +276,9 @@ class TestLambdaDocument:
         cfg = LambdaConfig(order=1, refs=1)
         with pytest.raises(ContractError, match="decompose"):
             LambdaTrace(
-                token_scores=(TokenScore("a", 0, 1, 1.0),),
+                scores=np.array([1.0]),
+                tokens=("a",),
+                bounds=(0, 1),
                 sentence_scores=(1.0,),
                 total=2.0,
                 config=cfg,
@@ -404,8 +407,28 @@ class TestTraceMatchesLoopOracle:
         )
 
 
+def trace_dict(token_scores, sentence_scores, config, seed=0, problem_id=None):
+    """The JSON form of a trace whose positions are ``token_scores``."""
+    return {
+        "token_scores": [
+            {
+                "token": ts.token,
+                "sentence_index": ts.sentence_index,
+                "position": ts.position,
+                "lambda": ts.score,
+            }
+            for ts in token_scores
+        ],
+        "sentence_scores": list(sentence_scores),
+        "total": math.fsum(sentence_scores),
+        "config": config.to_json_dict(),
+        "seed": seed,
+        "problem_id": problem_id,
+    }
+
+
 def trace_both_ways(sentence_score_lists, seed=3, problem_id="p"):
-    """The same trace built from columns and from ``TokenScore``s."""
+    """The same trace built from columns and read from ``TokenScore``s."""
     cfg = LambdaConfig(order=2, refs=4)
     scores = [s for sent in sentence_score_lists for s in sent]
     tokens = [f"w{i}" for i in range(len(scores))]
@@ -419,22 +442,33 @@ def trace_both_ways(sentence_score_lists, seed=3, problem_id="p"):
         for i in range(bounds[si], bounds[si + 1])
     ]
     sentence_scores = [math.fsum(sent) for sent in sentence_score_lists]
-    listed = LambdaTrace(
-        token_scores=token_scores,
-        sentence_scores=sentence_scores,
-        total=math.fsum(sentence_scores),
-        config=cfg,
-        seed=seed,
-        problem_id=problem_id,
+    listed = LambdaTrace.from_json_dict(
+        trace_dict(token_scores, sentence_scores, cfg, seed, problem_id)
     )
     return columns, listed
 
 
+# Trace layouts: up to 5 sentences of up to 6 scores, any of them empty, with
+# signed zeros. Scores stay small enough that summing by sentence and summing
+# by token agree to the trace's 1e-9 decomposition tolerance.
+TRACE_LAYOUTS = st.lists(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)), max_size=6
+    ),
+    max_size=5,
+)
+
+
 class TestColumnarTrace:
     SCORES = [[0.25, -1.5, 3.0], [0.1], [], [1e-3, 2.0]]
+    EDGES = [[], [0.0, -0.0], [-0.0], []]
 
-    def test_columns_and_token_scores_agree(self):
-        columns, listed = trace_both_ways(self.SCORES)
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LAYOUTS)
+    @example(SCORES)
+    @example(EDGES)
+    def test_columns_and_token_scores_agree(self, layout):
+        columns, listed = trace_both_ways(layout)
         assert columns == listed and listed == columns
         assert hash(columns) == hash(listed)
         assert columns.token_scores == listed.token_scores
@@ -443,35 +477,73 @@ class TestColumnarTrace:
         assert columns.total == listed.total
         assert columns.scores.tolist() == listed.scores.tolist()
         assert (columns.tokens, columns.bounds) == (listed.tokens, listed.bounds)
-        assert columns.bounds == (0, 3, 4, 4, 6)
+        assert columns.bounds == tuple(accumulate(map(len, layout), initial=0))
+        if layout == self.SCORES:
+            assert columns.bounds == (0, 3, 4, 4, 6)
         reseeded = LambdaTrace.from_columns(
             columns.scores, columns.tokens, columns.bounds, columns.config, 4, "p"
         )
         assert columns != reseeded
 
-    def test_pickle_round_trip(self):
-        columns, listed = trace_both_ways(self.SCORES)
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LAYOUTS)
+    @example(SCORES)
+    @example(EDGES)
+    def test_pickle_round_trip(self, layout):
+        columns, listed = trace_both_ways(layout)
         for trace in (columns, listed):
             clone = pickle.loads(pickle.dumps(trace))
             assert clone == columns and clone == listed
+            assert hash(clone) == hash(trace)
             assert not clone.scores.flags.writeable
             assert clone.to_json() == trace.to_json()
 
-    def test_json_round_trip(self):
-        columns, listed = trace_both_ways(self.SCORES)
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LAYOUTS)
+    @example(SCORES)
+    @example(EDGES)
+    def test_json_round_trip(self, layout):
+        columns, listed = trace_both_ways(layout)
         assert columns.to_json() == listed.to_json()
         for trace in (columns, listed):
             clone = LambdaTrace.from_json(trace.to_json())
             assert clone == columns and clone == listed
             assert clone.to_json() == trace.to_json()
 
-    def test_immutable(self):
-        columns, listed = trace_both_ways(self.SCORES)
+    @settings(max_examples=20, deadline=None)
+    @given(TRACE_LAYOUTS)
+    @example(SCORES)
+    @example(EDGES)
+    def test_immutable(self, layout):
+        columns, listed = trace_both_ways(layout)
         for trace in (columns, listed):
             with pytest.raises(FrozenInstanceError):
                 trace.total = 0.0
             with pytest.raises(ValueError):
                 trace.scores[0] = 9.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LAYOUTS, st.integers(0, 29))
+    @example(SCORES, 0)
+    @example(SCORES, 5)
+    def test_token_entry_moved_to_next_sentence_rejected(self, layout, pick):
+        """Moving one position into the next sentence breaks the layout:
+        the sentence indices stop running in order or in range, or the
+        positions stop running 1, 2, ... The one exception, the only
+        position of a sentence moved into an empty next sentence, is itself
+        a valid layout and is not drawn."""
+        columns, _ = trace_both_ways(layout)
+        sizes = list(map(len, layout))
+        movable = [
+            k
+            for k, ts in enumerate(columns.token_scores)
+            if sizes[ts.sentence_index : ts.sentence_index + 2] != [1, 0]
+        ]
+        assume(movable)
+        obj = columns.to_json_dict()
+        obj["token_scores"][movable[pick % len(movable)]]["sentence_index"] += 1
+        with pytest.raises(ContractError):
+            LambdaTrace.from_json_dict(obj)
 
     @pytest.mark.parametrize(
         "token_scores, sentence_scores",
@@ -485,12 +557,8 @@ class TestColumnarTrace:
     )
     def test_token_scores_must_run_sentence_by_sentence(self, token_scores, sentence_scores):
         with pytest.raises(ContractError):
-            LambdaTrace(
-                token_scores=token_scores,
-                sentence_scores=sentence_scores,
-                total=math.fsum(sentence_scores),
-                config=LambdaConfig(order=1, refs=1),
-                seed=0,
+            LambdaTrace.from_json_dict(
+                trace_dict(token_scores, sentence_scores, LambdaConfig(order=1, refs=1))
             )
 
 
