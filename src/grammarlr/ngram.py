@@ -27,18 +27,25 @@ and all models are evaluated together, level by level, as one models x
 positions array. The kernel builds these statistics only for the entries of
 the grams the queries reach: their contexts, the grams they read as
 numerators or as children of those contexts, and the extensions that make up
-those children's continuation counts. For a problem at the paper's defaults
-(order 10, 100 references) that can be a third of its table. The other
-entries are never read, so they are never computed. The scoring pipeline
-counts once per problem: it windows the known side and each distinct sampled
-reference sentence once, and each of the 1 + r models is the count of its
-sentences' gram ids. Ids are sorted by gram length, so a table counted at
-order N holds the table of every lower order as a prefix
-(:meth:`CountTable.truncated`). :func:`train` counts the same way, with one
-model, reads the raw count table off the index and hands the model that
-one-model table, from which its probabilities come. A :class:`GrammarModel`
-built from raw counts alone (a deserialized one) indexes them on its first
-probability query.
+those children's continuation counts. The other entries are never read, so
+they are never computed.
+
+The scoring pipeline counts once per problem: it windows the known side and
+each distinct sampled reference sentence once, and each of the 1 + r models
+is the count of its sentences' gram ids. Given the coded sentences it will
+score, the counter keeps only the grams the kernel reads for them (see
+:meth:`GramIndex.from_stream`), each with every window of it, so kept counts
+are full counts and the probabilities are those of the full table bit for
+bit; at the paper's defaults (order 10, 100 references) that is about a
+third of the entries. Modified discounts and :func:`train` count every
+window, as count-of-count statistics need. Ids are sorted by gram length, so
+a table counted at order N holds the table of every lower order as a prefix
+(:meth:`CountTable.truncated`), and one kept for queries at order N holds
+what they read at any lower order. :func:`train` counts with one model,
+reads the raw count table off the index and hands the model that one-model
+table, from which its probabilities come. A :class:`GrammarModel` built from
+raw counts alone (a deserialized one) indexes them on its first probability
+query.
 """
 
 from __future__ import annotations
@@ -268,23 +275,50 @@ class GramIndex:
 
     @classmethod
     def from_stream(
-        cls, tokens: np.ndarray, prev: np.ndarray, order: int, width: int
+        cls,
+        tokens: np.ndarray,
+        prev: np.ndarray,
+        order: int,
+        width: int,
+        queried_from: Optional[int] = None,
     ) -> tuple["GramIndex", np.ndarray]:
-        """Index every gram of a token stream.
+        """Index the grams of a token stream, or only those queries read.
 
         ``prev`` gives each position's predecessor, as :func:`token_stream`
         does, or -1 where no gram reaches back past the position: only the
-        gram of length 1 ends there. Also returns the ids :meth:`encode`
-        would give the stream.
+        gram of length 1 ends there. With ``queried_from`` None, the
+        default, every gram is indexed. Otherwise the positions from
+        ``queried_from`` on are a queried stream, windowed beside the rest,
+        and a gram is kept when
+
+        - the queried stream holds it: a query gram, or a query's context;
+        - the queried stream holds its context (``gram[:-1]``), the root
+          included: a child of a context a query asks;
+        - its suffix (``gram[1:]``) is kept by one of the two rules above:
+          an extension, whose existence makes up a read gram's continuation
+          count.
+
+        These are the grams :func:`kneser_ney_probs` reads for the queries.
+        The kept set is closed under prefixes and suffixes, so a level only
+        windows the positions whose context was kept one level down, and a
+        gram is kept or dropped with every window of it. Also returns the
+        ids :meth:`encode` would give the positions before
+        ``queried_from``, ``missing`` where a gram is dropped.
         """
         n_pos = len(tokens)
-        # -1 marks a gram that does not exist, until ``missing`` is known;
-        # the extra last column answers predecessor -1.
+        # -1 marks a gram that does not exist or is dropped, until
+        # ``missing`` is known; the extra last column answers predecessor -1.
         ids = np.full((order, n_pos + 1), -1, dtype=np.int64)
         keys, suffixes = [], [np.zeros(1, dtype=np.int64)]
         start = 1
         at = np.arange(n_pos)  # the positions a gram of length n ends at
         context = shorter = np.zeros(n_pos, dtype=np.int64)
+        # Per id: whether the queried stream holds the gram, and whether it
+        # is read (held, or a child of a held gram). The root is both; the
+        # last slot, never an id, answers a dropped suffix (-1).
+        held = np.zeros(order * n_pos + 2, dtype=bool)
+        read = held.copy()
+        held[0] = read[0] = True
         for n in range(1, order + 1):
             if n > 1:
                 context = ids[n - 2, prev[at]]
@@ -293,11 +327,29 @@ class GramIndex:
                 # gram[1:] of the gram ending at a position is the gram one
                 # shorter ending there.
                 shorter = ids[n - 2, at]
+            if queried_from is not None and n == order:
+                # No longer gram asks for the top-level queried windows.
+                counted = np.searchsorted(at, queried_from)
+                at, context, shorter = at[:counted], context[:counted], shorter[:counted]
             level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
-            level_ids = start + inverse.reshape(-1)
+            inverse = inverse.reshape(-1)
             suffix = np.empty(len(level_keys), dtype=np.int64)
-            suffix[level_ids - start] = shorter
-            ids[n - 1, at] = level_ids
+            suffix[inverse] = shorter
+            if queried_from is not None:
+                # A held gram is a child of its context, which is held too,
+                # so the second and third rules keep all the first does.
+                child = held[level_keys // width]
+                keep = child | read[suffix]
+                if not keep.all():
+                    windows = keep[inverse]
+                    at, inverse = at[windows], (np.cumsum(keep) - 1)[inverse[windows]]
+                    level_keys, suffix, child = level_keys[keep], suffix[keep], child[keep]
+                # ``at`` ascends, so the queried windows come last.
+                mine = start + inverse[np.searchsorted(at, queried_from) :]
+                held[mine] = True
+                read[start : start + len(level_keys)] = child
+                read[mine] = True
+            ids[n - 1, at] = start + inverse
             keys.append(level_keys)
             suffixes.append(suffix)
             start += len(level_keys)
@@ -369,6 +421,7 @@ class CountTable:
         models: Sequence[Sequence[int]],
         order: int,
         width: int,
+        queries: Optional[Sequence[Sequence[int]]] = None,
     ) -> "CountTable":
         """Count several models over one index of coded sentences.
 
@@ -376,20 +429,29 @@ class CountTable:
         repeats allowed. Each sentence is windowed once, however many models
         train on it; a model's counts are the counts of its sentences' gram
         ids.
+
+        ``queries``, when given, are the coded sentences that will be
+        scored: only the grams :func:`kneser_ney_probs` reads for them are
+        indexed and counted (see :meth:`GramIndex.from_stream`), each with
+        its full count, so their probabilities at this order or any lower
+        one are exactly those of the full table, but count-of-count
+        statistics are not.
         """
-        tokens, prev, starts = token_stream(sentences, width)
-        index, ids = GramIndex.from_stream(tokens, prev, order, width)
+        tokens, prev, starts = token_stream([*sentences, *(queries or ())], width)
+        ends = np.append(starts, len(tokens))
+        queried_from = None if queries is None else ends[len(sentences)]
+        index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
-        spans = np.diff(np.append(starts, len(tokens)))[rows]
+        spans = np.diff(ends)[rows]
         positions = np.repeat(starts[rows] - np.cumsum(spans) + spans, spans)
         positions += np.arange(len(positions))
         model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
         n_models = len(models)
+        windows = (ids[:, positions] * n_models + model_of).reshape(-1)
+        if queries is not None:
+            windows = windows[windows < index.missing * n_models]  # not dropped
         keys, counts = np.unique(
-            np.concatenate(
-                [np.arange(n_models), (ids[:, positions] * n_models + model_of).reshape(-1)]
-            ),
-            return_counts=True,
+            np.concatenate([np.arange(n_models), windows]), return_counts=True
         )
         counts[:n_models] = 0  # the roots
         return cls(index, n_models, keys, counts)
@@ -425,7 +487,8 @@ class CountTable:
         return CountTable(index, self.n_models, self.keys[:end], self.counts[:end])
 
     def count_of_counts(self) -> list[dict[int, int]]:
-        """Per model, how many top-order grams have each count 1..4."""
+        """Per model, how many top-order grams have each count 1..4. Only a
+        table counted without queries holds every top-order gram."""
         model = self.keys % self.n_models
         top = self.index.level[self.keys // self.n_models] == self.index.order
         per_count = [

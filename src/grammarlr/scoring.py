@@ -236,33 +236,50 @@ class LambdaTrace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LambdaTrace":
-        entries = obj["token_scores"]
-        sentence_scores = obj["sentence_scores"]
-        index = [ts["sentence_index"] for ts in entries]
-        in_range = not index or (index[0] >= 0 and index[-1] < len(sentence_scores))
-        if index != sorted(index) or not in_range:
-            raise ContractError("token scores must run sentence by sentence")
-        bounds = [bisect_left(index, si) for si in range(len(sentence_scores) + 1)]
-        positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
-        if [ts["position"] for ts in entries] != positions:
-            raise ContractError("token positions must run 1, 2, ... within each sentence")
-        return cls(
-            np.array([ts["lambda"] for ts in entries], dtype=np.float64),
-            [ts["token"] for ts in entries],
-            bounds,
-            sentence_scores,
-            obj["total"],
-            LambdaConfig.from_json_dict(obj["config"]),
-            obj["seed"],
-            obj.get("problem_id"),
-        )
+        """Read a trace back from :meth:`to_json_dict`'s layout. A value
+        that is not an object, a missing key, a value of the wrong type or
+        an invalid one, and a layout that does not run sentence by sentence
+        all raise :class:`ContractError`."""
+        if not isinstance(obj, dict):
+            raise ContractError(f"a trace must be a JSON object, not {type(obj).__name__}")
+        try:
+            entries = obj["token_scores"]
+            sentence_scores = obj["sentence_scores"]
+            index = [ts["sentence_index"] for ts in entries]
+            in_range = not index or (index[0] >= 0 and index[-1] < len(sentence_scores))
+            if index != sorted(index) or not in_range:
+                raise ContractError("token scores must run sentence by sentence")
+            bounds = [bisect_left(index, si) for si in range(len(sentence_scores) + 1)]
+            positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
+            if [ts["position"] for ts in entries] != positions:
+                raise ContractError("token positions must run 1, 2, ... within each sentence")
+            return cls(
+                np.array([ts["lambda"] for ts in entries], dtype=np.float64),
+                [ts["token"] for ts in entries],
+                bounds,
+                sentence_scores,
+                obj["total"],
+                LambdaConfig.from_json_dict(obj["config"]),
+                obj["seed"],
+                obj.get("problem_id"),
+            )
+        except KeyError as exc:
+            raise ContractError(f"trace lacks the key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ContractError(f"trace holds a value of the wrong type: {exc}") from exc
+        except ValueError as exc:
+            raise ContractError(f"trace holds an invalid value: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ": "))
 
     @classmethod
     def from_json(cls, text: str) -> "LambdaTrace":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"trace is not valid JSON: {exc}") from exc
+        return cls.from_json_dict(obj)
 
 
 def derive_seed(seed: int, problem_id: str) -> int:
@@ -507,14 +524,20 @@ def _score_problem(
     codes = pool.codes
     if not known_vocab.items <= pool.vocab.items:
         codes = token_codes(Vocabulary(pool.vocab.items | known_vocab.items))
+    # Only the grams the unknown document can read are counted, except where
+    # that cannot pay: modified discounts need every top-order window, and up
+    # to order 3 the filter drops only trigrams whose middle token the
+    # document lacks, which a closed masked vocabulary seldom leaves.
     drawn = np.unique(np.concatenate(samples))
+    unknown_codes = code_sentences(unknown, codes)
+    top = max(c.order for c in configs)
     table = CountTable.from_sentences(
         code_sentences((*known, *(pool.sentences[i] for i in drawn)), codes),
         [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
-        max(c.order for c in configs),
+        top,
         len(codes),
+        queries=unknown_codes if first.discount_mode == "constant" and top > 3 else None,
     )
-    unknown_codes = code_sentences(unknown, codes)
     logs = {}
     for order in {c.order for c in configs}:
         cut = table.truncated(order)

@@ -5,11 +5,12 @@ window enumeration over padded sentences, type statistics by iterating the
 whole candidate token set, smoothing by a direct transcription of the
 recursion, and isotonic regression by exhaustive search over contiguous
 partitions in exact rational arithmetic, tagged-text parsing by the
-earlier dataclass-token parser transcribed whole, and the array kernel by
-its earlier whole-table form, also transcribed whole. Nothing is shared
-with the package internals beyond the pseudo-token spellings, the tagged
-format's labels, and the count table and discount schedules that the
-whole-table kernel reads as its inputs.
+earlier dataclass-token parser transcribed whole, the counter by its
+earlier every-window form, and the array kernel by its earlier whole-table
+form, each also transcribed whole. Nothing is shared with the package
+internals beyond the pseudo-token spellings, the tagged format's labels,
+and the count table (its index and table classes) and discount schedules
+that the whole-table kernel reads as its inputs.
 """
 
 from __future__ import annotations
@@ -172,6 +173,71 @@ def scalar_kn_prob(raw, tables, order, discounts, vocab_size, token, context):
         return alpha + removed(*bins[g]) / totals[g] * level(g[1:])
 
     return level(ctx)
+
+
+# The counter as it was when it indexed and counted every window of every
+# training sentence, transcribed whole with its indexer. The counter that
+# keeps only the windows a questioned document can read must give the same
+# count for every gram it keeps, and the same probabilities.
+
+
+def oracle_count_table(sentences, models, order, width):
+    """Count several models over one index of every gram of coded
+    sentences: ``models[m]`` lists the numbers of model m's training
+    sentences, repeats allowed. Returns the package's ``CountTable``."""
+    from grammarlr.ngram import CountTable, GramIndex
+
+    # The padded stream: each sentence is its begin marker, its tokens and
+    # its end marker, and a sentence's first position is its own predecessor.
+    bos, eos = width - 2, width - 1
+    stream, starts = [], []
+    for sent in sentences:
+        starts.append(len(stream))
+        stream.extend([bos, *sent, eos])
+    tokens = np.array(stream, dtype=np.int64)
+    starts = np.array(starts, dtype=np.int64)
+    prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
+    prev[starts] = starts
+
+    # Every gram, level by level, keyed by (context id, last code).
+    n_pos = len(tokens)
+    ids = np.full((order, n_pos + 1), -1, dtype=np.int64)
+    keys, suffixes = [], [np.zeros(1, dtype=np.int64)]
+    start = 1
+    at = np.arange(n_pos)
+    context = shorter = np.zeros(n_pos, dtype=np.int64)
+    for n in range(1, order + 1):
+        if n > 1:
+            context = ids[n - 2, prev[at]]
+            reaches = context >= 0
+            at, context = at[reaches], context[reaches]
+            shorter = ids[n - 2, at]
+        level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
+        level_ids = start + inverse.reshape(-1)
+        suffix = np.empty(len(level_keys), dtype=np.int64)
+        suffix[level_ids - start] = shorter
+        ids[n - 1, at] = level_ids
+        keys.append(level_keys)
+        suffixes.append(suffix)
+        start += len(level_keys)
+    index = GramIndex(order, width, keys, np.concatenate(suffixes))
+    ids[ids < 0] = index.missing
+
+    # Each model counts its sentences' gram ids, one window per row drawn.
+    rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
+    spans = np.diff(np.append(starts, len(tokens)))[rows]
+    positions = np.repeat(starts[rows] - np.cumsum(spans) + spans, spans)
+    positions += np.arange(len(positions))
+    model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
+    n_models = len(models)
+    table_keys, counts = np.unique(
+        np.concatenate(
+            [np.arange(n_models), (ids[:, positions] * n_models + model_of).reshape(-1)]
+        ),
+        return_counts=True,
+    )
+    counts[:n_models] = 0  # the roots
+    return CountTable(index, n_models, table_keys, counts)
 
 
 # The Kneser-Ney array kernel as it was when it built its statistics for

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_continuation_count,
+    oracle_count_table,
     oracle_kn_prob,
     oracle_prefix_type_count,
     oracle_raw_counts,
@@ -626,20 +627,90 @@ class TestDemandDrivenKernel:
     def test_paper_defaults(self, mode, monkeypatch):
         """Every kernel call of a synthetic problem scored at the paper's
         defaults (order 10, 100 references), where the questioned
-        document's queries reach only part of the table."""
+        document's queries reach only part of the table, against the
+        whole-table kernel on the table that counts every window. In
+        constant mode the counter keeps only what those queries read."""
         corpus = synth_corpus(seed=3, authors=5, sentences_per_doc=12)
-        kernel = ngram.kneser_ney_probs
-        same = []
+        count, kernel = CountTable.from_sentences.__func__, ngram.kneser_ney_probs
+        counted, same = [], []
 
-        def checked(*args):
-            got = kernel(*args)
-            same.append(np.array_equal(got, whole_table_kneser_ney_probs(*args)))
+        def counting(cls, sentences, models, order, width, queries=None):
+            table = count(cls, sentences, models, order, width, queries)
+            counted.append((table, oracle_count_table(sentences, models, order, width)))
+            return table
+
+        def checked(table, discounts, tokens, prev, positions):
+            got = kernel(table, discounts, tokens, prev, positions)
+            full = counted[-1][1].truncated(table.index.order)
+            want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
+            same.append(np.array_equal(got, want))
             return got
 
+        monkeypatch.setattr(CountTable, "from_sentences", classmethod(counting))
         monkeypatch.setattr(ngram, "kneser_ney_probs", checked)
         config = LambdaConfig(order=10, refs=100, discount_mode=mode)
         verify_problem(corpus.problems[0], corpus.reference_docs, config)
         assert same and all(same)
+        ((table, full),) = counted
+        if mode == "constant":
+            assert len(table.keys) <= 0.6 * len(full.keys)
+        else:
+            assert np.array_equal(table.keys, full.keys)
+            assert np.array_equal(table.counts, full.counts)
+
+
+class TestQueryFilteredCounting:
+    """Counting for known queries keeps only the grams the kernel can read
+    for them, each with its full count, and the kernel gives the same
+    probabilities on that table as the whole-table kernel on the table of
+    every window; counting without queries is that table."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(counted=counted_models(), order=st.integers(1, 6))
+    def test_without_queries_every_window_is_counted(self, counted, order):
+        sentences, models = counted
+        got = CountTable.from_sentences(sentences, models, order, 6)
+        want = oracle_count_table(sentences, models, order, 6)
+        for got_keys, want_keys in zip(got.index.keys, want.index.keys, strict=True):
+            assert np.array_equal(got_keys, want_keys)
+        assert np.array_equal(got.index.suffix, want.index.suffix)
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.counts, want.counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counted=counted_models(),
+        queries=st.lists(st.lists(st.integers(0, 3), max_size=7), max_size=3),
+        order=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_kept_counts_and_probabilities_equal_the_full_table(
+        self, counted, queries, order, data
+    ):
+        sentences, models = counted
+        low = data.draw(st.one_of(st.none(), st.integers(1, order)))
+        table = CountTable.from_sentences(sentences, models, order, 6, queries=queries)
+        full = oracle_count_table(sentences, models, order, 6)
+        if low is not None:
+            table, full = table.truncated(low), full.truncated(low)
+        pool = data.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+        discounts = [DiscountSchedule.constant(data.draw(st.sampled_from(pool))) for _ in models]
+
+        tokens, prev, starts = token_stream(queries, 6)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        got = kneser_ney_probs(table, discounts, tokens, prev, positions)
+        want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
+        assert np.array_equal(got, want)
+
+        def entries(t):
+            grams = t.index.spell(range(6))
+            n = t.n_models
+            return {
+                (grams[k // n], k % n): c for k, c in zip(t.keys.tolist(), t.counts.tolist())
+            }
+
+        kept, every = entries(table), entries(full)
+        assert kept.items() <= every.items()
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import pickle
 import random
@@ -560,6 +561,76 @@ class TestColumnarTrace:
             LambdaTrace.from_json_dict(
                 trace_dict(token_scores, sentence_scores, LambdaConfig(order=1, refs=1))
             )
+
+    @staticmethod
+    def valid_trace_dict():
+        return trace_dict(
+            (TokenScore("a", 0, 1, 1.0), TokenScore("</s>", 0, 2, 0.5)),
+            (1.5,),
+            LambdaConfig(order=1, refs=1),
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"token_scores": [{}]}', "lacks the key 'sentence_scores'"),
+            ('{"token_scores": [], "sentence_scores": []}', "lacks the key 'total'"),
+        ],
+    )
+    def test_missing_key(self, text, message):
+        with pytest.raises(ContractError, match=message):
+            LambdaTrace.from_json(text)
+
+    @pytest.mark.parametrize("key", ["sentence_index", "position", "lambda", "token"])
+    def test_missing_token_score_key(self, key):
+        obj = self.valid_trace_dict()
+        del obj["token_scores"][1][key]
+        with pytest.raises(ContractError, match=f"lacks the key '{key}'"):
+            LambdaTrace.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("token_scores", 3),
+            ("token_scores", [1, 2]),
+            ("sentence_scores", 1.5),
+            ("total", "1.5"),
+            ("config", [1]),
+            ("config", {"bogus": 1}),
+        ],
+    )
+    def test_wrong_type(self, field, value):
+        obj = {**self.valid_trace_dict(), field: value}
+        with pytest.raises(ContractError, match="wrong type"):
+            LambdaTrace.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj["config"].update(order=0),
+            lambda obj: obj["token_scores"][0].update({"lambda": "high"}),
+        ],
+    )
+    def test_invalid_value(self, edit):
+        obj = self.valid_trace_dict()
+        edit(obj)
+        with pytest.raises(ContractError, match="invalid value"):
+            LambdaTrace.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '"trace"', "null"])
+    def test_not_an_object(self, text):
+        with pytest.raises(ContractError, match="must be a JSON object"):
+            LambdaTrace.from_json(text)
+
+    @pytest.mark.parametrize("text", ["", "{", '{"token_scores": [}', "{} trailing"])
+    def test_invalid_json(self, text):
+        with pytest.raises(ContractError, match="not valid JSON"):
+            LambdaTrace.from_json(text)
+
+    def test_valid_trace_still_reads(self):
+        obj = self.valid_trace_dict()
+        trace = LambdaTrace.from_json(json.dumps(obj))
+        assert trace.total == 1.5 and trace.tokens == ("a", "</s>")
 
 
 def make_problem(rng, problem_id="p1", oov_unknown=False):
