@@ -19,9 +19,9 @@ Tokens are integer codes, and a :class:`GramIndex` gives each gram an
 integer id keyed by (id of its first n - 1 tokens, code of its last), one
 sorted key array per length, so each gram's context (``gram[:-1]``) and
 suffix (``gram[1:]``) are ids too. There is one indexer,
-:meth:`GramIndex.from_stream`, and one counter,
-:meth:`CountTable.from_sentences`. A :class:`CountTable` holds the counts of
-one or many models over one index. Continuation counts, context totals and
+:meth:`GramIndex.from_stream`, and one counter, :meth:`CountTable.from_stream`
+over a :func:`token_stream`. A :class:`CountTable` holds the counts of one or
+many models over one index. Continuation counts, context totals and
 count-of-count bins are ``bincount`` reductions over suffix and context ids,
 and all models are evaluated together, level by level, as one models x
 positions array. The kernel builds these statistics only for the entries of
@@ -55,6 +55,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -96,9 +97,7 @@ class Vocabulary:
 
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sequence[str]]) -> "Vocabulary":
-        toks: set[str] = set()
-        for sent in sentences:
-            toks.update(sent)
+        toks = set(chain.from_iterable(sentences))
         if BOS in toks or EOS in toks:
             raise ValueError("sentences must not contain begin/end pseudo-tokens")
         toks.add(UNK)
@@ -231,18 +230,31 @@ def token_stream(
     the gram of length n ending there is n begin markers), and the position
     at which each sentence starts.
     """
-    bos, eos = width - 2, width - 1
-    tokens: list[int] = []
-    starts = []
-    for sent in sentences:
-        starts.append(len(tokens))
-        tokens.append(bos)
-        tokens.extend(sent)
-        tokens.append(eos)
-    starts_arr = np.array(starts, dtype=np.int64)
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+    tokens, starts = padded(flat, lengths, width)
     prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
-    prev[starts_arr] = starts_arr
-    return np.array(tokens, dtype=np.int64), prev, starts_arr
+    prev[starts] = starts
+    return tokens, prev, starts
+
+
+def padded(flat: np.ndarray, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens of :func:`token_stream`, in ``flat``'s dtype, of the
+    sentences whose codes ``flat`` concatenates; and the sentence starts."""
+    ends = np.cumsum(lengths + 2)
+    starts = ends - lengths - 2
+    stream = np.full(len(flat) + 2 * len(lengths), width - 1, dtype=flat.dtype)
+    stream[starts] = width - 2
+    inner = np.ones(len(stream), dtype=bool)
+    inner[starts] = inner[ends - 1] = False
+    stream[inner] = flat
+    return stream, starts
+
+
+def ranges(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``begin[i]``, ..., ``begin[i] + lengths[i] - 1`` of
+    every i, one range after another."""
+    return np.repeat(begin - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 class GramIndex:
@@ -423,32 +435,41 @@ class CountTable:
         width: int,
         queries: Optional[Sequence[Sequence[int]]] = None,
     ) -> "CountTable":
-        """Count several models over one index of coded sentences.
+        """:meth:`from_stream` over the :func:`token_stream` of coded
+        sentences, followed by that of the ``queries`` when given."""
+        tokens, prev, starts = token_stream([*sentences, *(queries or ())], width)
+        bounds = np.append(starts, len(tokens))[: len(sentences) + 1]
+        return cls.from_stream(tokens, prev, bounds, models, order, width, queries is not None)
+
+    @classmethod
+    def from_stream(
+        cls, tokens: np.ndarray, prev: np.ndarray, bounds: np.ndarray,
+        models: Sequence[Sequence[int]], order: int, width: int, filtered: bool = False,
+    ) -> "CountTable":
+        """Count several models over one index of a :func:`token_stream`
+        whose training sentence i spans ``bounds[i]:bounds[i + 1]``.
 
         ``models[m]`` lists the numbers of model m's training sentences,
         repeats allowed. Each sentence is windowed once, however many models
         train on it; a model's counts are the counts of its sentences' gram
-        ids.
-
-        ``queries``, when given, are the coded sentences that will be
-        scored: only the grams :func:`kneser_ney_probs` reads for them are
-        indexed and counted (see :meth:`GramIndex.from_stream`), each with
-        its full count, so their probabilities at this order or any lower
-        one are exactly those of the full table, but count-of-count
-        statistics are not.
+        ids. The stream from ``bounds[-1]`` on is read only when
+        ``filtered``: it holds the sentences that will be scored, and only
+        the grams :func:`kneser_ney_probs` reads for them are indexed and
+        counted (see :meth:`GramIndex.from_stream`), each with its full
+        count, so their probabilities at this order or any lower one are
+        exactly those of the full table, but count-of-count statistics are
+        not.
         """
-        tokens, prev, starts = token_stream([*sentences, *(queries or ())], width)
-        ends = np.append(starts, len(tokens))
-        queried_from = None if queries is None else ends[len(sentences)]
-        index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
+        end = int(bounds[-1])
+        queried_from, end = (end, None) if filtered else (None, end)
+        index, ids = GramIndex.from_stream(tokens[:end], prev[:end], order, width, queried_from)
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
-        spans = np.diff(ends)[rows]
-        positions = np.repeat(starts[rows] - np.cumsum(spans) + spans, spans)
-        positions += np.arange(len(positions))
+        spans = np.diff(bounds)[rows]
+        positions = ranges(bounds[rows], spans)
         model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
         n_models = len(models)
         windows = (ids[:, positions] * n_models + model_of).reshape(-1)
-        if queries is not None:
+        if filtered:
             windows = windows[windows < index.missing * n_models]  # not dropped
         keys, counts = np.unique(
             np.concatenate([np.arange(n_models), windows]), return_counts=True
@@ -612,8 +633,8 @@ def kneser_ney_probs(
     def held(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entries of each query gram, and the flat position
         ``model * n_queries + query`` of each in ``p``."""
-        start, count = first[query], first[query + 1] - first[query]
-        entry = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        count = first[query + 1] - first[query]
+        entry = ranges(first[query], count)
         return entry, model[entry] * n_queries + np.repeat(np.arange(n_queries), count)
 
     # A gram a model does not hold has alpha numerator 0; a context it does
@@ -832,7 +853,7 @@ def _count_training(
     fallback: float = 0.75,
 ) -> GrammarModel:
     """Validate training sentences, code them through the vocabulary and
-    count them as one model of :meth:`CountTable.from_sentences`, whose
+    count them as one model of :meth:`CountTable.from_stream`, whose
     table the model keeps for its probabilities. With no vocabulary given,
     one is built from the sentences; with no schedule, modified discounts
     are estimated from the top-order counts.

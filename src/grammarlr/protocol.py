@@ -28,7 +28,7 @@ from .calibration import (
 from .corpus import Corpus
 from .errors import CorpusError
 from .masking import MaskingLexicon, mask_corpora
-from .scoring import LambdaConfig, _score_problems
+from .scoring import LambdaConfig, _Pool, _score_problems
 
 logger = logging.getLogger("grammarlr")
 
@@ -232,12 +232,16 @@ def _evaluate_cells(
 ) -> list[EvaluationResult]:
     """The protocol on a checked, masked split for configs that differ only
     in ``refs`` and ``order``: score each corpus once for all cells, then
-    calibrate and report each cell."""
+    calibrate and report each cell. A pool the two corpora share is
+    prepared once for both."""
+    pool = _Pool.of(train.reference_docs)
     logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
-    train_scores = _cell_totals(train, cells, parallel)
+    train_scores = _cell_totals(train, pool, cells, parallel)
     calibrations = [_calibrate(scores, train.labels) for scores in train_scores]
+    if test.reference_docs != train.reference_docs:
+        pool = _Pool.of(test.reference_docs)
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
-    test_scores = _cell_totals(test, cells, parallel)
+    test_scores = _cell_totals(test, pool, cells, parallel)
     return [
         _report(cfg, calibration, train, train_cell, test, test_cell)
         for cfg, calibration, train_cell, test_cell in zip(
@@ -247,10 +251,10 @@ def _evaluate_cells(
 
 
 def _cell_totals(
-    corpus: Corpus, cells: Sequence[LambdaConfig], parallel: int
+    corpus: Corpus, pool: _Pool, cells: Sequence[LambdaConfig], parallel: int
 ) -> list[tuple[float, ...]]:
-    """Each cell's document scores, in problem order."""
-    traces = _score_problems(corpus.problems, corpus.reference_docs, cells, parallel)
+    """Each cell's document scores against ``pool``, in problem order."""
+    traces = _score_problems(corpus.problems, pool, cells, parallel)
     return list(zip(*([t.total for t in problem] for problem in traces)))
 
 

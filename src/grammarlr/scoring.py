@@ -21,9 +21,10 @@ known-author training set so the comparison is like-for-like. All 1 + r
 models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
 ``ngram``; models trained apart are each scored on their own count table
-and their rows stacked into the same matrix. A corpus's reference pool is
-gathered and coded once, and a problem scored for several reference counts
-and orders (a sweep) is counted once, at the largest of each.
+and their rows stacked into the same matrix. A reference pool is coded once
+into an int stream that each problem gathers its samples from, and a problem
+scored for several reference counts and orders is counted once, at the
+largest of each.
 
 The scoring core reads masked documents only: every caller masks through
 ``masking`` first and enters the core through ``_score_problems``.
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,11 +54,16 @@ from .ngram import (
     GrammarModel,
     Vocabulary,
     code_sentences,
-    sentence_probs,
+    kneser_ney_probs,
+    padded,
+    ranges,
     token_codes,
+    token_stream,
 )
 
 SAMPLING_MODES = ("without_replacement", "with_replacement")
+
+logger = logging.getLogger("grammarlr")
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class LambdaConfig:
     count-binned discounts from its own training counts and ``discount`` is
     only the fallback; in "constant" mode ``discount`` is used directly.
     ``sampling`` requests how reference sentence sets are drawn; a
-    without-replacement request silently degrades to with-replacement when
-    the pool is smaller than the required sample.
+    without-replacement request degrades to with-replacement, with a
+    logged warning, when the pool is smaller than the required sample.
     """
 
     order: int = 10
@@ -311,13 +318,16 @@ def sample_reference_sets(
         raise DataError("reference pool is empty")
     if sampling not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {sampling!r}")
-    replace_within = sampling == "with_replacement" or len(pool) < size
+    rows = _sample_indices(len(pool), size, count, seed, sampling)
+    return [[pool[i] for i in row] for row in rows.tolist()]
+
+
+def _sample_indices(pool_size: int, size: int, count: int, seed: int, sampling: str) -> np.ndarray:
+    """The (count, size) matrix of pool indices whose row i is sample i of
+    :func:`sample_reference_sets`, for arguments it accepts."""
+    replace_within = sampling == "with_replacement" or pool_size < size
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(count):
-        idx = rng.choice(len(pool), size=size, replace=replace_within)
-        samples.append([pool[int(i)] for i in idx])
-    return samples
+    return np.stack([rng.choice(pool_size, size=size, replace=replace_within) for _ in range(count)])
 
 
 def lambda_document(
@@ -467,18 +477,25 @@ def _doc_sentences(docs: Sequence[Document]) -> list[Sentence]:
 
 @dataclass(frozen=True)
 class _Pool:
-    """What every problem scored against one reference pool shares: the
-    pool's sentences, the vocabulary of their tokens and its token codes."""
+    """What every problem scored against one reference pool shares: its
+    vocabulary and token codes, and its sentences as the tokens of one
+    ``ngram.token_stream`` in the narrowest dtype that holds the codes."""
 
-    sentences: list[Sentence]
     vocab: Vocabulary
     codes: dict[str, int]
+    stream: np.ndarray
+    bounds: np.ndarray
 
     @classmethod
     def of(cls, reference_docs: Sequence[Document]) -> "_Pool":
         sentences = _doc_sentences(reference_docs)
         vocab = Vocabulary.from_sentences(sentences)
-        return cls(sentences, vocab, token_codes(vocab))
+        codes = token_codes(vocab)
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+        dtype = np.min_scalar_type(len(codes) - 1)
+        flat = np.fromiter(map(codes.__getitem__, chain.from_iterable(sentences)), dtype)
+        stream, starts = padded(flat, lengths, len(codes))
+        return cls(vocab, codes, stream, np.append(starts, len(stream)))
 
 
 def _score_problem(
@@ -502,42 +519,48 @@ def _score_problem(
         raise ValueError("configs scored together may differ only in refs and order")
     known = _doc_sentences(problem.known_docs)
     unknown = _doc_sentences(problem.unknown_docs)
+    pool_size = len(pool.bounds) - 1
     if not known:
         raise DataError(f"problem {problem.id!r}: no known-author sentences")
     if not unknown:
         raise DataError(f"problem {problem.id!r}: no unknown-document sentences")
-    if not pool.sentences:
+    if not pool_size:
         raise DataError(f"problem {problem.id!r}: no reference sentences")
 
-    known_vocab = Vocabulary.from_sentences(known)
     seed = derive_seed(first.seed, problem.id)
-    samples = sample_reference_sets(
-        range(len(pool.sentences)),
-        size=len(known),
-        count=max(c.refs for c in configs),
-        seed=seed,
-        sampling=first.sampling,
+    if first.sampling == "without_replacement" and pool_size < len(known):
+        logger.warning("problem %r: %d reference sentences, fewer than a sample of %d; "
+                       "sampling with replacement", problem.id, pool_size, len(known))
+    samples = _sample_indices(
+        pool_size, len(known), max(c.refs for c in configs), seed, first.sampling
     )
-    # The pool's codes serve unless the known side adds tokens to the
-    # vocabulary. One index for all 1 + r models: the known side and each
-    # distinct sampled pool sentence are windowed once.
-    codes = pool.codes
-    if not known_vocab.items <= pool.vocab.items:
-        codes = token_codes(Vocabulary(pool.vocab.items | known_vocab.items))
+    # One stream for all 1 + r models: each distinct sampled pool sentence,
+    # gathered from the pool's stream (its codes remapped where the known
+    # side adds tokens), then the known side and the unknown document.
+    drawn = np.unique(samples)
+    codes, lengths = pool.codes, np.diff(pool.bounds)[drawn]
+    drawn_tokens = pool.stream[ranges(pool.bounds[drawn], lengths)]
+    if extra := set(chain.from_iterable(known)).difference(codes):
+        codes = token_codes(Vocabulary(pool.vocab.items | extra))
+        drawn_tokens = np.array([codes[tok] for tok in pool.codes])[drawn_tokens]
+    coded, _, coded_starts = token_stream(code_sentences([*known, *unknown], codes), len(codes))
+    tokens = np.concatenate([drawn_tokens, coded])
+    starts = np.concatenate([np.cumsum(lengths) - lengths, len(drawn_tokens) + coded_starts])
+    prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
+    prev[starts] = starts
+    trained = len(drawn) + len(known)
     # Only the grams the unknown document can read are counted, except where
     # that cannot pay: modified discounts need every top-order window, and up
     # to order 3 the filter drops only trigrams whose middle token the
     # document lacks, which a closed masked vocabulary seldom leaves.
-    drawn = np.unique(np.concatenate(samples))
-    unknown_codes = code_sentences(unknown, codes)
     top = max(c.order for c in configs)
-    table = CountTable.from_sentences(
-        code_sentences((*known, *(pool.sentences[i] for i in drawn)), codes),
-        [range(len(known)), *(len(known) + np.searchsorted(drawn, s) for s in samples)],
-        top,
-        len(codes),
-        queries=unknown_codes if first.discount_mode == "constant" and top > 3 else None,
+    models = [range(len(drawn), trained), *np.searchsorted(drawn, samples)]
+    table = CountTable.from_stream(
+        tokens, prev, starts[: trained + 1], models, top, len(codes),
+        filtered=first.discount_mode == "constant" and top > 3,
     )
+    q = starts[trained]
+    query = (tokens[q:], prev[q:] - q, np.setdiff1d(np.arange(len(tokens) - q), starts[trained:] - q))
     logs = {}
     for order in {c.order for c in configs}:
         cut = table.truncated(order)
@@ -548,7 +571,7 @@ def _score_problem(
             ]
         else:
             discounts = [DiscountSchedule.constant(first.discount)] * cut.n_models
-        logs[order] = _log_probs(sentence_probs(cut, discounts, unknown_codes))
+        logs[order] = _log_probs(kneser_ney_probs(cut, discounts, *query))
     layout = _layout(unknown)
     return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]
 
@@ -564,7 +587,7 @@ def verify_problem(
     The problem and the reference pool, which may repeat ids or hold the
     problem's own documents, are masked by ``masking.mask_problems`` on
     every call (with the bundled lexicon unless another is given). The
-    pool's sentences, their vocabulary and its token codes are built on
+    pool's vocabulary, its token codes and its coded stream are built on
     every call too. ``score_corpus`` masks a whole corpus and builds these
     once, then scores each problem, so prefer it for many problems. One
     vocabulary, the pool's tokens plus the known side's, is shared by every
@@ -575,7 +598,7 @@ def verify_problem(
     that of ``lambda_document`` on the same models trained apart.
     """
     [(problems, pool)] = mask_problems([((problem,), reference_docs)], lexicon)
-    [(trace,)] = _score_problems(problems, pool, [config], 1)
+    [(trace,)] = _score_problems(problems, _Pool.of(pool), [config], 1)
     return trace
 
 
@@ -591,42 +614,41 @@ def score_corpus(
     before any problem is scored (with the bundled lexicon unless another
     is given), so each tagged document is masked once per call, not once
     per problem. A malformed tagged document therefore fails before the
-    first problem is scored. The pool's sentences, their vocabulary and its
-    token codes are likewise built once per call (once per worker process).
-    Each trace equals that of ``verify_problem`` on the same problem. To
-    score many problems against one pool, call this (or
-    ``evaluate_corpus``) rather than ``verify_problem`` in a loop.
+    first problem is scored. The pool's vocabulary, its token codes and its
+    coded stream are likewise built once per call, in this process. Each
+    trace equals that of ``verify_problem`` on the same problem. To score
+    many problems against one pool, call this (or ``evaluate_corpus``)
+    rather than ``verify_problem`` in a loop.
 
     ``parallel`` > 1 fans problems out over a process pool of at most one
-    worker per problem. Each worker receives the masked pool and the config
-    once, at start-up, and each job carries only its problem. Results are
-    reduced in submission order so parallel runs are bit-identical to serial
-    ones. A worker that dies raises ``WorkerError`` naming the first
+    worker per problem. Each worker receives the prepared pool and the
+    config once, at start-up, and each job carries only its problem. Results
+    are reduced in submission order so parallel runs are bit-identical to
+    serial ones. A worker that dies raises ``WorkerError`` naming the first
     problem, in submission order, whose result was lost.
     """
     masked = mask_corpus(corpus, lexicon)
-    traces = _score_problems(masked.problems, masked.reference_docs, [config], parallel)
+    traces = _score_problems(masked.problems, _Pool.of(masked.reference_docs), [config], parallel)
     return [cells[0] for cells in traces]
 
 
 def _score_problems(
     problems: Sequence[VerificationProblem],
-    reference_docs: Sequence[Document],
+    pool: _Pool,
     configs: Sequence[LambdaConfig],
     parallel: int,
 ) -> list[list[LambdaTrace]]:
-    """The one entry into scoring: score masked problems against a masked
-    reference pool for configs that differ only in ``refs`` and ``order``,
-    as ``_score_problem`` does: per problem, in problem order, each config's
-    trace.
+    """The one entry into scoring: score masked problems against a reference
+    pool prepared by ``_Pool.of`` for configs that differ only in ``refs``
+    and ``order``, as ``_score_problem`` does: per problem, in problem
+    order, each config's trace.
 
-    The pool is prepared once, in this process or in each worker. See
+    Each worker receives the prepared pool once, at start-up. See
     ``score_corpus`` for ``parallel``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
     if parallel == 1 or len(problems) <= 1:
-        pool = _Pool.of(reference_docs)
         return [_score_problem(p, pool, configs) for p in problems]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -635,7 +657,7 @@ def _score_problems(
     with ProcessPoolExecutor(
         max_workers=min(parallel, len(problems)),
         initializer=_init_worker,
-        initargs=(reference_docs, configs),
+        initargs=(pool, configs),
     ) as executor:
         try:
             for cells in executor.map(_verify_in_worker, problems):
@@ -653,9 +675,9 @@ def _score_problems(
 _worker_job: tuple = ()
 
 
-def _init_worker(reference_docs: tuple[Document, ...], configs: Sequence[LambdaConfig]) -> None:
+def _init_worker(pool: _Pool, configs: Sequence[LambdaConfig]) -> None:
     global _worker_job
-    _worker_job = (_Pool.of(reference_docs), configs)
+    _worker_job = (pool, configs)
 
 
 def _verify_in_worker(problem: VerificationProblem) -> list[LambdaTrace]:

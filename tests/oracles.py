@@ -6,8 +6,9 @@ whole candidate token set, smoothing by a direct transcription of the
 recursion, and isotonic regression by exhaustive search over contiguous
 partitions in exact rational arithmetic, tagged-text parsing by the
 earlier dataclass-token parser transcribed whole, the counter by its
-earlier every-window form, and the array kernel by its earlier whole-table
-form, each also transcribed whole. Nothing is shared with the package
+earlier every-window form, the array kernel by its earlier whole-table
+form, and the reference sampler by its earlier sample-by-sample form, each
+also transcribed whole. Nothing is shared with the package
 internals beyond the pseudo-token spellings, the tagged format's labels,
 and the count table (its index and table classes) and discount schedules
 that the whole-table kernel reads as its inputs.
@@ -423,6 +424,20 @@ def oracle_trace_json(sentences, probs, config_dict, seed, problem_id):
         "token_scores": token_scores,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ": "))
+
+
+def oracle_sample_reference_sets(pool, size, count, seed, sampling="without_replacement"):
+    """``count`` samples of ``size`` items of ``pool``, drawn one sample at a
+    time as the sampler drew them before it drew an index matrix: one
+    ``Generator.choice`` call per sample, with replacement when asked for or
+    when the pool holds fewer than ``size`` items."""
+    replace_within = sampling == "with_replacement" or len(pool) < size
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(count):
+        idx = rng.choice(len(pool), size=size, replace=replace_within)
+        samples.append([pool[int(i)] for i in idx])
+    return samples
 
 
 def oracle_isotonic(scores, labels):

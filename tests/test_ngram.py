@@ -3,6 +3,7 @@ import json
 import math
 import random
 import zlib
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from oracles import (
     whole_table_kneser_ney_probs,
 )
 
-from grammarlr import ngram
+from grammarlr import scoring
 from grammarlr.errors import ModelFormatError
 from grammarlr.ngram import (
     BOS,
@@ -631,11 +632,13 @@ class TestDemandDrivenKernel:
         whole-table kernel on the table that counts every window. In
         constant mode the counter keeps only what those queries read."""
         corpus = synth_corpus(seed=3, authors=5, sentences_per_doc=12)
-        count, kernel = CountTable.from_sentences.__func__, ngram.kneser_ney_probs
+        count, kernel = CountTable.from_stream.__func__, scoring.kneser_ney_probs
         counted, same = [], []
 
-        def counting(cls, sentences, models, order, width, queries=None):
-            table = count(cls, sentences, models, order, width, queries)
+        def counting(cls, tokens, prev, bounds, models, order, width, filtered=False):
+            table = count(cls, tokens, prev, bounds, models, order, width, filtered)
+            # The training sentences, each without its begin and end marker.
+            sentences = [tokens[a + 1 : b - 1].tolist() for a, b in pairwise(bounds.tolist())]
             counted.append((table, oracle_count_table(sentences, models, order, width)))
             return table
 
@@ -646,8 +649,8 @@ class TestDemandDrivenKernel:
             same.append(np.array_equal(got, want))
             return got
 
-        monkeypatch.setattr(CountTable, "from_sentences", classmethod(counting))
-        monkeypatch.setattr(ngram, "kneser_ney_probs", checked)
+        monkeypatch.setattr(CountTable, "from_stream", classmethod(counting))
+        monkeypatch.setattr(scoring, "kneser_ney_probs", checked)
         config = LambdaConfig(order=10, refs=100, discount_mode=mode)
         verify_problem(corpus.problems[0], corpus.reference_docs, config)
         assert same and all(same)

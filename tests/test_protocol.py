@@ -262,13 +262,13 @@ class TestSweep:
 
     def test_invalid_cell_fails_before_any_scoring(self, corpora, config, monkeypatch):
         calls = []
-        real = scoring.sentence_probs
+        real = scoring.kneser_ney_probs
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(scoring, "sentence_probs", spy)
+        monkeypatch.setattr(scoring, "kneser_ney_probs", spy)
         train, test = corpora
         with pytest.raises(ValueError, match="refs"):
             sweep_grid(train, test, config, ref_counts=[3, 0], orders=[2])
@@ -324,3 +324,60 @@ class TestCrossGenre:
         train, test = split()
         with pytest.raises(ValueError, match="at least two"):
             cross_genre([("only", train, test)], config)
+
+
+class TestPoolPreparedOnce:
+    """Train and test of one protocol call share one masked reference pool,
+    and it is coded once for both: once per ``evaluate_corpus`` and
+    ``sweep_grid`` call and once per cross-genre cell, also when workers
+    score the problems."""
+
+    @pytest.fixture()
+    def prepared(self, monkeypatch):
+        calls = []
+        real = scoring._Pool.of.__func__
+
+        def counting(cls, reference_docs):
+            calls.append(len(reference_docs))
+            return real(cls, reference_docs)
+
+        monkeypatch.setattr(scoring._Pool, "of", classmethod(counting))
+        return calls
+
+    def test_evaluate_and_sweep(self, prepared, corpora, config):
+        train, test = corpora
+        evaluate_corpus(train, test, config)
+        assert len(prepared) == 1
+        sweep_grid(train, test, config, [1, 3], [1, 2])
+        assert len(prepared) == 2
+
+    def test_workers_receive_the_prepared_pool(self, prepared, corpora, config, monkeypatch):
+        import concurrent.futures
+
+        class InProcessPool:
+            """Runs the pool's jobs in this process, as workers would."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scoring, "_worker_job", ())
+        train, test = corpora
+        parallel = evaluate_corpus(train, test, config, parallel=2)
+        assert len(prepared) == 1
+        assert parallel.to_json() == evaluate_corpus(train, test, config).to_json()
+
+    def test_cross_genre_cells(self, prepared, config):
+        plain_train, plain_test = split()
+        sfx_train, sfx_test = split(seed=1, alphabet=suffixed_alphabet("_q"))
+        cross_genre([("plain", plain_train, plain_test), ("sfx", sfx_train, sfx_test)], config)
+        assert len(prepared) == 4

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import oracle_lambda_document, oracle_trace_json
+from oracles import oracle_lambda_document, oracle_sample_reference_sets, oracle_trace_json
 
 from grammarlr import masking, scoring
 from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
@@ -20,10 +21,14 @@ from grammarlr.masking import MaskingLexicon, default_lexicon, mask_corpus
 from grammarlr.ngram import (
     EOS,
     UNK,
+    CountTable,
     DiscountSchedule,
     Vocabulary,
+    code_sentences,
     deserialize_model,
     serialize_model,
+    token_codes,
+    token_stream,
     train,
     train_with_estimated_discounts,
 )
@@ -158,6 +163,24 @@ class TestSampling:
         c = sample_reference_sets(pool, size=3, count=5, seed=8)
         assert a == b
         assert a != c
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool_size=st.integers(1, 12),
+        size=st.integers(1, 8),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        sampling=st.sampled_from(SAMPLING_MODES),
+    )
+    def test_index_matrix_draws_the_earlier_samples(self, pool_size, size, count, seed, sampling):
+        """The (count, size) index matrix makes the same generator calls as
+        the earlier sample-by-sample draw, so its rows are those samples."""
+        pool = self._pool(pool_size)
+        want = oracle_sample_reference_sets(pool, size, count, seed, sampling)
+        rows = scoring._sample_indices(pool_size, size, count, seed, sampling)
+        assert rows.shape == (count, size)
+        assert [[pool[i] for i in row] for row in rows.tolist()] == want
+        assert sample_reference_sets(pool, size, count, seed, sampling) == want
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -714,6 +737,31 @@ class TestVerifyProblem:
         assert [ts.token for ts in trace.token_scores] == ["the", "N", EOS]
 
 
+class TestSamplingFallbackLogged:
+    """A without-replacement request that falls back to sampling with
+    replacement, because the pool holds fewer sentences than a sample, logs
+    one warning per problem and scores exactly as a with-replacement
+    request does."""
+
+    def test_one_warning_per_problem(self, caplog):
+        rng = random.Random(131)
+        problems = tuple(make_problem(rng, f"p{i}") for i in range(3))
+        small = Corpus(problems=problems, reference_docs=(doc_of(rng, "ref0", n_sents=3),))
+        cfg = LambdaConfig(order=3, refs=4, seed=2)
+        with caplog.at_level(logging.WARNING, logger="grammarlr"):
+            traces = score_corpus(small, cfg)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("grammarlr", logging.WARNING)] * 3
+        for record, problem in zip(caplog.records, problems):
+            assert repr(problem.id) in record.getMessage()
+            assert "with replacement" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="grammarlr"):
+            replaced = score_corpus(small, replace(cfg, sampling="with_replacement"))
+            score_corpus(replace(small, reference_docs=make_refs(rng)), cfg)
+        assert caplog.records == []
+        assert [t.token_scores for t in traces] == [t.token_scores for t in replaced]
+
+
 class TestScoreCorpus:
     def _corpus(self, rng, n_problems=3):
         problems = tuple(make_problem(rng, f"p{i}") for i in range(n_problems))
@@ -859,6 +907,95 @@ class TestCountOncePath:
             )
             assert [ts.score for ts in expected.token_scores] == pytest.approx(tokens, abs=1e-9)
             assert expected.total == pytest.approx(total, abs=1e-9)
+
+
+class TestGatheredStream:
+    """A problem's counting stream, gathered from the pool's coded stream,
+    is the ``token_stream`` of its coded sentences (the distinct drawn pool
+    sentences, the known side, the unknown document), and it counts and
+    queries exactly as the coded sentences do."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pool=st.lists(st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=5)
+                               .map(tuple), min_size=1, max_size=3), min_size=1, max_size=3),
+        known=st.lists(st.lists(st.sampled_from((*ALPHABET, "bb")), min_size=1, max_size=5)
+                       .map(tuple), min_size=1, max_size=6),
+        unknown=st.lists(st.lists(st.sampled_from((*ALPHABET, "zzz")), min_size=1, max_size=5)
+                         .map(tuple), min_size=1, max_size=3),
+        order=st.integers(1, 5),
+        refs=st.integers(1, 4),
+        seed=st.integers(0, 1000),
+        discount_mode=st.sampled_from(["constant", "modified"]),
+        sampling=st.sampled_from(SAMPLING_MODES),
+    )
+    @example(  # the fallback, repeated draws, a known-side token, filtered counting
+        pool=[[("a", "b"), ("c", ".")]], known=[("a", "bb", "c")] * 3 + [("d",)],
+        unknown=[("bb", "zzz", "a")], order=4, refs=3, seed=1,
+        discount_mode="constant", sampling="without_replacement",
+    )
+    @example(  # unfiltered counting, drawing with replacement from a larger pool
+        pool=[[("a", "b"), ("c", ".")], [("d", "e", "a"), ("b",), ("e", ".")]],
+        known=[("a", "b"), ("e",)], unknown=[("c", "d")], order=2, refs=4, seed=3,
+        discount_mode="modified", sampling="with_replacement",
+    )
+    def test_equals_token_stream_of_coded_sentences(
+        self, pool, known, unknown, order, refs, seed, discount_mode, sampling
+    ):
+        pool_docs = tuple(Document(id=f"ref{i}", sentences=tuple(d)) for i, d in enumerate(pool))
+        problem = VerificationProblem(
+            id="p",
+            unknown_docs=(Document(id="u", sentences=tuple(unknown)),),
+            known_docs=(Document(id="k", sentences=tuple(known)),),
+        )
+        cfg = LambdaConfig(
+            order=order, refs=refs, seed=seed, discount_mode=discount_mode, sampling=sampling
+        )
+        counted, queried = [], []
+        count, kernel = CountTable.from_stream.__func__, scoring.kneser_ney_probs
+
+        def counting(cls, *args, **kwargs):
+            counted.append((args, kwargs))
+            return count(cls, *args, **kwargs)
+
+        def querying(table, discounts, *query):
+            queried.append(query)
+            return kernel(table, discounts, *query)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CountTable, "from_stream", classmethod(counting))
+            patch.setattr(scoring, "kneser_ney_probs", querying)
+            scoring._score_problem(problem, scoring._Pool.of(pool_docs), [cfg])
+
+        pool_sents = [s for d in pool for s in d]
+        codes = token_codes(Vocabulary.from_sentences([*pool_sents, *known]))
+        samples = oracle_sample_reference_sets(
+            range(len(pool_sents)), len(known), refs, derive_seed(seed, "p"), sampling
+        )
+        drawn = sorted({i for sample in samples for i in sample})
+        training = code_sentences([*(pool_sents[i] for i in drawn), *known], codes)
+        want = token_stream([*training, *code_sentences(unknown, codes)], len(codes))
+        [((tokens, prev, bounds, models, got_order, width), kwargs)] = counted
+        filtered = discount_mode == "constant" and order > 3
+        assert (got_order, width, kwargs) == (order, len(codes), {"filtered": filtered})
+        assert np.array_equal(tokens, want[0])
+        assert np.array_equal(prev, want[1])
+        assert np.array_equal(bounds, np.append(want[2], len(want[0]))[: len(training) + 1])
+        assert list(models[0]) == list(range(len(drawn), len(training)))
+        assert [[drawn[i] for i in rows] for rows in models[1:]] == samples
+
+        got = count(CountTable, tokens, prev, bounds, models, order, width, filtered)
+        coded_unknown = code_sentences(unknown, codes)
+        direct = CountTable.from_sentences(
+            training, models, order, width, queries=coded_unknown if filtered else None
+        )
+        assert np.array_equal(got.keys, direct.keys)
+        assert np.array_equal(got.counts, direct.counts)
+        query_tokens, query_prev, query_starts = token_stream(coded_unknown, width)
+        for got_tokens, got_prev, positions in queried:
+            assert np.array_equal(got_tokens, query_tokens)
+            assert np.array_equal(got_prev, query_prev)
+            assert np.array_equal(positions, np.setdiff1d(np.arange(len(query_tokens)), query_starts))
 
 
 small_corpora = st.lists(
