@@ -42,10 +42,10 @@ window, as count-of-count statistics need. Ids are sorted by gram length, so
 a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
 what they read at any lower order. :func:`train` counts with one model,
-reads the raw count table off the index and hands the model that one-model
-table, from which its probabilities come. A :class:`GrammarModel` built from
-raw counts alone (a deserialized one) indexes them on its first probability
-query.
+and that one-model table is the whole count store of the
+:class:`GrammarModel` it makes; the gram -> count mapping the count queries
+and serialization read is spelled from it only when first read. Loading a
+serialized model tabulates its raw counts once, at load.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -658,10 +660,12 @@ class GrammarModel:
     """An order-N Kneser-Ney model with queryable count statistics.
 
     Instances are effectively immutable after construction. Build them with
-    :func:`train`. The raw count table is the whole state: queries answer
-    from it, probabilities through :func:`kneser_ney_probs` over the table
-    :func:`train` counted (or one tabulated from it on the first query),
-    and serialization persists only it, so reconstruction is exact.
+    :func:`train`. The model's state is its one-model :class:`CountTable`:
+    probabilities come from it through :func:`kneser_ney_probs`, and
+    ``raw_counts``, the gram -> count mapping the count queries, equality
+    and serialization read, is spelled from it on first read. Serialization
+    persists only those raw counts, and loading tabulates them again, so
+    reconstruction is exact.
     """
 
     def __init__(
@@ -670,7 +674,7 @@ class GrammarModel:
         vocab: Vocabulary,
         discounts: DiscountSchedule,
         sentence_count: int,
-        raw_counts: dict[tuple[str, ...], int],
+        table: CountTable,
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be >= 1: {order}")
@@ -682,9 +686,16 @@ class GrammarModel:
         self.vocab = vocab
         self.discounts = discounts
         self.sentence_count = sentence_count
-        self.raw_counts = raw_counts
-        self._kernel: Optional[tuple[dict[str, int], CountTable]] = None
+        self.table = table
+        self._codes = token_codes(vocab)
         self._distributions: dict[tuple[str, ...], list[float]] = {}
+
+    @cached_property
+    def raw_counts(self) -> Mapping[tuple[str, ...], int]:
+        """Every gram the model counted, with its count, read-only."""
+        grams = self.table.index.spell(list(self._codes))
+        keys, counts = self.table.keys.tolist(), self.table.counts.tolist()
+        return MappingProxyType({grams[g]: c for g, c in zip(keys, counts) if c})
 
     # ------------------------------------------------------------------
     # count queries
@@ -758,13 +769,6 @@ class GrammarModel:
     # ------------------------------------------------------------------
     # probabilities
 
-    def _kernel_table(self) -> tuple[dict[str, int], CountTable]:
-        """Token codes and the count table of this model alone."""
-        if self._kernel is None:
-            codes = token_codes(self.vocab)
-            self._kernel = (codes, CountTable.from_raw(self.raw_counts, self.order, codes))
-        return self._kernel
-
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         """Smoothed conditional probability of ``token`` after ``context``.
 
@@ -782,7 +786,7 @@ class GrammarModel:
             ctx = ()
         elif len(ctx) > self.order - 1:
             ctx = ctx[len(ctx) - (self.order - 1) :]
-        codes, table = self._kernel_table()
+        codes = self._codes
         dist = self._distributions.get(ctx)
         if dist is None:
             # Every token code follows the last context token.
@@ -790,7 +794,7 @@ class GrammarModel:
             tokens = np.array([*(codes[tok] for tok in ctx), *range(width)], dtype=np.int64)
             prev = np.append(np.arange(-1, n - 1), np.full(width, n - 1)).astype(np.int64)
             dist = kneser_ney_probs(
-                table, [self.discounts], tokens, prev, np.arange(n, n + width)
+                self.table, [self.discounts], tokens, prev, np.arange(n, n + width)
             )[0].tolist()
             if len(self._distributions) >= _KEPT_DISTRIBUTIONS:
                 self._distributions.clear()
@@ -803,8 +807,8 @@ class GrammarModel:
     def token_probs(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
         """Probabilities of every token and end marker of sentences, in order,
         with tokens outside the vocabulary mapped to the unknown token."""
-        codes, table = self._kernel_table()
-        return sentence_probs(table, [self.discounts], code_sentences(sentences, codes))[0]
+        coded = code_sentences(sentences, self._codes)
+        return sentence_probs(self.table, [self.discounts], coded)[0]
 
     def sentence_logprob(self, sentence: Sequence[str]) -> float:
         """Log probability of a sentence including its end-marker transition."""
@@ -828,7 +832,7 @@ class GrammarModel:
     def __repr__(self) -> str:
         return (
             f"GrammarModel(order={self.order}, vocab={len(self.vocab)}, "
-            f"sentences={self.sentence_count}, grams={len(self.raw_counts)})"
+            f"sentences={self.sentence_count}, grams={np.count_nonzero(self.table.counts)})"
         )
 
 
@@ -845,18 +849,19 @@ def sentence_probs(
     return kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored))
 
 
-def _count_training(
+def train(
     sentences: Iterable[Sequence[str]],
     order: int,
-    vocab: Optional[Vocabulary],
-    discounts: Optional[DiscountSchedule],
-    fallback: float = 0.75,
+    discounts: Optional[DiscountSchedule] = None,
+    vocab: Optional[Vocabulary] = None,
 ) -> GrammarModel:
-    """Validate training sentences, code them through the vocabulary and
-    count them as one model of :meth:`CountTable.from_stream`, whose
-    table the model keeps for its probabilities. With no vocabulary given,
-    one is built from the sentences; with no schedule, modified discounts
-    are estimated from the top-order counts.
+    """Train a model of the given order on masked sentences.
+
+    Tokens outside ``vocab`` are replaced by the unknown token before
+    counting; with no vocabulary given, one is built from the sentences
+    themselves. The sentences are counted as one model of
+    :meth:`CountTable.from_stream`, and the model keeps that table.
+    Requires at least one non-empty sentence.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1: {order}")
@@ -872,31 +877,9 @@ def _count_training(
     table = CountTable.from_sentences(
         code_sentences(sents, codes), [range(len(sents))], order, len(codes)
     )
-    if discounts is None:
-        (coc,) = table.count_of_counts()
-        discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
-    grams = table.index.spell(list(codes))
-    raw = {grams[g]: c for g, c in zip(table.keys.tolist(), table.counts.tolist()) if c}
-    model = GrammarModel(order, vocab, discounts, len(sents), raw)
-    model._kernel = (codes, table)
-    return model
-
-
-def train(
-    sentences: Iterable[Sequence[str]],
-    order: int,
-    discounts: Optional[DiscountSchedule] = None,
-    vocab: Optional[Vocabulary] = None,
-) -> GrammarModel:
-    """Train a model of the given order on masked sentences.
-
-    Tokens outside ``vocab`` are replaced by the unknown token before
-    counting; with no vocabulary given, one is built from the sentences
-    themselves. Requires at least one non-empty sentence.
-    """
-    if discounts is None:
-        discounts = DiscountSchedule.constant()
-    return _count_training(sentences, order, vocab, discounts)
+    return GrammarModel(
+        order, vocab, discounts or DiscountSchedule.constant(), len(sents), table
+    )
 
 
 def train_with_estimated_discounts(
@@ -905,11 +888,13 @@ def train_with_estimated_discounts(
     vocab: Optional[Vocabulary] = None,
     fallback: float = 0.75,
 ) -> GrammarModel:
-    """Train with modified discounts estimated from top-order counts.
-
-    Validates and counts exactly as :func:`train` does.
-    """
-    return _count_training(sentences, order, vocab, None, fallback)
+    """:func:`train`, with modified discounts estimated from the model's
+    top-order counts."""
+    model = train(sentences, order, vocab=vocab)
+    (coc,) = model.table.count_of_counts()
+    # The model is new and has answered no query yet.
+    model.discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -980,7 +965,8 @@ def deserialize_model(data: bytes) -> GrammarModel:
         vocab = Vocabulary(frozenset(payload["vocab"]))
         order = payload["order"]
         raw = _checked_counts(payload["raw_counts"], order, vocab)
-        return GrammarModel(order, vocab, discounts, payload["sentence_count"], raw)
+        table = CountTable.from_raw(raw, order, token_codes(vocab))
+        return GrammarModel(order, vocab, discounts, payload["sentence_count"], table)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model payload is malformed: {exc}") from exc
 
@@ -991,7 +977,8 @@ def _checked_counts(
     """A payload's raw count table, rejecting what no training run makes.
 
     Each gram is a list of 1..order tokens from the vocabulary and the two
-    markers, each count a positive integer, and no gram appears twice.
+    markers, each count a positive integer, and no gram appears twice. Some
+    gram has ``order`` tokens, as every trained model's begin-marker run.
     """
     if type(order) is not int:
         raise ValueError(f"order must be an integer: {order!r}")
@@ -1009,6 +996,8 @@ def _checked_counts(
         if gram in raw:
             raise ValueError(f"gram {gram!r} appears twice")
         raw[gram] = count
+    if order not in map(len, raw):
+        raise ValueError(f"no gram has the model's order {order}")
     return raw
 
 

@@ -90,6 +90,8 @@ def _require_labels(corpus: Corpus, role: str) -> None:
             raise CorpusError(f"{role} problem {p.id!r} has no label")
     if not corpus.problems:
         raise CorpusError(f"{role} split has no problems")
+    if len(set(corpus.labels)) < 2:
+        raise CorpusError(f"{role} split has only {corpus.labels[0]!r} problems; it needs Y and N")
 
 
 def check_author_disjoint(train: Corpus, test: Corpus) -> None:

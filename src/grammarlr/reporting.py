@@ -101,11 +101,13 @@ def zscore_bins(trace: LambdaTrace) -> HighlightDoc:
             return BIN_LIGHT
         return BIN_NONE
 
+    # Tuples from lists, not generators: growing a tuple from a generator
+    # resizes it, which over a long run of reports fragments the heap.
     spans = list(pairwise(trace.bounds))
-    sent_scores = tuple(tuple(scores[a:b]) for a, b in spans)
+    sent_scores = tuple([tuple(scores[a:b]) for a, b in spans])
     return HighlightDoc(
-        sentences=tuple(trace.tokens[a:b] for a, b in spans),
-        bins=tuple(tuple(bin_of(s) for s in sent) for sent in sent_scores),
+        sentences=tuple([trace.tokens[a:b] for a, b in spans]),
+        bins=tuple([tuple([bin_of(s) for s in sent]) for sent in sent_scores]),
         token_scores=sent_scores,
         sentence_scores=trace.sentence_scores,
         ranking=rank_sentences(trace),

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from grammarlr import cli, scoring
+from grammarlr import cli, protocol, scoring
 from grammarlr.calibration import CalibrationModel
 from grammarlr.cli import main
 from grammarlr.corpus import load_corpus
@@ -436,6 +436,31 @@ def test_usage_error_before_any_input_is_read(tmp_path, capsys, argv):
     missing = tmp_path / "missing"
     assert run([a.format(missing=missing) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "{corpus}"],
+        ["sweep", "{corpus}", "--r-grid", "2", "--n-grid", "2"],
+        ["crossgenre", "{corpus}", "{corpus}", "--names", "a,b"],
+    ],
+    ids=["evaluate", "sweep", "crossgenre"],
+)
+def test_one_class_test_split_exits_3_before_scoring(corpus_dir, monkeypatch, capsys, argv):
+    """A test split whose labels are all N is a data error, found before any
+    problem is scored: exit 3 with one line on stderr."""
+    path = corpus_dir / "test.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps({**r, "label": "N"}) + "\n" for r in rows), encoding="utf-8")
+
+    def scored(*args, **kwargs):
+        raise AssertionError("a problem was scored")
+
+    monkeypatch.setattr(protocol, "_score_problems", scored)
+    capsys.readouterr()
+    assert run([a.format(corpus=corpus_dir) for a in argv] + FAST_MODEL) == 3
+    assert capsys.readouterr().err == "error: test split has only 'N' problems; it needs Y and N\n"
 
 
 class TestFailedWrite:

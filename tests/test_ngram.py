@@ -30,6 +30,7 @@ from grammarlr.ngram import (
     UNK,
     CountTable,
     DiscountSchedule,
+    GramIndex,
     GrammarModel,
     Vocabulary,
     deserialize_model,
@@ -496,6 +497,52 @@ class TestCountTableKept:
         model.sentence_logprob(("a", "b"))
         assert len(from_raw_calls) == 1
 
+    @pytest.fixture()
+    def spell_calls(self, monkeypatch):
+        calls = []
+        real = GramIndex.spell
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(GramIndex, "spell", spy)
+        return calls
+
+    @pytest.mark.parametrize("fit", [train, train_with_estimated_discounts])
+    def test_trained_models_never_spell_their_table(self, spell_calls, fit):
+        """Scoring and printing a trained model read its table alone; the
+        raw counts are spelled only when something reads them."""
+        rng = random.Random(181)
+        vocab = Vocabulary.from_sentences([ALPHABET])
+        author, *refs = (fit(random_sentences(rng), 4, vocab=vocab) for _ in range(4))
+        author.prob("a", ("b", "c"))
+        author.sentence_logprob(("a", "b", "e"))
+        lambda_document([("a", "c"), ("d",)], author, refs)
+        repr(author)
+        assert spell_calls == []
+        assert all("raw_counts" not in vars(m) for m in (author, *refs))
+        assert author.count(("a",)) > 0
+        assert len(spell_calls) == 1 and "raw_counts" in vars(author)
+
+
+@pytest.mark.parametrize(
+    "fit, digest",
+    [
+        (train, "41ee748d02a3754639f5b2dd00bd4358dd8271a38fc46bfb48f06c8f9892d2a9"),
+        (
+            train_with_estimated_discounts,
+            "abc71d0a8d09beb9a6ba7b5a8784fd1ba968c3c0b91ae234d7cde271c475da92",
+        ),
+    ],
+    ids=["constant", "estimated"],
+)
+def test_model_format_is_pinned(fit, digest):
+    """The serialized payload of a fixed model never changes. The digest is
+    of the decompressed payload, since zlib builds may compress differently."""
+    model = fit([("a", "b", "a"), ("c",), ("b", "a", "c", "a")], 3)
+    assert hashlib.sha256(zlib.decompress(serialize_model(model)[46:])).hexdigest() == digest
+
 
 # Coded sentences over four tokens (codes 0-3; 4 and 5 are the markers), a
 # few repeated, and models that train on repeated sentence numbers.
@@ -824,6 +871,12 @@ class TestImpossibleCountTables:
         gram, count = payload["raw_counts"][0]
         payload["raw_counts"].append([gram, count + 1])
         with pytest.raises(ModelFormatError, match="appears twice"):
+            deserialize_model(_blob(payload))
+
+    @pytest.mark.parametrize("order", [3, 10**12], ids=["one-over", "huge"])
+    def test_no_gram_of_the_order(self, payload, order):
+        payload["order"] = order
+        with pytest.raises(ModelFormatError, match=f"no gram has the model's order {order}"):
             deserialize_model(_blob(payload))
 
     def test_order_not_integer(self, payload):

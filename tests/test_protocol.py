@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grammarlr import scoring
+from grammarlr import protocol, scoring
 from grammarlr.calibration import decide
 from grammarlr.corpus import Corpus, CorpusError
 from grammarlr.protocol import (
@@ -180,6 +180,21 @@ class TestEvaluate:
         empty = dataclasses.replace(test, problems=())
         with pytest.raises(CorpusError, match="no problems"):
             evaluate_corpus(train, empty, config)
+
+    @pytest.mark.parametrize("role, label", [("train", "Y"), ("test", "N")])
+    def test_one_class_split_rejected_before_scoring(self, corpora, config, monkeypatch, role, label):
+        splits = dict(zip(("train", "test"), corpora))
+        splits[role] = dataclasses.replace(
+            splits[role],
+            problems=tuple(dataclasses.replace(p, label=label) for p in splits[role].problems),
+        )
+
+        def scored(*args, **kwargs):
+            raise AssertionError("a problem was scored")
+
+        monkeypatch.setattr(protocol, "_score_problems", scored)
+        with pytest.raises(CorpusError, match=f"{role} split has only '{label}' problems"):
+            evaluate_corpus(splits["train"], splits["test"], config)
 
 
 # Small enough that the sweep property test can evaluate every cell apart.
