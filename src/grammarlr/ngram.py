@@ -23,12 +23,12 @@ suffix (``gram[1:]``) are ids too. There is one indexer,
 over a :func:`token_stream`. A :class:`CountTable` holds the counts of one or
 many models over one index. Continuation counts, context totals and
 count-of-count bins are ``bincount`` reductions over suffix and context ids,
-and all models are evaluated together, level by level, as one models x
-positions array. The kernel builds these statistics only for the entries of
-the grams the queries reach: their contexts, the grams they read as
+and all models are evaluated together as one models x positions array, in one
+walk up the levels that returns every requested order up to N: a lower order
+differs only in its top level's counts. The statistics are built only for the
+entries of the grams the queries reach: their contexts, the grams they read as
 numerators or as children of those contexts, and the extensions that make up
-those children's continuation counts. The other entries are never read, so
-they are never computed.
+those children's continuation counts. No other entry is read or computed.
 
 The scoring pipeline counts once per problem: it windows the known side and
 each distinct sampled reference sentence once, and each of the 1 + r models
@@ -41,11 +41,11 @@ third of the entries. Modified discounts and :func:`train` count every
 window, as count-of-count statistics need. Ids are sorted by gram length, so
 a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
-what they read at any lower order. :func:`train` counts with one model,
-and that one-model table is the whole count store of the
-:class:`GrammarModel` it makes; the gram -> count mapping the count queries
-and serialization read is spelled from it only when first read. Loading a
-serialized model tabulates its raw counts once, at load.
+what they read at any lower order. :func:`train` counts with one model, and
+that one-model table is the whole count store of the :class:`GrammarModel` it
+makes, which ``count`` reads; the gram -> count mapping the other count
+queries and serialization read is spelled from it only when first read.
+Loading a serialized model tabulates its raw counts once, at load.
 """
 
 from __future__ import annotations
@@ -527,13 +527,16 @@ def kneser_ney_probs(
     tokens: np.ndarray,
     prev: np.ndarray,
     positions: np.ndarray,
+    orders: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Interpolated Kneser-Ney probabilities of every model at every query.
 
     The queries are the tokens at ``positions`` of a coded stream, each
     after the tokens before it: ``tokens`` and ``prev`` as
     :meth:`GramIndex.encode` takes them. ``discounts[m]`` is model m's
-    schedule. Returns an array of shape (models, queries).
+    schedule. ``orders`` lists orders in 1..N, N the table's order, by
+    default N alone; order o's rows are those of the table truncated to o.
+    Returns an array of shape (orders, models, queries).
 
     Each model's continuation counts (raw at the top order, distinct left
     extensions below), context totals and count-of-count bins are
@@ -546,7 +549,12 @@ def kneser_ney_probs(
     the (model, query) pairs whose model holds the query's context: a
     closed table that lacks a context lacks every gram under it, so there
     the recursion passes p_lower through, and leaving p as it is gives the
-    same value.
+    same value. Levels 0 and 1 are computed per token code: every model
+    holds the root, and level-1 contexts are unigrams. A lower order o
+    differs from N only in taking raw counts at level o, as numerators and
+    summed into the totals of level o - 1, so every order comes from one
+    walk: at level o - 1 a copy of p is stepped with raw statistics, built
+    only at the levels that some lower order needs.
 
     The statistics are built only where the queries reach. The queries'
     contexts and the root are *asked*: a query reads their total, gamma
@@ -564,6 +572,10 @@ def kneser_ney_probs(
     reads either.
     """
     index = table.index
+    orders = [index.order] if orders is None else list(orders)
+    if not orders or not all(1 <= o <= index.order for o in orders):
+        raise ValueError(f"orders must be a non-empty list in 1..{index.order}: {orders}")
+    lower = sorted(set(orders) - {index.order})
     keys, counts, n_models = table.keys, table.counts, table.n_models
     gram_id = keys // n_models
 
@@ -573,9 +585,9 @@ def kneser_ney_probs(
     contexts[1:] = ids[:-1, prev[positions]]
 
     # What the queries reach, marked per gram id; the extra last slot is
-    # ``missing``. The root is the first context of every query.
+    # ``missing``. The root is always asked: the level-0 table reads it.
     asked = np.zeros(index.size + 1, dtype=bool)
-    asked[contexts] = True
+    asked[contexts] = asked[0] = True
     child = asked[index.context]
     child[0] = False  # the root is its own context, not its own child
     read = np.append(child, False)
@@ -591,46 +603,52 @@ def kneser_ney_probs(
         all are)."""
         return np.searchsorted(keys, grams * n_models + models)
 
-    # Continuation counts: raw at the top order, distinct left extensions
-    # (entries whose suffix is the gram) below.
-    extends = (counts > 0) & extension[gram_id]
-    suffix_at = locate(index.suffix[gram_id[extends]], model[extends])
-    ckn = np.where(level == index.order, counts, np.bincount(suffix_at, minlength=len(keys)))
-    # Totals and count-of-count bins of the asked contexts over the same
-    # counts.
-    counted = (ckn > 0) & (index.last[gram_id] != index.width - 2) & child[gram_id]
-    context_at = locate(index.context[gram_id[counted]], model[counted])
-    c_counted = ckn[counted]
-    total = np.bincount(context_at, weights=c_counted, minlength=len(keys))
-    n1, n2, n3 = (
-        np.bincount(context_at[sel], minlength=len(keys))
-        for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
-    )
-
-    # Per entry, under its model's schedule: as a gram, the alpha numerator
-    # max(c - D(c), 0); as a context, its total and gamma. A held context
-    # that is not usable (its total is 0, or it has no count and is not the
-    # root) gets total inf and gamma 1, so that alpha + gamma * p_lower is
-    # exactly p_lower.
     schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
     schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
     discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
-    numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
-    # Gamma at the usable entries, one schedule at a time.
-    usable = (total > 0) & ((counts > 0) | (gram_id == 0))
-    at = np.flatnonzero(usable)
-    gamma = np.ones(len(keys))
-    for schedule, i in schedule_ids.items():
-        mine = at[schedule_of[at] == i]
-        gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
-    total = np.where(usable, total, np.inf)
+    unigrams = np.flatnonzero(level == 1)
+    per_code_at = (slice(None), model[unigrams], index.last[gram_id[unigrams]])
+
+    def statistics(ckn: np.ndarray, counted: np.ndarray) -> tuple:
+        """Per entry, under its model's schedule: as a gram, the alpha
+        numerator max(c - D(c), 0) of ``ckn``; as a context, the total and
+        gamma of its ``counted`` children, or inf and 1 where it is not
+        usable (total 0, or no count and not the root). Also the unigrams'
+        three as models x codes tables, the last column for "no unigram"."""
+        counted = counted & (ckn > 0) & (index.last[gram_id] != index.width - 2)
+        context_at = locate(index.context[gram_id[counted]], model[counted])
+        c_counted = ckn[counted]
+        total = np.bincount(context_at, weights=c_counted, minlength=len(keys))
+        n1, n2, n3 = (
+            np.bincount(context_at[sel], minlength=len(keys))
+            for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
+        )
+        numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
+        # Gamma at the usable entries, one schedule at a time.
+        usable = (total > 0) & ((counts > 0) | (gram_id == 0))
+        at = np.flatnonzero(usable)
+        gamma = np.ones(len(keys))
+        for schedule, i in schedule_ids.items():
+            mine = at[schedule_of[at] == i]
+            gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
+        total = np.where(usable, total, np.inf)
+        per_code = np.tile([[[0.0]], [[np.inf]], [[1.0]]], (1, n_models, index.width + 1))
+        per_code[per_code_at] = numerator[unigrams], total[unigrams], gamma[unigrams]
+        return numerator, total, gamma, per_code
+
+    # Continuation counts: raw at the top order, distinct left extensions
+    # (entries whose suffix is the gram) below. Totals and count-of-count
+    # bins of the asked contexts over the same counts.
+    extends = (counts > 0) & extension[gram_id]
+    suffix_at = locate(index.suffix[gram_id[extends]], model[extends])
+    ckn = np.where(level == index.order, counts, np.bincount(suffix_at, minlength=len(keys)))
+    stats = statistics(ckn, child[gram_id])
+    raw = statistics(counts, child[gram_id] & np.isin(level, lower)) if lower else None
 
     # The entries of gram g are first[g]:first[g + 1]; a gram outside the
     # index, or one no query reaches, has none.
     first = np.zeros(index.size + 2, dtype=np.int64)
     np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
-
-    n_queries = len(positions)
 
     def held(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entries of each query gram, and the flat position
@@ -641,15 +659,31 @@ def kneser_ney_probs(
 
     # A gram a model does not hold has alpha numerator 0; a context it does
     # not hold leaves p as it is (see the docstring).
-    p = np.full(n_models * n_queries, 1.0 / (index.width - 1))
-    alpha = np.empty_like(p)
-    for n in range(index.order):
+    n_queries = len(positions)
+    alpha = np.empty((n_models, n_queries))
+
+    def step(p, n: int, numerator, total, gamma, per_code) -> np.ndarray:
+        """p after level n: in place from level 2 on, a new array below."""
+        if n == 0:
+            root = np.s_[:n_models, None]  # model m's root is entry m
+            return (per_code[0] / total[root] + gamma[root] * p)[:, tokens[positions]]
         entry, at = held(grams[n])
         alpha.fill(0.0)
-        alpha[at] = numerator[entry]
+        flat_alpha, flat_p = alpha.reshape(-1), p.reshape(-1)
+        flat_alpha[at] = numerator[entry]
+        if n == 1:
+            column = np.append(index.last, index.width)[contexts[1]]  # unigram codes
+            return alpha / per_code[1][:, column] + per_code[2][:, column] * p
         entry, at = held(contexts[n])
-        p[at] = alpha[at] / total[entry] + gamma[entry] * p[at]
-    return p.reshape(n_models, n_queries)
+        flat_p[at] = flat_alpha[at] / total[entry] + gamma[entry] * flat_p[at]
+        return p
+
+    kept, p = {}, 1.0 / (index.width - 1)
+    for n in range(index.order):
+        if n + 1 in lower:
+            kept[n + 1] = step(p.copy() if n > 1 else p, n, *raw)
+        p = kept[index.order] = step(p, n, *stats)
+    return np.stack([kept[o] for o in orders])
 
 
 # Conditional distributions a model keeps for repeated prob() queries.
@@ -661,11 +695,11 @@ class GrammarModel:
 
     Instances are effectively immutable after construction. Build them with
     :func:`train`. The model's state is its one-model :class:`CountTable`:
-    probabilities come from it through :func:`kneser_ney_probs`, and
-    ``raw_counts``, the gram -> count mapping the count queries, equality
-    and serialization read, is spelled from it on first read. Serialization
-    persists only those raw counts, and loading tabulates them again, so
-    reconstruction is exact.
+    probabilities come from it through :func:`kneser_ney_probs`, counts through
+    ``count``, and ``raw_counts``, the gram -> count mapping the other count
+    queries, equality and serialization read, is spelled from it on first read.
+    Serialization persists only those raw counts, and loading tabulates them
+    again, so reconstruction is exact.
     """
 
     def __init__(
@@ -709,7 +743,10 @@ class GrammarModel:
         """Raw count of a gram (1 <= length <= order) under padded counting."""
         if not 1 <= len(gram) <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}: {len(gram)}")
-        return self.raw_counts.get(self._map_gram(gram), 0)
+        tokens = np.array([self._codes[t] for t in self._map_gram(gram)], dtype=np.int64)
+        gram_id = self.table.index.encode(tokens, np.arange(-1, len(gram) - 1))[len(gram) - 1, -2]
+        at = np.searchsorted(self.table.keys, gram_id, side="right") - 1  # the root's key is 0
+        return int(self.table.counts[at]) if self.table.keys[at] == gram_id else 0
 
     def continuation_count(self, gram: Sequence[str]) -> int:
         """Modified count: raw at the top order, distinct-left-extension below."""
@@ -795,7 +832,7 @@ class GrammarModel:
             prev = np.append(np.arange(-1, n - 1), np.full(width, n - 1)).astype(np.int64)
             dist = kneser_ney_probs(
                 self.table, [self.discounts], tokens, prev, np.arange(n, n + width)
-            )[0].tolist()
+            )[0, 0].tolist()
             if len(self._distributions) >= _KEPT_DISTRIBUTIONS:
                 self._distributions.clear()
             self._distributions[ctx] = dist
@@ -846,7 +883,7 @@ def sentence_probs(
     tokens, prev, starts = token_stream(sentences, table.index.width)
     scored = np.ones(len(tokens), dtype=bool)
     scored[starts] = False
-    return kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored))
+    return kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored))[0]
 
 
 def train(

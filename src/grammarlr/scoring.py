@@ -24,7 +24,7 @@ together as one models x positions matrix by the array kernel in
 and their rows stacked into the same matrix. A reference pool is coded once
 into an int stream that each problem gathers its samples from, and a problem
 scored for several reference counts and orders is counted once, at the
-largest of each.
+largest of each, and scored by one kernel call per discount list.
 
 The scoring core reads masked documents only: every caller masks through
 ``masking`` first and enters the core through ``_score_problems``.
@@ -509,10 +509,10 @@ def _score_problem(
     The problem is counted once, at the largest order, over the author and
     the largest number of reference samples. The first r samples of that
     draw are the samples of r, and a model's counts at a lower order are its
-    counts of the grams up to that length, so the kernel runs once per
-    distinct order, on the table cut to it, and that order's probabilities
-    are logged once; each config scores the author's row and its first r
-    reference rows of that log matrix.
+    counts of the grams up to that length, so one kernel call returns every
+    order of one discount list (modified mode estimates a list per order),
+    and each order's probabilities are logged once; each config scores the
+    author's row and its first r reference rows of that log matrix.
     """
     first = configs[0]
     if any(replace(c, refs=first.refs, order=first.order) != first for c in configs):
@@ -561,17 +561,19 @@ def _score_problem(
     )
     q = starts[trained]
     query = (tokens[q:], prev[q:] - q, np.setdiff1d(np.arange(len(tokens) - q), starts[trained:] - q))
-    logs = {}
-    for order in {c.order for c in configs}:
-        cut = table.truncated(order)
+    logs, groups = {}, {}  # groups: the orders of each discount list
+    for order in sorted({c.order for c in configs}):
         if first.discount_mode == "modified":
-            discounts = [
+            discounts = tuple(
                 DiscountSchedule.estimate_modified(coc, fallback=first.discount)
-                for coc in cut.count_of_counts()
-            ]
+                for coc in table.truncated(order).count_of_counts()
+            )
         else:
-            discounts = [DiscountSchedule.constant(first.discount)] * cut.n_models
-        logs[order] = _log_probs(kneser_ney_probs(cut, discounts, *query))
+            discounts = (DiscountSchedule.constant(first.discount),) * table.n_models
+        groups.setdefault(discounts, []).append(order)
+    for discounts, orders in groups.items():
+        probs = kneser_ney_probs(table.truncated(orders[-1]), discounts, *query, orders=orders)
+        logs.update(zip(orders, map(_log_probs, probs)))
     layout = _layout(unknown)
     return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]
 

@@ -523,7 +523,25 @@ class TestCountTableKept:
         assert spell_calls == []
         assert all("raw_counts" not in vars(m) for m in (author, *refs))
         assert author.count(("a",)) > 0
+        assert spell_calls == [] and "raw_counts" not in vars(author)
+        assert author.continuation_count(("a",)) > 0
         assert len(spell_calls) == 1 and "raw_counts" in vars(author)
+
+    def test_count_reads_the_table(self, spell_calls):
+        """``count`` looks a gram up in the table and never spells it, and
+        agrees with the spelled raw counts on another model's grams and on
+        grams no model counts."""
+        rng = random.Random(191)
+        vocab = Vocabulary.from_sentences([ALPHABET])
+        model, other = (train(random_sentences(rng), 4, vocab=vocab) for _ in range(2))
+        absent = [(EOS, "a"), (BOS, EOS), ("a", BOS), ("z",), ("e", "z", "a", EOS)]
+        grams = [*other.raw_counts, *absent]
+        assert len(spell_calls) == 1
+        got = [model.count(g) for g in grams]
+        assert len(spell_calls) == 1 and "raw_counts" not in vars(model)
+        mapped = [tuple(t if t in (BOS, EOS) else vocab.map(t) for t in g) for g in grams]
+        assert got == [model.raw_counts.get(g, 0) for g in mapped]
+        assert any(got) and not all(got)
 
 
 @pytest.mark.parametrize(
@@ -641,7 +659,7 @@ class TestDemandDrivenKernel:
         prev = np.append(np.arange(-1, n - 1), np.full(6, n - 1)).astype(np.int64)
         positions = np.arange(n, n + 6)
         want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
-        assert np.array_equal(kneser_ney_probs(table, discounts, tokens, prev, positions), want)
+        assert np.array_equal(kneser_ney_probs(table, discounts, tokens, prev, positions)[0], want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -667,7 +685,7 @@ class TestDemandDrivenKernel:
         )
         positions = np.flatnonzero([scored for _, _, scored in stream]).astype(np.int64)
         want = whole_table_kneser_ney_probs(table, [schedule], tokens, prev, positions)
-        got = kneser_ney_probs(table, [schedule], tokens, prev, positions)
+        got = kneser_ney_probs(table, [schedule], tokens, prev, positions)[0]
         assert got.shape == (1, len(positions))
         assert np.array_equal(got, want)
 
@@ -689,11 +707,12 @@ class TestDemandDrivenKernel:
             counted.append((table, oracle_count_table(sentences, models, order, width)))
             return table
 
-        def checked(table, discounts, tokens, prev, positions):
-            got = kernel(table, discounts, tokens, prev, positions)
-            full = counted[-1][1].truncated(table.index.order)
-            want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
-            same.append(np.array_equal(got, want))
+        def checked(table, discounts, tokens, prev, positions, orders=None):
+            got = kernel(table, discounts, tokens, prev, positions, orders=orders)
+            for order, probs in zip(orders or [table.index.order], got, strict=True):
+                full = counted[-1][1].truncated(order)
+                want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
+                same.append(np.array_equal(probs, want))
             return got
 
         monkeypatch.setattr(CountTable, "from_stream", classmethod(counting))
@@ -707,6 +726,65 @@ class TestDemandDrivenKernel:
         else:
             assert np.array_equal(table.keys, full.keys)
             assert np.array_equal(table.counts, full.counts)
+
+
+class TestKernelOrders:
+    """One kernel call returns every requested order, each equal bit for
+    bit to the whole-table kernel on the table truncated to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scored=scored_tables(),
+        queries=st.lists(st.lists(st.integers(0, 3), max_size=7), max_size=3),
+        data=st.data(),
+    )
+    def test_every_order_equals_the_truncated_table(self, scored, queries, data):
+        table, discounts = scored
+        top = table.index.order
+        orders = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=top, unique=True))
+        tokens, prev, starts = token_stream(queries, 6)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=orders)
+        assert got.shape == (len(orders), table.n_models, len(positions))
+        for order, probs in zip(orders, got):
+            cut = table.truncated(order)
+            want = whole_table_kneser_ney_probs(cut, discounts, tokens, prev, positions)
+            assert np.array_equal(probs, want), order
+
+    def test_orders_outside_the_table_are_rejected(self):
+        table = CountTable.from_sentences([[0, 1, 2]], [[0]], 3, 6)
+        tokens, prev, _ = token_stream([[0, 1]], 6)
+        for orders in ([], [0], [4], [2, 4]):
+            with pytest.raises(ValueError, match="orders"):
+                kneser_ney_probs(
+                    table, [DiscountSchedule.constant()], tokens, prev, np.arange(1, 4), orders
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6), min_size=1, max_size=5
+        ),
+        order=st.integers(2, 5),
+        schedule=discount_schedules,
+    )
+    def test_prob_without_context(self, sentences, order, schedule):
+        """With no context, every query's predecessor is -1, so it has no
+        unigram context and reads the unigram level alone."""
+        model = train(sentences, order=order, discounts=schedule)
+        items = [*model.vocab.sorted_items(), EOS]
+        width = len(items) + 1
+        codes = np.arange(width)
+        want = whole_table_kneser_ney_probs(
+            model.table, [schedule], codes, np.full(width, -1), codes
+        )[0]
+        tables = scalar_kn_tables(model.raw_counts, order)
+        for t in items:
+            got = model.prob(t, ())
+            assert got == want[token_codes(model.vocab)[t]]
+            assert got == scalar_kn_prob(
+                model.raw_counts, tables, order, schedule, len(items) - 1, t, ()
+            )
 
 
 class TestQueryFilteredCounting:
@@ -748,7 +826,7 @@ class TestQueryFilteredCounting:
 
         tokens, prev, starts = token_stream(queries, 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
-        got = kneser_ney_probs(table, discounts, tokens, prev, positions)
+        got = kneser_ney_probs(table, discounts, tokens, prev, positions)[0]
         want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
         assert np.array_equal(got, want)
 

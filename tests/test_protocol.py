@@ -259,6 +259,8 @@ class TestSweep:
     )
     @example(ref_counts=[5, 2, 5], orders=[3, 1, 3], discount_mode="modified",
              sampling="with_replacement", seed=3)
+    @example(ref_counts=[3, 1], orders=[4, 1, 2], discount_mode="constant",
+             sampling="without_replacement", seed=0)
     def test_rows_equal_one_evaluation_per_cell(
         self, ref_counts, orders, discount_mode, sampling, seed
     ):
@@ -279,9 +281,9 @@ class TestSweep:
         calls = []
         real = scoring.kneser_ney_probs
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(scoring, "kneser_ney_probs", spy)
         train, test = corpora

@@ -958,9 +958,9 @@ class TestGatheredStream:
             counted.append((args, kwargs))
             return count(cls, *args, **kwargs)
 
-        def querying(table, discounts, *query):
+        def querying(table, discounts, *query, **kwargs):
             queried.append(query)
-            return kernel(table, discounts, *query)
+            return kernel(table, discounts, *query, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CountTable, "from_stream", classmethod(counting))
