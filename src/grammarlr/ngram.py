@@ -569,7 +569,16 @@ def kneser_ney_probs(
     the same bit for bit. Entries of other grams are not computed at all,
     and values at entries that are only extensions (their own continuation
     counts, say) miss some of their operands and are left stale. No query
-    reads either.
+    reads either. When every gram is reached, the table's arrays are read
+    as they are, with no copy.
+
+    A reduction finds model m's entry of gram g, the suffix of an
+    extension or the context of a read gram, by lookup rather than by a
+    search of the sorted keys: the entries of g are a run that starts at
+    ``first[g]``, and a rank map gives m's place in that run. The map has
+    one row per asked or read gram and one column per model, in the
+    narrowest unsigned type that holds ``n_models - 1``: one byte per
+    (gram, model) up to 256 models, two bytes up to 65,536.
     """
     index = table.index
     orders = [index.order] if orders is None else list(orders)
@@ -593,88 +602,111 @@ def kneser_ney_probs(
     read = np.append(child, False)
     read[grams] = True
     extension = (index.level >= 2) & read[index.suffix]
-    entries = np.flatnonzero((read[:-1] | asked[:-1] | extension)[gram_id])
-    keys, counts, gram_id = keys[entries], counts[entries], gram_id[entries]
-    model = keys % n_models
-    level = index.level[gram_id]
+    looked = (read | asked)[:-1]
+    reached = looked | extension
+    if not reached.all():  # else the table's arrays are read as they are
+        entries = np.flatnonzero(reached[gram_id])
+        keys, counts, gram_id = keys[entries], counts[entries], gram_id[entries]
+    small = np.min_scalar_type(n_models - 1)
+    model = (keys % n_models).astype(small)
+
+    # The entries of gram g are first[g]:first[g + 1]; a gram outside the
+    # index, or one no query reaches, has none. Lookups ask only for asked
+    # or read grams: model m's entry of such a gram g is the
+    # ``rank[row[g] * n_models + m]``-th of g's entries.
+    first = np.zeros(index.size + 2, dtype=np.int64)
+    np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
+    row = np.cumsum(looked) * looked  # row 0 takes the entries of other grams
+    rank = np.empty((np.count_nonzero(looked) + 1) * n_models, dtype=small)
+    rank[row[gram_id] * n_models + model] = np.arange(len(keys)) - first[gram_id]
+    level_at = first[index.starts]  # level l's entries are level_at[l]:level_at[l + 1]
 
     def locate(grams: np.ndarray, models: np.ndarray) -> np.ndarray:
-        """Entries of needed grams the models hold (tables are closed, so
-        all are)."""
-        return np.searchsorted(keys, grams * n_models + models)
+        """Entries of asked or read grams the models hold (tables are
+        closed, so all are)."""
+        return first[grams] + rank[row[grams] * n_models + models]
 
     schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
-    schedule_of = np.array([schedule_ids[s] for s in discounts])[model]
+    schedule_of = np.array([schedule_ids[s] for s in discounts], dtype=small)[model]
     discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
-    unigrams = np.flatnonzero(level == 1)
+    unigrams = slice(level_at[1], level_at[2])
     per_code_at = (slice(None), model[unigrams], index.last[gram_id[unigrams]])
 
-    def statistics(ckn: np.ndarray, counted: np.ndarray) -> tuple:
-        """Per entry, under its model's schedule: as a gram, the alpha
-        numerator max(c - D(c), 0) of ``ckn``; as a context, the total and
-        gamma of its ``counted`` children, or inf and 1 where it is not
-        usable (total 0, or no count and not the root). Also the unigrams'
-        three as models x codes tables, the last column for "no unigram"."""
-        counted = counted & (ckn > 0) & (index.last[gram_id] != index.width - 2)
-        context_at = locate(index.context[gram_id[counted]], model[counted])
+    def statistics(lo: int, ckn: np.ndarray, counted: np.ndarray) -> tuple:
+        """Per entry lo, lo + 1, ... of ``ckn``, under its model's schedule:
+        as a gram, the alpha numerator max(c - D(c), 0) of ``ckn``; as a
+        context, the total and gamma of its ``counted`` children, or inf and
+        1 where it is not usable (total 0, or no count and not the root).
+        The children of these entries' contexts must be among them. Also
+        the unigrams' three as models x codes tables, the last column for
+        "no unigram", where the entries hold the unigrams."""
+        part = slice(lo, lo + len(ckn))
+        gram = gram_id[part]
+        counted = counted & (ckn > 0) & (index.last[gram] != index.width - 2)
+        context_at = locate(index.context[gram[counted]], model[part][counted]) - lo
         c_counted = ckn[counted]
-        total = np.bincount(context_at, weights=c_counted, minlength=len(keys))
+        total = np.bincount(context_at, weights=c_counted, minlength=len(ckn))
         n1, n2, n3 = (
-            np.bincount(context_at[sel], minlength=len(keys))
+            np.bincount(context_at[sel], minlength=len(ckn))
             for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
         )
-        numerator = np.maximum(ckn - discount[schedule_of, np.clip(ckn, 0, 3)], 0.0)
+        schedules = schedule_of[part]
+        numerator = np.maximum(ckn - discount[schedules, np.clip(ckn, 0, 3)], 0.0)
         # Gamma at the usable entries, one schedule at a time.
-        usable = (total > 0) & ((counts > 0) | (gram_id == 0))
+        usable = (total > 0) & ((counts[part] > 0) | (gram == 0))
         at = np.flatnonzero(usable)
-        gamma = np.ones(len(keys))
+        gamma = np.ones(len(ckn))
         for schedule, i in schedule_ids.items():
-            mine = at[schedule_of[at] == i]
+            mine = at[schedules[at] == i]
             gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
         total = np.where(usable, total, np.inf)
         per_code = np.tile([[[0.0]], [[np.inf]], [[1.0]]], (1, n_models, index.width + 1))
-        per_code[per_code_at] = numerator[unigrams], total[unigrams], gamma[unigrams]
-        return numerator, total, gamma, per_code
+        if lo <= unigrams.start:
+            own = slice(unigrams.start - lo, unigrams.stop - lo)
+            per_code[per_code_at] = numerator[own], total[own], gamma[own]
+        return lo, numerator, total, gamma, per_code
 
     # Continuation counts: raw at the top order, distinct left extensions
     # (entries whose suffix is the gram) below. Totals and count-of-count
     # bins of the asked contexts over the same counts.
     extends = (counts > 0) & extension[gram_id]
-    suffix_at = locate(index.suffix[gram_id[extends]], model[extends])
-    ckn = np.where(level == index.order, counts, np.bincount(suffix_at, minlength=len(keys)))
-    stats = statistics(ckn, child[gram_id])
-    raw = statistics(counts, child[gram_id] & np.isin(level, lower)) if lower else None
+    ckn = np.bincount(locate(index.suffix[gram_id[extends]], model[extends]), minlength=len(keys))
+    top = level_at[index.order]
+    ckn[top:] = counts[top:]
+    stats = statistics(0, ckn, child[gram_id])
+    raw = None
+    if lower:
+        # Order o reads raw statistics at levels o - 1 and o alone.
+        lo, hi = level_at[lower[0] - 1], level_at[lower[-1] + 1]
+        counted = child[gram_id[lo:hi]] & np.isin(index.level[gram_id[lo:hi]], lower)
+        raw = statistics(lo, counts[lo:hi], counted)
 
-    # The entries of gram g are first[g]:first[g + 1]; a gram outside the
-    # index, or one no query reaches, has none.
-    first = np.zeros(index.size + 2, dtype=np.int64)
-    np.cumsum(np.bincount(gram_id, minlength=index.size + 1), out=first[1:])
-
-    def held(query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of each query gram, and the flat position
-        ``model * n_queries + query`` of each in ``p``."""
+    def held(query: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of each query gram, counted from entry ``lo``, and
+        the flat position ``model * n_queries + query`` of each in ``p``."""
         count = first[query + 1] - first[query]
-        entry = ranges(first[query], count)
-        return entry, model[entry] * n_queries + np.repeat(np.arange(n_queries), count)
+        entry = ranges(first[query] - lo, count)
+        at = np.multiply(model[lo:][entry], n_queries, dtype=np.int64)
+        return entry, at + np.repeat(np.arange(n_queries), count)
 
     # A gram a model does not hold has alpha numerator 0; a context it does
     # not hold leaves p as it is (see the docstring).
     n_queries = len(positions)
     alpha = np.empty((n_models, n_queries))
 
-    def step(p, n: int, numerator, total, gamma, per_code) -> np.ndarray:
+    def step(p, n: int, lo: int, numerator, total, gamma, per_code) -> np.ndarray:
         """p after level n: in place from level 2 on, a new array below."""
         if n == 0:
             root = np.s_[:n_models, None]  # model m's root is entry m
             return (per_code[0] / total[root] + gamma[root] * p)[:, tokens[positions]]
-        entry, at = held(grams[n])
+        entry, at = held(grams[n], lo)
         alpha.fill(0.0)
         flat_alpha, flat_p = alpha.reshape(-1), p.reshape(-1)
         flat_alpha[at] = numerator[entry]
         if n == 1:
             column = np.append(index.last, index.width)[contexts[1]]  # unigram codes
             return alpha / per_code[1][:, column] + per_code[2][:, column] * p
-        entry, at = held(contexts[n])
+        entry, at = held(contexts[n], lo)
         flat_p[at] = flat_alpha[at] / total[entry] + gamma[entry] * flat_p[at]
         return p
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .calibration import (
+    SLOPE_CAP,
     CalibrationModel,
     MetricsReport,
     build_metrics_report,
@@ -121,7 +122,9 @@ def _masked_splits(
     return mask_corpora([c for split in splits for c in split], lexicon)
 
 
-def _calibrate(train_scores: Sequence[float], train_labels: Sequence[str]) -> CalibrationModel:
+def _calibrate(
+    train_scores: Sequence[float], train_labels: Sequence[str], config: LambdaConfig
+) -> CalibrationModel:
     calibration = fit_calibration(train_scores, train_labels)
     logger.info(
         "calibration: intercept=%.4f slope=%.4f separated=%s",
@@ -129,6 +132,10 @@ def _calibrate(train_scores: Sequence[float], train_labels: Sequence[str]) -> Ca
         calibration.slope,
         calibration.separated,
     )
+    if calibration.separated:
+        logger.warning("calibration separated the train split (order %d, refs %d): the slope is "
+                       "capped at %g, so calibrated log LRs are unreliable",
+                       config.order, config.refs, SLOPE_CAP)
     return calibration
 
 
@@ -239,7 +246,7 @@ def _evaluate_cells(
     pool = _Pool.of(train.reference_docs)
     logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
     train_scores = _cell_totals(train, pool, cells, parallel)
-    calibrations = [_calibrate(scores, train.labels) for scores in train_scores]
+    calibrations = [_calibrate(s, train.labels, c) for s, c in zip(train_scores, cells)]
     if test.reference_docs != train.reference_docs:
         pool = _Pool.of(test.reference_docs)
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))

@@ -727,6 +727,54 @@ class TestDemandDrivenKernel:
             assert np.array_equal(table.keys, full.keys)
             assert np.array_equal(table.counts, full.counts)
 
+    @pytest.mark.parametrize("n_models", [255, 256, 257])
+    def test_entry_ranks_wider_than_a_byte(self, n_models):
+        """A gram's entries are found by each one's place in the gram's run,
+        held in one byte up to 256 models and in two above. Every model
+        holds the root, so its run reaches place ``n_models - 1``."""
+        rng = np.random.default_rng(n_models)
+        sentences = [rng.integers(0, 4, rng.integers(1, 8)).tolist() for _ in range(40)]
+        models = [rng.integers(0, 40, rng.integers(1, 6)).tolist() for _ in range(n_models)]
+        pool = [DiscountSchedule.constant(0.6), DiscountSchedule.modified(0.4, 0.7, 0.9)]
+        discounts = [pool[m % 2] for m in range(n_models)]
+        table = CountTable.from_sentences(sentences, models, 4, 6)
+        queries = [rng.integers(0, 4, 9).tolist() for _ in range(3)]
+        tokens, prev, starts = token_stream(queries, 6)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=[2, 4])
+        for order, probs in zip([2, 4], got, strict=True):
+            cut = table.truncated(order)
+            want = whole_table_kneser_ney_probs(cut, discounts, tokens, prev, positions)
+            assert np.array_equal(probs, want), order
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entries_no_query_reaches(self, seed):
+        """One token queried without context reaches the unigrams and, as
+        extensions, the bigrams, but no trigram: the kernel reads a trained
+        order-4 model's table through a copy of the reached entries. A
+        table counted for that token as a sentence holds only what the
+        sentence's queries reach, and is read as it is. Both equal the
+        whole-table kernel on the table of every window."""
+        rng = random.Random(seed)
+        sentences = random_sentences(rng, max_sents=8)
+        schedule = random_schedule(rng)
+        model = train(sentences, order=4, discounts=schedule)
+        assert len(model.table.index.keys[2]) > 0  # some entries are not reached
+        coded = [[token_codes(model.vocab)[t] for t in s] for s in sentences]
+        token = rng.randrange(len(model.vocab))
+        tokens, prev, positions = np.array([token]), np.array([-1]), np.array([0])
+        want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
+        got = kneser_ney_probs(model.table, [schedule], tokens, prev, positions)[0]
+        assert np.array_equal(got, want)
+
+        width = model.table.index.width
+        kept = CountTable.from_sentences(coded, [range(len(coded))], 4, width, queries=[[token]])
+        tokens, prev, starts = token_stream([[token]], width)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
+        got = kneser_ney_probs(kept, [schedule], tokens, prev, positions)[0]
+        assert np.array_equal(got, want)
+
 
 class TestKernelOrders:
     """One kernel call returns every requested order, each equal bit for

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import logging
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grammarlr import protocol, scoring
-from grammarlr.calibration import decide
+from grammarlr.calibration import SLOPE_CAP, decide
 from grammarlr.corpus import Corpus, CorpusError
 from grammarlr.protocol import (
     EvaluationResult,
@@ -199,6 +200,30 @@ class TestEvaluate:
 
 # Small enough that the sweep property test can evaluate every cell apart.
 SWEEP_CORPORA = split(sentences_per_doc=5)
+
+
+class TestSeparationWarning:
+    """A calibration fit that separates the train split says so once on the
+    grammarlr logger, naming the split, the cell and the slope cap."""
+
+    def test_separated_fit_warns_once(self, caplog):
+        train, test = split(seed=3, divergence=0.5)
+        config = LambdaConfig(order=3, refs=4, seed=5)
+        with caplog.at_level(logging.WARNING, logger="grammarlr"):
+            result = evaluate_corpus(train, test, config)
+        assert result.calibration.separated
+        assert [(r.name, r.levelno) for r in caplog.records] == [("grammarlr", logging.WARNING)]
+        message = caplog.records[0].getMessage()
+        assert "train split" in message
+        assert "order 3, refs 4" in message
+        assert f"{SLOPE_CAP:g}" in message
+
+    def test_fit_that_does_not_separate_is_quiet(self, caplog):
+        train, test = split(seed=1, divergence=0.1)
+        with caplog.at_level(logging.WARNING, logger="grammarlr"):
+            result = evaluate_corpus(train, test, LambdaConfig(order=2, refs=3, seed=11))
+        assert not result.calibration.separated
+        assert caplog.records == []
 
 
 def per_cell_rows(train, test, base, ref_counts, orders):
