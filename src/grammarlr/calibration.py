@@ -33,15 +33,10 @@ _LN2 = math.log(2.0)
 
 
 def _check_labels(labels: Sequence[str]) -> np.ndarray:
-    y = np.empty(len(labels))
-    for i, lab in enumerate(labels):
-        if lab == "Y":
-            y[i] = 1.0
-        elif lab == "N":
-            y[i] = 0.0
-        else:
+    for lab in labels:
+        if lab not in ("Y", "N"):
             raise ValueError(f"labels must be 'Y' or 'N': {lab!r}")
-    return y
+    return np.array([lab == "Y" for lab in labels], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -243,38 +238,17 @@ def pav_fit(scores: Sequence[float], labels: Sequence[str]) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("scores must be finite")
 
-    order = np.argsort(x, kind="stable")
-    # atoms as [sum_of_labels, item_count, list_of_original_positions]
-    atoms: list[list] = []
-    prev_score = None
-    for idx in order:
-        score = x[idx]
-        if prev_score is not None and score == prev_score:
-            atoms[-1][0] += int(y[idx])
-            atoms[-1][1] += 1
-            atoms[-1][2].append(int(idx))
-        else:
-            atoms.append([int(y[idx]), 1, [int(idx)]])
-        prev_score = score
-
-    blocks: list[list] = []
-    for atom in atoms:
-        blocks.append(atom)
-        # pool while the mean sequence decreases
-        while len(blocks) >= 2:
-            s1, n1, i1 = blocks[-2]
-            s2, n2, i2 = blocks[-1]
-            if s1 * n2 > s2 * n1:  # mean(prev) > mean(last), exact in ints
-                blocks[-2:] = [[s1 + s2, n1 + n2, i1 + i2]]
-            else:
-                break
-
-    fitted = np.empty(x.size)
-    for s, n, idxs in blocks:
-        value = s / n
-        for idx in idxs:
-            fitted[idx] = value
-    return fitted
+    _, inverse, sizes = np.unique(x, return_inverse=True, return_counts=True)
+    sums = np.bincount(inverse, weights=y).astype(np.int64)
+    blocks: list[tuple[int, int, int]] = []  # (label sum, items, atoms)
+    for s, n in zip(sums.tolist(), sizes.tolist()):
+        atoms = 1
+        # pool while the mean sequence decreases, exact in ints
+        while blocks and blocks[-1][0] * n > s * blocks[-1][1]:
+            s0, n0, atoms0 = blocks.pop()
+            s, n, atoms = s0 + s, n0 + n, atoms0 + atoms
+        blocks.append((s, n, atoms))
+    return np.repeat([s / n for s, n, _ in blocks], [a for _, _, a in blocks])[inverse]
 
 
 def cllr_min_from_log_lrs(
@@ -298,13 +272,10 @@ def cllr_min_from_log_lrs(
     # over each run's size keeps them finite while vanishing as runs grow.
     run_zero = int(np.sum(fitted == 0.0))
     run_one = int(np.sum(fitted == 1.0))
-    log_lrs = np.empty(len(scores))
-    for i, p in enumerate(fitted):
-        if p <= 0.0:
-            p = 1.0 / (run_zero + 2.0)
-        elif p >= 1.0:
-            p = (run_one + 1.0) / (run_one + 2.0)
-        log_lrs[i] = math.log(p / (1.0 - p)) - prior
+    p = np.where(fitted <= 0.0, 1.0 / (run_zero + 2.0), fitted)
+    p = np.where(p >= 1.0, (run_one + 1.0) / (run_one + 2.0), p)
+    # math.log, not np.log: the two can differ in the last bit.
+    log_lrs = np.array([math.log(odds) for odds in (p / (1.0 - p)).tolist()]) - prior
     n_same = len(same_source)
     floor = cllr_from_log_lrs(log_lrs[:n_same], log_lrs[n_same:])
     return floor, full - floor
@@ -324,16 +295,13 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes")
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    i = 0
-    sorted_x = x[order]
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # Tied scores share their average rank. NaN ties nothing (NaN != NaN),
+    # and asking for return_index makes the sort stable, so NaNs rank in
+    # input order.
+    _, _, inverse, sizes = np.unique(
+        x, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    ranks = (np.cumsum(sizes) - (sizes - 1) / 2.0)[inverse]
     rank_sum = float(np.sum(ranks[y == 1.0]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -347,18 +315,14 @@ def classification_metrics(
     """
     if len(decisions) != len(labels) or not decisions:
         raise ValueError("decisions and labels must be non-empty and equal length")
-    tp = fn = fp = tn = 0
     for dec, lab in zip(decisions, labels):
         if dec not in ("Y", "N"):
             raise ValueError(f"decisions must be 'Y' or 'N': {dec!r}")
         if lab not in ("Y", "N"):
             raise ValueError(f"labels must be 'Y' or 'N': {lab!r}")
-        if lab == "Y":
-            tp += dec == "Y"
-            fn += dec == "N"
-        else:
-            fp += dec == "Y"
-            tn += dec == "N"
+    said = np.array([dec == "Y" for dec in decisions])
+    same = np.array([lab == "Y" for lab in labels])
+    tp, fn, fp, tn = np.bincount(2 * ~same + ~said, minlength=4).tolist()
     total = tp + fn + fp + tn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

@@ -9,8 +9,11 @@ protocol, ``sweep`` grids over reference counts and model orders, and
 Exit codes: 0 success, 1 an output that failed while being written (a full
 disk, an I/O error), 2 usage error (a bad flag or an output path that
 cannot be written, found before any input is read), 3 data error
-(unreadable or invalid inputs), 4 internal contract violation or a worker process that died during a ``--parallel``
-run. Set GRAMMARLR_LOG=INFO (or DEBUG) for progress logging on stderr.
+(unreadable or invalid inputs), 4 internal contract violation (a
+``ContractError``, or any ``ValueError`` that escapes the pipeline: a
+library precondition that failed, not a bad flag) or a worker process that
+died during a ``--parallel`` run. Set GRAMMARLR_LOG=INFO (or DEBUG) for
+progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -192,7 +195,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ref_docs_per_author=args.ref_docs,
         train_fraction=args.train_fraction,
     )
-    corpora = [synth_corpus(partition=partition, **kwargs) for partition in ("train", "test")]
+    try:
+        corpora = [synth_corpus(partition=partition, **kwargs) for partition in ("train", "test")]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(args.out)
     refs_path = out / "refs.jsonl"
     with _writing(args.out):
@@ -226,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             calib = CalibrationModel.from_json_dict(
                 json.loads(Path(args.calibration).read_text(encoding="utf-8"))
             )
-        except (OSError, json.JSONDecodeError, CalibrationError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, CalibrationError) as exc:
             raise DataError(f"cannot load calibration {args.calibration!r}: {exc}") from exc
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     problem = next((p for p in corpus.problems if p.id == args.problem), None)
@@ -467,10 +473,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"invalid argument: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
+    except (ContractError, ValueError) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 4
     except WorkerError as exc:

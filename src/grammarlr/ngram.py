@@ -32,13 +32,15 @@ those children's continuation counts. No other entry is read or computed.
 
 The scoring pipeline counts once per problem: it windows the known side and
 each distinct sampled reference sentence once, and each of the 1 + r models
-is the count of its sentences' gram ids. Given the coded sentences it will
-score, the counter keeps only the grams the kernel reads for them (see
+is the count of its sentences' gram ids. With constant discounts, at every
+order, the stream ends with the coded sentences it will score, and the
+counter keeps only the grams the kernel reads for them (see
 :meth:`GramIndex.from_stream`), each with every window of it, so kept counts
 are full counts and the probabilities are those of the full table bit for
 bit; at the paper's defaults (order 10, 100 references) that is about a
 third of the entries. Modified discounts and :func:`train` count every
-window, as count-of-count statistics need. Ids are sorted by gram length, so
+window, as count-of-count statistics need: the stream they count ends with
+the training sentences. Ids are sorted by gram length, so
 a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
 what they read at any lower order. :func:`train` counts with one model, and
@@ -441,12 +443,12 @@ class CountTable:
         sentences, followed by that of the ``queries`` when given."""
         tokens, prev, starts = token_stream([*sentences, *(queries or ())], width)
         bounds = np.append(starts, len(tokens))[: len(sentences) + 1]
-        return cls.from_stream(tokens, prev, bounds, models, order, width, queries is not None)
+        return cls.from_stream(tokens, prev, bounds, models, order, width)
 
     @classmethod
     def from_stream(
         cls, tokens: np.ndarray, prev: np.ndarray, bounds: np.ndarray,
-        models: Sequence[Sequence[int]], order: int, width: int, filtered: bool = False,
+        models: Sequence[Sequence[int]], order: int, width: int,
     ) -> "CountTable":
         """Count several models over one index of a :func:`token_stream`
         whose training sentence i spans ``bounds[i]:bounds[i + 1]``.
@@ -454,24 +456,23 @@ class CountTable:
         ``models[m]`` lists the numbers of model m's training sentences,
         repeats allowed. Each sentence is windowed once, however many models
         train on it; a model's counts are the counts of its sentences' gram
-        ids. The stream from ``bounds[-1]`` on is read only when
-        ``filtered``: it holds the sentences that will be scored, and only
-        the grams :func:`kneser_ney_probs` reads for them are indexed and
-        counted (see :meth:`GramIndex.from_stream`), each with its full
-        count, so their probabilities at this order or any lower one are
-        exactly those of the full table, but count-of-count statistics are
-        not.
+        ids. Where the stream runs past ``bounds[-1]``, the rest holds the
+        sentences that will be scored, and only the grams
+        :func:`kneser_ney_probs` reads for them are indexed and counted (see
+        :meth:`GramIndex.from_stream`), each with its full count, so their
+        probabilities at this order or any lower one are exactly those of
+        the full table, but count-of-count statistics are not.
         """
         end = int(bounds[-1])
-        queried_from, end = (end, None) if filtered else (None, end)
-        index, ids = GramIndex.from_stream(tokens[:end], prev[:end], order, width, queried_from)
+        queried_from = end if end < len(tokens) else None
+        index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
         spans = np.diff(bounds)[rows]
         positions = ranges(bounds[rows], spans)
         model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
         n_models = len(models)
         windows = (ids[:, positions] * n_models + model_of).reshape(-1)
-        if filtered:
+        if queried_from is not None:
             windows = windows[windows < index.missing * n_models]  # not dropped
         keys, counts = np.unique(
             np.concatenate([np.arange(n_models), windows]), return_counts=True

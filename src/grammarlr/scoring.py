@@ -549,17 +549,16 @@ def _score_problem(
     prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
     prev[starts] = starts
     trained = len(drawn) + len(known)
-    # Only the grams the unknown document can read are counted, except where
-    # that cannot pay: modified discounts need every top-order window, and up
-    # to order 3 the filter drops only trigrams whose middle token the
-    # document lacks, which a closed masked vocabulary seldom leaves.
+    q = starts[trained]
+    # Only the grams the unknown document can read are counted, except in
+    # modified mode: its discounts need every top-order window, so the
+    # counter does not see the document.
+    counted = len(tokens) if first.discount_mode == "constant" else q
     top = max(c.order for c in configs)
     models = [range(len(drawn), trained), *np.searchsorted(drawn, samples)]
     table = CountTable.from_stream(
-        tokens, prev, starts[: trained + 1], models, top, len(codes),
-        filtered=first.discount_mode == "constant" and top > 3,
+        tokens[:counted], prev[:counted], starts[: trained + 1], models, top, len(codes)
     )
-    q = starts[trained]
     query = (tokens[q:], prev[q:] - q, np.setdiff1d(np.arange(len(tokens) - q), starts[trained:] - q))
     logs, groups = {}, {}  # groups: the orders of each discount list
     for order in sorted({c.order for c in configs}):

@@ -7,11 +7,13 @@ recursion, and isotonic regression by exhaustive search over contiguous
 partitions in exact rational arithmetic, tagged-text parsing by the
 earlier dataclass-token parser transcribed whole, the counter by its
 earlier every-window form, the array kernel by its earlier whole-table
-form, and the reference sampler by its earlier sample-by-sample form, each
-also transcribed whole. Nothing is shared with the package
+form, the reference sampler by its earlier sample-by-sample form, and the
+PAV fit, ROC AUC, confusion counts and Cllr_min by their earlier index-loop
+forms, each also transcribed whole. Nothing is shared with the package
 internals beyond the pseudo-token spellings, the tagged format's labels,
-and the count table (its index and table classes) and discount schedules
-that the whole-table kernel reads as its inputs.
+the count table (its index and table classes) and discount schedules
+that the whole-table kernel reads as its inputs, and the Cllr that the
+Cllr_min oracle reads off its recalibrated log LRs.
 """
 
 from __future__ import annotations
@@ -438,6 +440,146 @@ def oracle_sample_reference_sets(pool, size, count, seed, sampling="without_repl
         idx = rng.choice(len(pool), size=size, replace=replace_within)
         samples.append([pool[int(i)] for i in idx])
     return samples
+
+
+# The metrics as they were before they grouped on numpy: ties, PAV atoms
+# and the confusion table found by index loops over the items. Each function
+# below is that version transcribed whole; the fitted and returned values
+# must equal the package's bit for bit.
+
+
+def _oracle_check_labels(labels):
+    y = np.empty(len(labels))
+    for i, lab in enumerate(labels):
+        if lab == "Y":
+            y[i] = 1.0
+        elif lab == "N":
+            y[i] = 0.0
+        else:
+            raise ValueError(f"labels must be 'Y' or 'N': {lab!r}")
+    return y
+
+
+def oracle_pav_fit(scores, labels):
+    y = _oracle_check_labels(labels)
+    x = np.asarray(scores, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("scores must be a non-empty 1-d sequence")
+    if x.size != y.size:
+        raise ValueError("scores and labels must have equal length")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("scores must be finite")
+
+    order = np.argsort(x, kind="stable")
+    # atoms as [sum_of_labels, item_count, list_of_original_positions]
+    atoms = []
+    prev_score = None
+    for idx in order:
+        score = x[idx]
+        if prev_score is not None and score == prev_score:
+            atoms[-1][0] += int(y[idx])
+            atoms[-1][1] += 1
+            atoms[-1][2].append(int(idx))
+        else:
+            atoms.append([int(y[idx]), 1, [int(idx)]])
+        prev_score = score
+
+    blocks = []
+    for atom in atoms:
+        blocks.append(atom)
+        # pool while the mean sequence decreases
+        while len(blocks) >= 2:
+            s1, n1, i1 = blocks[-2]
+            s2, n2, i2 = blocks[-1]
+            if s1 * n2 > s2 * n1:  # mean(prev) > mean(last), exact in ints
+                blocks[-2:] = [[s1 + s2, n1 + n2, i1 + i2]]
+            else:
+                break
+
+    fitted = np.empty(x.size)
+    for s, n, idxs in blocks:
+        value = s / n
+        for idx in idxs:
+            fitted[idx] = value
+    return fitted
+
+
+def oracle_cllr_min_from_log_lrs(same_source, different_source):
+    from grammarlr.calibration import cllr_from_log_lrs
+
+    full = cllr_from_log_lrs(same_source, different_source)
+    scores = [*same_source, *different_source]
+    labels = ["Y"] * len(same_source) + ["N"] * len(different_source)
+    fitted = oracle_pav_fit(scores, labels)
+    prior = math.log(len(same_source) / len(different_source))
+    # Pure runs at the extremes would map to infinite LRs; add-one smoothing
+    # over each run's size keeps them finite while vanishing as runs grow.
+    run_zero = int(np.sum(fitted == 0.0))
+    run_one = int(np.sum(fitted == 1.0))
+    log_lrs = np.empty(len(scores))
+    for i, p in enumerate(fitted):
+        if p <= 0.0:
+            p = 1.0 / (run_zero + 2.0)
+        elif p >= 1.0:
+            p = (run_one + 1.0) / (run_one + 2.0)
+        log_lrs[i] = math.log(p / (1.0 - p)) - prior
+    n_same = len(same_source)
+    floor = cllr_from_log_lrs(log_lrs[:n_same], log_lrs[n_same:])
+    return floor, full - floor
+
+
+def oracle_roc_auc(scores, labels):
+    y = _oracle_check_labels(labels)
+    x = np.asarray(scores, dtype=float)
+    if x.size != y.size or x.size == 0:
+        raise ValueError("scores and labels must be non-empty and equal length")
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC requires both classes")
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    i = 0
+    sorted_x = x[order]
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = float(np.sum(ranks[y == 1.0]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def oracle_classification_metrics(decisions, labels):
+    if len(decisions) != len(labels) or not decisions:
+        raise ValueError("decisions and labels must be non-empty and equal length")
+    tp = fn = fp = tn = 0
+    for dec, lab in zip(decisions, labels):
+        if dec not in ("Y", "N"):
+            raise ValueError(f"decisions must be 'Y' or 'N': {dec!r}")
+        if lab not in ("Y", "N"):
+            raise ValueError(f"labels must be 'Y' or 'N': {lab!r}")
+        if lab == "Y":
+            tp += dec == "Y"
+            fn += dec == "N"
+        else:
+            fp += dec == "Y"
+            tn += dec == "N"
+    total = tp + fn + fp + tn
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {
+        "tp": tp,
+        "fn": fn,
+        "fp": fp,
+        "tn": tn,
+        "accuracy": (tp + tn) / total,
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+    }
 
 
 def oracle_isotonic(scores, labels):

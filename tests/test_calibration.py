@@ -3,8 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_isotonic
+from oracles import (
+    oracle_classification_metrics,
+    oracle_cllr_min_from_log_lrs,
+    oracle_isotonic,
+    oracle_pav_fit,
+    oracle_roc_auc,
+)
 
 from grammarlr.calibration import (
     SLOPE_CAP,
@@ -336,6 +343,49 @@ class TestClassificationMetrics:
             classification_metrics(["Y"], ["Y", "N"])
         with pytest.raises(ValueError):
             classification_metrics(["X"], ["Y"])
+
+
+# A small grid, so that ties are common; -0.0 ties 0.0.
+TIED_SCORES = st.sampled_from([-1e5, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e5])
+
+
+def _outcome(metric, *args):
+    """What a metric returns, or the type and message of the ValueError it
+    raises, in a form that compares bit for bit with ``==``."""
+    try:
+        value = metric(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return [(k, type(v), v) for k, v in value.items()]
+    return type(value), value
+
+
+class TestIndexLoopOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_metrics_equal_the_index_loop_versions_bit_for_bit(self, data):
+        """Heavy ties, NaN scores for the AUC, and one-class draws, where
+        both sides must raise alike."""
+        n = data.draw(st.integers(1, 60))
+        scores = data.draw(st.lists(TIED_SCORES, min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.sampled_from("YN"), min_size=n, max_size=n))
+        decisions = data.draw(st.lists(st.sampled_from("YN"), min_size=n, max_size=n))
+        nan_scores = data.draw(
+            st.lists(st.one_of(TIED_SCORES, st.just(math.nan)), min_size=n, max_size=n)
+        )
+        same = [s for s, lab in zip(scores, labels) if lab == "Y"]
+        diff = [s for s, lab in zip(scores, labels) if lab == "N"]
+        for metric, oracle, args in (
+            (pav_fit, oracle_pav_fit, (scores, labels)),
+            (roc_auc, oracle_roc_auc, (scores, labels)),
+            (roc_auc, oracle_roc_auc, (nan_scores, labels)),
+            (classification_metrics, oracle_classification_metrics, (decisions, labels)),
+            (cllr_min_from_log_lrs, oracle_cllr_min_from_log_lrs, (same, diff)),
+        ):
+            assert _outcome(metric, *args) == _outcome(oracle, *args), metric.__name__
 
 
 class TestMetricsReport:

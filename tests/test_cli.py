@@ -81,9 +81,13 @@ class TestSynth:
         token = corpus.problems[0].unknown_docs[0].sentences[0][0]
         assert token.endswith("_q")
 
-    def test_bad_params_exit_2(self, tmp_path):
+    def test_bad_params_exit_2(self, tmp_path, capsys):
+        """synth_corpus's argument checks are usage errors: one line, and
+        no output directory."""
         assert run(["synth", "--out", tmp_path / "x", "--authors", "2"]) == 2
         assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert err == "usage error: need at least 5 authors for a two-sided split: 2\n"
 
 
 class TestMask:
@@ -201,6 +205,11 @@ class TestVerify:
             assert run(argv + ["--calibration", calib_path] + FAST_MODEL) == 3
             err = capsys.readouterr().err
             assert f"calibration field {field!r}" in err
+        calib_path = tmp_path / "not-utf8.json"
+        calib_path.write_bytes(b"\xff\xfe{}")
+        argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid]
+        assert run(argv + ["--calibration", calib_path] + FAST_MODEL) == 3
+        assert "cannot load calibration" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -244,6 +253,18 @@ class TestEvaluate:
 
     def test_missing_dir_exit_3(self, tmp_path):
         assert run(["evaluate", tmp_path / "nope"] + FAST_MODEL) == 3
+
+    def test_stray_value_error_is_a_contract_violation(self, corpus_dir, monkeypatch, capsys):
+        """A ValueError from inside the pipeline is a failed library
+        precondition, not a bad flag: exit 4 with one line."""
+
+        def failing(*args, **kwargs):
+            raise ValueError("a precondition failed")
+
+        monkeypatch.setattr(cli, "evaluate_corpus", failing)
+        capsys.readouterr()
+        assert run(["evaluate", corpus_dir] + FAST_MODEL) == 4
+        assert capsys.readouterr().err == "internal contract violation: a precondition failed\n"
 
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:

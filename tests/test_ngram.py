@@ -700,8 +700,8 @@ class TestDemandDrivenKernel:
         count, kernel = CountTable.from_stream.__func__, scoring.kneser_ney_probs
         counted, same = [], []
 
-        def counting(cls, tokens, prev, bounds, models, order, width, filtered=False):
-            table = count(cls, tokens, prev, bounds, models, order, width, filtered)
+        def counting(cls, tokens, prev, bounds, models, order, width):
+            table = count(cls, tokens, prev, bounds, models, order, width)
             # The training sentences, each without its begin and end marker.
             sentences = [tokens[a + 1 : b - 1].tolist() for a, b in pairwise(bounds.tolist())]
             counted.append((table, oracle_count_table(sentences, models, order, width)))

@@ -976,15 +976,18 @@ class TestGatheredStream:
         training = code_sentences([*(pool_sents[i] for i in drawn), *known], codes)
         want = token_stream([*training, *code_sentences(unknown, codes)], len(codes))
         [((tokens, prev, bounds, models, got_order, width), kwargs)] = counted
-        filtered = discount_mode == "constant" and order > 3
-        assert (got_order, width, kwargs) == (order, len(codes), {"filtered": filtered})
-        assert np.array_equal(tokens, want[0])
-        assert np.array_equal(prev, want[1])
+        assert (got_order, width, kwargs) == (order, len(codes), {})
+        # Constant mode counts for the unknown document, which ends the
+        # stream; modified mode counts every window of the training side.
+        filtered = discount_mode == "constant"
+        end = len(want[0]) if filtered else want[2][len(training)]
+        assert np.array_equal(tokens, want[0][:end])
+        assert np.array_equal(prev, want[1][:end])
         assert np.array_equal(bounds, np.append(want[2], len(want[0]))[: len(training) + 1])
         assert list(models[0]) == list(range(len(drawn), len(training)))
         assert [[drawn[i] for i in rows] for rows in models[1:]] == samples
 
-        got = count(CountTable, tokens, prev, bounds, models, order, width, filtered)
+        got = count(CountTable, tokens, prev, bounds, models, order, width)
         coded_unknown = code_sentences(unknown, codes)
         direct = CountTable.from_sentences(
             training, models, order, width, queries=coded_unknown if filtered else None
