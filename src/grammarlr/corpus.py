@@ -16,9 +16,11 @@ document holds plain token strings and is ready for counting.
 Tagged text is checked once, at the door: ``parse_tagged_document``
 validates each line and builds its tokens and document without checking
 them again, with each surface interned and each POS the canonical label
-string. A reference sidecar whose content was the last one loaded is not
-parsed again (``load_reference_docs``), so the train and test splits of one
-corpus directory share one parsed pool per process.
+string. One load (a problems file, or a reference sidecar) validates each
+distinct token line once, and every copy of that line shares its token. A
+reference sidecar whose content was the last one loaded, at whatever path,
+is not parsed again (``load_reference_docs``), so the train and test splits
+of one corpus directory share one parsed pool per process.
 """
 
 from __future__ import annotations
@@ -266,11 +268,23 @@ def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Docum
     ellipsis character. Each line is validated once, here: the tokens and
     the document are built without the constructors' checks.
     """
+    return _parse_tagged(text, doc_id, {})
+
+
+def _parse_tagged(
+    text: Union[str, Iterable[str]], doc_id: str, seen: dict[str, TaggedToken]
+) -> Document:
+    """``parse_tagged_document``, reusing the token of each raw line found in
+    ``seen`` and adding each new token line to it, so the copies of a line
+    across one load are validated once and share one token."""
     if not isinstance(doc_id, str) or not doc_id:
         raise ParseError(f"document id must be a non-empty string: {doc_id!r}")
     lines = text.splitlines() if isinstance(text, str) else text
     stream: list[Optional[TaggedToken]] = []
     for lineno, raw in enumerate(lines, start=1):
+        if (token := seen.get(raw)) is not None:
+            stream.append(token)
+            continue
         line = raw.rstrip("\n")
         stripped = line.strip()
         if not stripped or stripped == NEWLINE_MARKER:
@@ -291,7 +305,8 @@ def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Docum
             raise ParseError(f"token surface contains format characters: {surface!r}")
         if surface == "...":
             surface = "…"
-        stream.append(tuple.__new__(TaggedToken, (sys.intern(surface), label)))
+        token = seen[raw] = tuple.__new__(TaggedToken, (sys.intern(surface), label))
+        stream.append(token)
     sentences = segment_sentences(stream)
     if not sentences:
         raise ParseError(f"{doc_id}: empty document")
@@ -299,10 +314,15 @@ def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Docum
 
 
 def _doc_from_json(
-    obj: dict, base_dir: Path, where: str, tagged_bytes: Optional[dict[str, bytes]] = None
+    obj: dict,
+    base_dir: Path,
+    where: str,
+    seen: dict[str, TaggedToken],
+    tagged_bytes: Optional[dict[str, bytes]] = None,
 ) -> Document:
     """One document entry; a tagged file already read is taken from
-    ``tagged_bytes`` (keyed by its path as the entry names it)."""
+    ``tagged_bytes`` (keyed by its path as the entry names it), and its
+    lines are parsed with the tokens ``seen`` (see ``_parse_tagged``)."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: document entry is not an object")
     doc_id = obj.get("id")
@@ -333,7 +353,7 @@ def _doc_from_json(
             raise CorpusError(
                 f"{where}: cannot read tagged file {str(path)!r}: {exc}"
             ) from exc
-        return parse_tagged_document(text, doc_id)
+        return _parse_tagged(text, doc_id, seen)
     raise CorpusError(f"{where}: document {doc_id!r} has neither 'sentences' nor 'tagged'")
 
 
@@ -379,18 +399,19 @@ def _resolve_refs_path(problems_path: Path) -> Optional[Path]:
     return None
 
 
-# The last reference sidecar load_reference_docs parsed: (key, documents).
+# The last reference sidecar load_reference_docs parsed: (digest, documents).
 _last_reference_load: tuple = (None, ())
 
 
 def load_reference_docs(path: Union[str, Path]) -> tuple[Document, ...]:
     """Load a sidecar JSONL of reference documents.
 
-    The documents of the last sidecar parsed are kept, keyed by its resolved
-    path and a sha256 over its bytes and those of every tagged file it
-    names. A call on identical content returns that same tuple without
+    The documents of the last sidecar parsed are kept, keyed by a sha256
+    over its bytes and those of every tagged file it names. A call on
+    identical content, at any path, returns that same tuple without
     parsing, so the train and test splits of one corpus directory parse a
-    shared pool once per process. A load that fails is never kept.
+    shared pool once per process, whether they share one ``refs.jsonl`` or
+    hold byte-identical sidecars. A load that fails is never kept.
     """
     global _last_reference_load
     path = Path(path)
@@ -419,11 +440,12 @@ def load_reference_docs(path: Union[str, Path]) -> tuple[Document, ...]:
         tagged_bytes[rel] = blob
         digest.update(len(blob).to_bytes(8, "little"))
         digest.update(blob)
-    key = (path.resolve(), digest.hexdigest()) if keyed else None
+    key = digest.hexdigest() if keyed else None
     if key is not None and key == _last_reference_load[0]:
         return _last_reference_load[1]
+    seen: dict[str, TaggedToken] = {}
     docs = tuple(
-        _doc_from_json(obj, path.parent, f"{path.name}: line {lineno}", tagged_bytes)
+        _doc_from_json(obj, path.parent, f"{path.name}: line {lineno}", seen, tagged_bytes)
         for lineno, obj in entries
     )
     if error is not None:
@@ -448,6 +470,7 @@ def load_corpus(
     problems_path = Path(problems_path)
     problems = []
     field_partitions = set()
+    seen: dict[str, TaggedToken] = {}
     for lineno, obj in _iter_jsonl(problems_path, _read_bytes(problems_path)):
         where = f"{problems_path.name}: line {lineno}"
         if not isinstance(obj, dict):
@@ -470,10 +493,10 @@ def load_corpus(
             if not isinstance(obj.get(key), list) or not obj[key]:
                 raise CorpusError(f"{where}: {key!r} must be a non-empty list")
         unknown = tuple(
-            _doc_from_json(d, problems_path.parent, where) for d in obj["unknown"]
+            _doc_from_json(d, problems_path.parent, where, seen) for d in obj["unknown"]
         )
         known = tuple(
-            _doc_from_json(d, problems_path.parent, where) for d in obj["known"]
+            _doc_from_json(d, problems_path.parent, where, seen) for d in obj["known"]
         )
         problems.append(
             VerificationProblem(

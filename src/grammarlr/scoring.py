@@ -559,7 +559,9 @@ def _score_problem(
     table = CountTable.from_stream(
         tokens[:counted], prev[:counted], starts[: trained + 1], models, top, len(codes)
     )
-    query = (tokens[q:], prev[q:] - q, np.setdiff1d(np.arange(len(tokens) - q), starts[trained:] - q))
+    scored = np.ones(len(tokens) - q, dtype=bool)
+    scored[starts[trained:] - q] = False
+    query = (tokens[q:], prev[q:] - q, np.flatnonzero(scored))
     logs, groups = {}, {}  # groups: the orders of each discount list
     for order in sorted({c.order for c in configs}):
         if first.discount_mode == "modified":

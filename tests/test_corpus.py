@@ -468,6 +468,23 @@ class TestSharedReferencePool:
         for _ in range(2):
             assert [d.id for d in load_reference_docs(base / "refs.jsonl")] == ["r1", "r2", "r3"]
 
+    def test_identical_sidecars_at_different_paths_share_one_pool(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        refs = (base / "refs.jsonl").read_bytes()
+        for part in ("train", "test"):
+            (base / f"{part}.refs.jsonl").write_bytes(refs)
+        train = load_corpus(base / "train.jsonl")
+        test = load_corpus(base / "test.jsonl")
+        assert [d.id for d in train.reference_docs] == ["r1", "r2"]
+        assert train.reference_docs is test.reference_docs
+
+    def test_malformed_line_after_valid_copies_names_its_line(self, tmp_path):
+        base = tagged_dir(tmp_path)
+        (base / "r1.tsv").write_text("a\tNOUN\n.\tPUNCT\n", encoding="utf-8")
+        (base / "r2.tsv").write_text("a\tNOUN\na\tNOUN\na\tNOPE\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^r2: line 3: unknown POS label 'NOPE'$"):
+            load_reference_docs(base / "refs.jsonl")
+
 
 # Corpus files for the loader's property tests: JSON lines of problems and
 # reference documents whose every field may hold the wrong shape.
@@ -558,3 +575,48 @@ class TestParserProperties:
         except ParseError:
             return
         assert doc.is_tagged and doc.id == doc_id
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        files=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["The\tDET", "the\tDET", "cat\tNOUN", "cat\tVERB", " cat\tNOUN", ".\tPUNCT",
+                     "...\tPUNCT", "…\tPUNCT", "<NL>", "", " ", "cat\tNOPE", "a\tb\tc"]
+                ),
+                max_size=10,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_sidecar_parses_each_file_alone_and_shares_equal_lines(self, files):
+        """A sidecar's documents equal ``parse_tagged_document`` of each of
+        its tagged files, or it raises the first file's error; the tokens
+        of equal lines, in any of its files, are one object."""
+        texts = ["\n".join(lines) + "\n" for lines in files]
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            for i, text in enumerate(texts):
+                (base / f"r{i}.tsv").write_text(text, encoding="utf-8")
+            entries = [json.dumps({"id": f"r{i}", "tagged": f"r{i}.tsv"}) for i in range(len(texts))]
+            (base / "refs.jsonl").write_text("\n".join(entries) + "\n", encoding="utf-8")
+            expected = []
+            try:
+                for i, text in enumerate(texts):
+                    expected.append(parse_tagged_document(text, f"r{i}"))
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    load_reference_docs(base / "refs.jsonl")
+                assert str(info.value) == str(exc)
+                return
+            docs = load_reference_docs(base / "refs.jsonl")
+        assert docs == tuple(expected)
+        token_of: dict[str, TaggedToken] = {}
+        for lines, doc in zip(files, docs):
+            token_lines = [line for line in lines if line.strip() not in ("", "<NL>")]
+            flat = [t for s in doc.sentences for t in s]
+            assert len(flat) == len(token_lines)
+            for line, t in zip(token_lines, flat):
+                assert type(t) is TaggedToken
+                assert token_of.setdefault(line, t) is t
