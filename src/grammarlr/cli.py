@@ -232,7 +232,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             calib = CalibrationModel.from_json_dict(
                 json.loads(Path(args.calibration).read_text(encoding="utf-8"))
             )
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, CalibrationError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                CalibrationError) as exc:
             raise DataError(f"cannot load calibration {args.calibration!r}: {exc}") from exc
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     problem = next((p for p in corpus.problems if p.id == args.problem), None)

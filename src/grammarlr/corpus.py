@@ -383,7 +383,7 @@ def _iter_jsonl(path: Path, data: bytes) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorpusError(f"{path.name}: line {lineno}: invalid JSON: {exc}") from exc
         yield lineno, obj
 

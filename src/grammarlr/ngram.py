@@ -45,9 +45,9 @@ a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
 what they read at any lower order. :func:`train` counts with one model, and
 that one-model table is the whole count store of the :class:`GrammarModel` it
-makes, which ``count`` reads; the gram -> count mapping the other count
-queries and serialization read is spelled from it only when first read.
-Loading a serialized model tabulates its raw counts once, at load.
+makes: count queries (through :meth:`GramIndex.find`) and equality read it,
+and only serialization spells it as a gram -> count mapping. Loading a
+serialized model tabulates its raw counts once, at load.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ import hashlib
 import json
 import math
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -390,6 +390,18 @@ class GramIndex:
         for context, last in zip(self.context[1:].tolist(), self.last[1:].tolist()):
             grams.append(grams[context] + (names[last],))
         return grams
+
+    def find(self, codes: Sequence[int]) -> int:
+        """The id of one coded gram of at most ``order`` tokens, walked up
+        through its prefixes; ``missing`` where the index lacks it."""
+        gram_id = 0
+        for n, code in enumerate(codes):
+            keys, key = self.keys[n], gram_id * self.width + code
+            at = bisect_left(keys, key)
+            if at == len(keys) or keys[at] != key:
+                return self.missing
+            gram_id = int(self.starts[n + 1]) + at
+        return gram_id
 
     def encode(self, tokens: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Ids of the grams ending at each position of a token stream.
@@ -727,11 +739,11 @@ class GrammarModel:
     """An order-N Kneser-Ney model with queryable count statistics.
 
     Instances are effectively immutable after construction. Build them with
-    :func:`train`. The model's state is its one-model :class:`CountTable`:
-    probabilities come from it through :func:`kneser_ney_probs`, counts through
-    ``count``, and ``raw_counts``, the gram -> count mapping the other count
-    queries, equality and serialization read, is spelled from it on first read.
-    Serialization persists only those raw counts, and loading tabulates them
+    :func:`train`. The model's state is its one-model :class:`CountTable`,
+    with one entry per gram id: probabilities come from it through
+    :func:`kneser_ney_probs`, and every count query and equality read it.
+    ``raw_counts`` spells the table as a gram -> count mapping on each read;
+    serialization persists only those raw counts, and loading tabulates them
     again, so reconstruction is exact.
     """
 
@@ -755,11 +767,11 @@ class GrammarModel:
         self.sentence_count = sentence_count
         self.table = table
         self._codes = token_codes(vocab)
-        self._distributions: dict[tuple[str, ...], list[float]] = {}
+        self._distributions: dict[tuple[int, ...], list[float]] = {}
 
-    @cached_property
+    @property
     def raw_counts(self) -> Mapping[tuple[str, ...], int]:
-        """Every gram the model counted, with its count, read-only."""
+        """Every gram the model counted, with its count, read-only: spelled on each read."""
         grams = self.table.index.spell(list(self._codes))
         keys, counts = self.table.keys.tolist(), self.table.counts.tolist()
         return MappingProxyType({grams[g]: c for g, c in zip(keys, counts) if c})
@@ -767,74 +779,65 @@ class GrammarModel:
     # ------------------------------------------------------------------
     # count queries
 
-    def _map_gram(self, gram: Sequence[str]) -> tuple[str, ...]:
-        return tuple(
-            tok if tok in (BOS, EOS) else self.vocab.map(tok) for tok in gram
-        )
+    def _coded(self, gram: Sequence[str]) -> list[int]:
+        """Token codes; a token outside the vocabulary is the unknown token."""
+        unk = self._codes[UNK]
+        return [self._codes.get(t, unk) for t in gram]
 
     def count(self, gram: Sequence[str]) -> int:
         """Raw count of a gram (1 <= length <= order) under padded counting."""
         if not 1 <= len(gram) <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}: {len(gram)}")
-        tokens = np.array([self._codes[t] for t in self._map_gram(gram)], dtype=np.int64)
-        gram_id = self.table.index.encode(tokens, np.arange(-1, len(gram) - 1))[len(gram) - 1, -2]
-        at = np.searchsorted(self.table.keys, gram_id, side="right") - 1  # the root's key is 0
-        return int(self.table.counts[at]) if self.table.keys[at] == gram_id else 0
+        gram_id = self.table.index.find(self._coded(gram))
+        return int(self.table.counts[gram_id]) if gram_id < self.table.index.missing else 0
+
+    def _extensions(self, gram: Sequence[str], left: bool) -> tuple[list[int], list[int]]:
+        """The counts of the grams t,gram (``left``) or gram,t the table holds,
+        with the code of each one's t. ``gram`` is shorter than the order."""
+        index, n = self.table.index, len(gram)
+        gram_id, lo = index.find(self._coded(gram)), int(index.starts[n + 1])
+        if left:  # the grams one longer whose suffix is the gram
+            ids = outer = lo + (index.suffix[lo : index.starts[n + 2]] == gram_id).nonzero()[0]
+            for _ in range(n):  # up to each one's first token
+                outer = index.context[outer]
+        else:  # the gram's children share its context: one run of ids
+            keys, span = index.keys[n], (gram_id * index.width, (gram_id + 1) * index.width)
+            ids = outer = slice(*(lo + bisect_left(keys, key) for key in span))
+        return self.table.counts[ids].tolist(), index.last[outer].tolist()
 
     def continuation_count(self, gram: Sequence[str]) -> int:
         """Modified count: raw at the top order, distinct-left-extension below."""
         if not 1 <= len(gram) <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}: {len(gram)}")
-        gram = self._map_gram(gram)
         if len(gram) == self.order:
-            return self.raw_counts.get(gram, 0)
-        return sum(
-            1
-            for t in (*self.vocab.items, BOS, EOS)
-            if self.raw_counts.get((t,) + gram, 0) > 0
-        )
+            return self.count(gram)
+        counts, _ = self._extensions(gram, left=True)
+        return len(counts) - counts.count(0)
 
-    def prefix_type_count(
-        self, gram: Sequence[str], r: int, at_least: bool = False
-    ) -> int:
+    def prefix_type_count(self, gram: Sequence[str], r: int, at_least: bool = False) -> int:
         """Number of token types t with raw count of t,gram equal to r.
 
         With ``at_least`` the condition becomes >= r. ``gram`` may be empty.
         t ranges over the vocabulary and the begin marker.
         """
-        gram = self._type_count_gram(gram, r)
-        return self._count_types(
-            (self.raw_counts.get((t,) + gram, 0) for t in (*self.vocab.items, BOS)),
-            r,
-            at_least,
-        )
+        return self._type_count(gram, r, at_least, left=True)
 
-    def suffix_type_count(
-        self, gram: Sequence[str], r: int, at_least: bool = False
-    ) -> int:
+    def suffix_type_count(self, gram: Sequence[str], r: int, at_least: bool = False) -> int:
         """Number of token types t with raw count of gram,t equal to r.
 
         t ranges over the vocabulary and the end marker.
         """
-        gram = self._type_count_gram(gram, r)
-        return self._count_types(
-            (self.raw_counts.get(gram + (t,), 0) for t in (*self.vocab.items, EOS)),
-            r,
-            at_least,
-        )
+        return self._type_count(gram, r, at_least, left=False)
 
-    def _type_count_gram(self, gram: Sequence[str], r: int) -> tuple[str, ...]:
+    def _type_count(self, gram: Sequence[str], r: int, at_least: bool, left: bool) -> int:
         if r < 1:
             raise ValueError(f"r must be >= 1: {r}")
         if len(gram) > self.order - 1:
             raise ValueError(f"gram length must be <= {self.order - 1}")
-        return self._map_gram(gram)
-
-    @staticmethod
-    def _count_types(counts: Iterable[int], r: int, at_least: bool) -> int:
-        if at_least:
-            return sum(1 for c in counts if c >= r)
-        return sum(1 for c in counts if c == r)
+        counts, tokens = self._extensions(gram, left)
+        # t is never the end marker on the left or the begin marker on the right.
+        excluded = self._codes[EOS if left else BOS]
+        return sum(c >= r if at_least else c == r for c, t in zip(counts, tokens) if t != excluded)
 
     # ------------------------------------------------------------------
     # probabilities
@@ -850,18 +853,13 @@ class GrammarModel:
         """
         if token == BOS:
             raise ValueError("the begin marker has no conditional probability")
-        t = EOS if token == EOS else self.vocab.map(token)
-        ctx = self._map_gram(context)
-        if self.order == 1:
-            ctx = ()
-        elif len(ctx) > self.order - 1:
-            ctx = ctx[len(ctx) - (self.order - 1) :]
-        codes = self._codes
+        # The last order - 1 tokens of the context: none at order 1.
+        ctx = tuple(self._coded(context[max(len(context) - self.order + 1, 0) :]))
         dist = self._distributions.get(ctx)
         if dist is None:
             # Every token code follows the last context token.
-            width, n = len(codes), len(ctx)
-            tokens = np.array([*(codes[tok] for tok in ctx), *range(width)], dtype=np.int64)
+            width, n = len(self._codes), len(ctx)
+            tokens = np.array([*ctx, *range(width)], dtype=np.int64)
             prev = np.append(np.arange(-1, n - 1), np.full(width, n - 1)).astype(np.int64)
             dist = kneser_ney_probs(
                 self.table, [self.discounts], tokens, prev, np.arange(n, n + width)
@@ -869,7 +867,7 @@ class GrammarModel:
             if len(self._distributions) >= _KEPT_DISTRIBUTIONS:
                 self._distributions.clear()
             self._distributions[ctx] = dist
-        return dist[codes[t]]
+        return dist[self._coded([token])[0]]
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
@@ -896,7 +894,8 @@ class GrammarModel:
             and self.vocab == other.vocab
             and self.discounts == other.discounts
             and self.sentence_count == other.sentence_count
-            and self.raw_counts == other.raw_counts
+            and all(map(np.array_equal, self.table.index.keys, other.table.index.keys))
+            and np.array_equal(self.table.counts, other.table.counts)
         )
 
     def __repr__(self) -> str:
@@ -1023,7 +1022,7 @@ def deserialize_model(data: bytes) -> GrammarModel:
         raise ModelFormatError("model checksum mismatch: data is corrupt")
     try:
         payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"cannot decode model payload: {exc}") from exc
     try:
         dis = payload["discounts"]

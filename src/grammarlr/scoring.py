@@ -284,7 +284,7 @@ class LambdaTrace:
     def from_json(cls, text: str) -> "LambdaTrace":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ContractError(f"trace is not valid JSON: {exc}") from exc
         return cls.from_json_dict(obj)
 

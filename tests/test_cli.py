@@ -484,6 +484,28 @@ def test_one_class_test_split_exits_3_before_scoring(corpus_dir, monkeypatch, ca
     assert capsys.readouterr().err == "error: test split has only 'N' problems; it needs Y and N\n"
 
 
+@pytest.mark.parametrize("target", ["problems", "sidecar", "calibration"])
+def test_deeply_nested_json_exits_3(corpus_dir, tmp_path, capsys, target):
+    """A JSON value nested 100,000 deep, in a problems file, a reference
+    sidecar or a calibration file, is a data error: exit 3 with one line on
+    stderr and no traceback."""
+    deep = "[" * 100_000 + "]" * 100_000
+    problems = corpus_dir / "test.jsonl"
+    argv = ["verify", problems, "--problem", load_corpus(problems).problems[0].id] + FAST_MODEL
+    if target == "calibration":
+        path = tmp_path / "calibration.json"
+        path.write_text(deep, encoding="utf-8")
+        argv += ["--calibration", path]
+    else:
+        path = problems if target == "problems" else corpus_dir / "refs.jsonl"
+        with path.open("a", encoding="utf-8") as f:
+            f.write(deep + "\n")
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+
 class TestFailedWrite:
     def test_write_error_is_not_a_usage_error(self, corpus_dir, tmp_path, monkeypatch, capsys):
         """A write that fails on a good path (here a full disk) exits 1 with

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 import zlib
 from itertools import pairwise
@@ -285,6 +286,17 @@ class TestNormalization:
                 assert model.prob(t, ("a",)) > 0.0
 
 
+def pruned(model, rng):
+    """A model loaded from ``model``'s payload with about a third of its raw
+    counts dropped, one top-order gram always kept, and its raw counts. Its
+    table gives zero counts to the prefixes and suffixes the payload lacks."""
+    payload = _payload(model)
+    entries = payload["raw_counts"]
+    top = next(e for e in entries if len(e[0]) == model.order)
+    payload["raw_counts"] = [e for e in entries if e is top or rng.random() < 2 / 3]
+    return deserialize_model(_blob(payload)), {tuple(g): c for g, c in payload["raw_counts"]}
+
+
 class TestAgainstOracles:
     def test_raw_counts_match(self):
         rng = random.Random(23)
@@ -295,7 +307,7 @@ class TestAgainstOracles:
             assert model.raw_counts == dict(oracle_raw_counts(sents, order))
 
     def test_continuation_counts_match(self):
-        rng = random.Random(29)
+        rng, prune, closed = random.Random(29), random.Random(30), 0
         for _ in range(25):
             sents = random_sentences(rng)
             order = rng.randrange(1, 4)
@@ -303,15 +315,18 @@ class TestAgainstOracles:
             raw = oracle_raw_counts(sents, order)
             items = model.vocab.sorted_items()
             grams = list(raw.keys()) + [("q",), ("a", "q")[: order or 1]]
-            for gram in grams:
-                if not 1 <= len(gram) <= order:
-                    continue
-                assert model.continuation_count(gram) == oracle_continuation_count(
-                    raw, gram, order, items
-                ), (sents, order, gram)
+            for model, raw in ((model, raw), pruned(model, prune)):
+                for gram in grams:
+                    if not 1 <= len(gram) <= order:
+                        continue
+                    assert model.continuation_count(gram) == oracle_continuation_count(
+                        raw, gram, order, items
+                    ), (sents, order, gram)
+                closed += bool((model.table.counts[1:] == 0).any())
+        assert closed > 0  # some pruned table holds zero-count entries
 
     def test_type_counts_match(self):
-        rng = random.Random(31)
+        rng, prune, closed = random.Random(31), random.Random(32), 0
         for _ in range(25):
             sents = random_sentences(rng)
             order = rng.randrange(2, 5)
@@ -321,21 +336,24 @@ class TestAgainstOracles:
             grams = [()] + [
                 g[1:] for g in raw if 1 <= len(g) - 1 <= order - 1
             ]
-            for gram in grams[:40]:
-                for r in (1, 2, 3):
-                    for at_least in (False, True):
-                        assert model.prefix_type_count(
-                            gram, r, at_least=at_least
-                        ) == oracle_prefix_type_count(raw, gram, r, items, at_least), (
-                            "prefix", sents, order, gram, r, at_least,
-                        )
-                        if gram and gram[-1] == BOS:
-                            continue
-                        assert model.suffix_type_count(
-                            gram, r, at_least=at_least
-                        ) == oracle_suffix_type_count(raw, gram, r, items, at_least), (
-                            "suffix", sents, order, gram, r, at_least,
-                        )
+            for model, raw in ((model, raw), pruned(model, prune)):
+                for gram in grams[:40]:
+                    for r in (1, 2, 3):
+                        for at_least in (False, True):
+                            assert model.prefix_type_count(
+                                gram, r, at_least=at_least
+                            ) == oracle_prefix_type_count(raw, gram, r, items, at_least), (
+                                "prefix", sents, order, gram, r, at_least,
+                            )
+                            if gram and gram[-1] == BOS:
+                                continue
+                            assert model.suffix_type_count(
+                                gram, r, at_least=at_least
+                            ) == oracle_suffix_type_count(raw, gram, r, items, at_least), (
+                                "suffix", sents, order, gram, r, at_least,
+                            )
+                closed += bool((model.table.counts[1:] == 0).any())
+        assert closed > 0  # some pruned table holds zero-count entries
 
     def test_probabilities_match(self):
         rng = random.Random(37)
@@ -511,36 +529,50 @@ class TestCountTableKept:
 
     @pytest.mark.parametrize("fit", [train, train_with_estimated_discounts])
     def test_trained_models_never_spell_their_table(self, spell_calls, fit):
-        """Scoring and printing a trained model read its table alone; the
-        raw counts are spelled only when something reads them."""
+        """Queries, scoring, equality and printing read the table alone;
+        only ``raw_counts`` and the two writers that read it spell it, once
+        per read, and nothing is kept."""
         rng = random.Random(181)
         vocab = Vocabulary.from_sentences([ALPHABET])
         author, *refs = (fit(random_sentences(rng), 4, vocab=vocab) for _ in range(4))
+        twin = deserialize_model(serialize_model(author))
+        spell_calls.clear()
+        assert author.count(("a",)) > 0
+        assert author.continuation_count(("a",)) > 0
+        author.prefix_type_count(("a",), 1)
+        author.suffix_type_count(("a",), 1, at_least=True)
+        assert author == twin and author != refs[0]
+        repr(author)
         author.prob("a", ("b", "c"))
         author.sentence_logprob(("a", "b", "e"))
         lambda_document([("a", "c"), ("d",)], author, refs)
-        repr(author)
         assert spell_calls == []
-        assert all("raw_counts" not in vars(m) for m in (author, *refs))
-        assert author.count(("a",)) > 0
-        assert spell_calls == [] and "raw_counts" not in vars(author)
-        assert author.continuation_count(("a",)) > 0
-        assert len(spell_calls) == 1 and "raw_counts" in vars(author)
+        for read in (lambda m: m.raw_counts, lambda m: m.raw_counts, serialize_model, dump_model):
+            read(author)
+            assert len(spell_calls) == 1 and "raw_counts" not in vars(author)
+            spell_calls.clear()
 
     def test_count_reads_the_table(self, spell_calls):
-        """``count`` looks a gram up in the table and never spells it, and
-        agrees with the spelled raw counts on another model's grams and on
-        grams no model counts."""
+        """Every count query looks its gram up in the table and never spells
+        it, and ``count`` agrees with the spelled raw counts on another
+        model's grams and on grams no model counts."""
         rng = random.Random(191)
         vocab = Vocabulary.from_sentences([ALPHABET])
-        model, other = (train(random_sentences(rng), 4, vocab=vocab) for _ in range(2))
+        sentences, others = random_sentences(rng), random_sentences(rng)
+        model = train(sentences, 4, vocab=vocab)
         absent = [(EOS, "a"), (BOS, EOS), ("a", BOS), ("z",), ("e", "z", "a", EOS)]
-        grams = [*other.raw_counts, *absent]
-        assert len(spell_calls) == 1
+        grams = [*train(others, 4, vocab=vocab).raw_counts, *absent]
+        spelled = train(sentences, 4, vocab=vocab).raw_counts
+        spell_calls.clear()
         got = [model.count(g) for g in grams]
-        assert len(spell_calls) == 1 and "raw_counts" not in vars(model)
+        for gram in grams:
+            model.continuation_count(gram)
+            if len(gram) < model.order:
+                model.prefix_type_count(gram, 1)
+                model.suffix_type_count(gram, 2, at_least=True)
+        assert spell_calls == []
         mapped = [tuple(t if t in (BOS, EOS) else vocab.map(t) for t in g) for g in grams]
-        assert got == [model.raw_counts.get(g, 0) for g in mapped]
+        assert got == [spelled.get(g, 0) for g in mapped]
         assert any(got) and not all(got)
 
 
@@ -940,6 +972,42 @@ class TestSerialization:
         other = train([("a",)], order=1)
         assert model != other
         assert model != "not a model"
+
+    def test_equality_is_raw_count_equality(self, model):
+        """``==`` compares tables, and agrees with comparing raw counts on a
+        round trip and on payloads with one count changed or one dropped."""
+        clone = deserialize_model(serialize_model(model))
+        assert clone == model and dict(clone.raw_counts) == dict(model.raw_counts)
+        entries = _payload(model)["raw_counts"]
+        for i, (gram, count) in enumerate(entries):
+            for edit in ([[gram, count + 1]], []):
+                payload = _payload(model)
+                payload["raw_counts"] = entries[:i] + edit + entries[i + 1 :]
+                if not any(len(g) == model.order for g, _ in payload["raw_counts"]):
+                    continue
+                edited = deserialize_model(_blob(payload))
+                assert dict(edited.raw_counts) != dict(model.raw_counts)
+                assert edited != model and model != edited
+
+    def test_pickles_after_every_query(self, model):
+        """A model that has answered every kind of query pickles, and the
+        copy equals it."""
+        model.count(("a",))
+        model.continuation_count(("a",))
+        model.prefix_type_count(("a",), 1)
+        model.suffix_type_count((), 1, at_least=True)
+        model.prob("b", ("a",))
+        model.sentence_logprob(("a", "c"))
+        dump_model(model)
+        assert model == deserialize_model(serialize_model(model))
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model and clone.prob("b", ("a",)) == model.prob("b", ("a",))
+
+    def test_deeply_nested_payload(self):
+        body = zlib.compress(b"[" * 100_000 + b"]" * 100_000)
+        blob = b"GLRM" + (1).to_bytes(2, "big") + len(body).to_bytes(8, "big")
+        with pytest.raises(ModelFormatError, match="cannot decode model payload"):
+            deserialize_model(blob + hashlib.sha256(body).digest() + body)
 
 
 def _payload(model):

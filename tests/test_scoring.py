@@ -645,7 +645,13 @@ class TestColumnarTrace:
         with pytest.raises(ContractError, match="must be a JSON object"):
             LambdaTrace.from_json(text)
 
-    @pytest.mark.parametrize("text", ["", "{", '{"token_scores": [}', "{} trailing"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "{", '{"token_scores": [}', "{} trailing",
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+        ],
+    )
     def test_invalid_json(self, text):
         with pytest.raises(ContractError, match="not valid JSON"):
             LambdaTrace.from_json(text)
