@@ -274,6 +274,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if args.out and args.calibration_out:
+        if Path(args.out).resolve() == Path(args.calibration_out).resolve():
+            raise UsageError(f"--out and --calibration-out name one file: {args.out!r}")
     _check_output(args.out)
     _check_output(args.calibration_out)
     train, test = _load_split(args)

@@ -15,32 +15,35 @@ distribution at every level sums to one. The recursion bottoms out in a
 uniform distribution over the vocabulary plus the end marker.
 
 Every probability comes from one array kernel, :func:`kneser_ney_probs`.
-Tokens are integer codes, and a :class:`GramIndex` gives each gram an
-integer id keyed by (id of its first n - 1 tokens, code of its last), one
-sorted key array per length, so each gram's context (``gram[:-1]``) and
-suffix (``gram[1:]``) are ids too. There is one indexer,
-:meth:`GramIndex.from_stream`, and one counter, :meth:`CountTable.from_stream`
-over a :func:`token_stream`. A :class:`CountTable` holds the counts of one or
-many models over one index. Continuation counts, context totals and
-count-of-count bins are ``bincount`` reductions over suffix and context ids,
-and all models are evaluated together as one models x positions array, in one
-walk up the levels that returns every requested order up to N: a lower order
-differs only in its top level's counts. The statistics are built only for the
-entries of the grams the queries reach: their contexts, the grams they read as
-numerators or as children of those contexts, and the extensions that make up
-those children's continuation counts. No other entry is read or computed.
+Sentences reach it coded (their codes end to end and their lengths, the
+packed ids of KenLM, Heafield 2011) by one coder, :func:`code_sentences`,
+one layout, :func:`token_stream`, one counter,
+:meth:`CountTable.from_sentences`, and one query, :func:`sentence_probs`.
+A :class:`GramIndex`, built by :meth:`GramIndex.from_stream`, gives each
+gram an integer id keyed by (id of its first n - 1 tokens, code of its
+last), one sorted key array per length, so each gram's context
+(``gram[:-1]``) and suffix (``gram[1:]``) are ids too. A :class:`CountTable`
+holds the counts of one or many models over one index. Continuation counts,
+context totals and count-of-count bins are ``bincount`` reductions over
+suffix and context ids, and all models are evaluated together as one models
+x positions array, in one walk up the levels that returns every requested
+order up to N: a lower order differs only in its top level's counts. The
+statistics are built only for the entries of the grams the queries reach:
+their contexts, the grams they read as numerators or as children of those
+contexts, and the extensions that make up those children's continuation
+counts. No other entry is read or computed.
 
 The scoring pipeline counts once per problem: it windows the known side and
 each distinct sampled reference sentence once, and each of the 1 + r models
 is the count of its sentences' gram ids. With constant discounts, at every
-order, the stream ends with the coded sentences it will score, and the
+order, the counted sentences end with the ones it will score, and the
 counter keeps only the grams the kernel reads for them (see
 :meth:`GramIndex.from_stream`), each with every window of it, so kept counts
 are full counts and the probabilities are those of the full table bit for
 bit; at the paper's defaults (order 10, 100 references) that is about a
 third of the entries. Modified discounts and :func:`train` count every
-window, as count-of-count statistics need: the stream they count ends with
-the training sentences. Ids are sorted by gram length, so
+window, as count-of-count statistics need: they count the training
+sentences alone. Ids are sorted by gram length, so
 a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
 what they read at any lower order. :func:`train` counts with one model, and
@@ -58,7 +61,7 @@ import math
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -211,22 +214,27 @@ def token_codes(vocab: Vocabulary) -> dict[str, int]:
 
 
 def code_sentences(
-    sentences: Iterable[Sequence[str]], codes: Mapping[str, int]
-) -> list[list[int]]:
-    """Code sentences with a model's token codes (see :func:`token_codes`).
+    sentences: Sequence[Sequence[str]], codes: Mapping[str, int], markers: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Code sentences with a model's token codes (see :func:`token_codes`):
+    every sentence's codes, end to end, in the narrowest unsigned dtype that
+    holds the codes, and each sentence's length.
 
     Tokens outside the vocabulary are coded as the unknown token, and so are
-    the begin and end markers wherever a sentence holds them.
+    the begin and end markers wherever a sentence holds them, unless
+    ``markers`` is set: then they keep their codes, as in a gram.
     """
     unk = codes[UNK]
-    lookup = {**codes, BOS: unk, EOS: unk}
-    return [[lookup.get(t, unk) for t in sent] for sent in sentences]
+    lookup = codes if markers else {**codes, BOS: unk, EOS: unk}
+    flat = map(lookup.get, chain.from_iterable(sentences), repeat(unk))
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    return np.fromiter(flat, np.min_scalar_type(len(codes) - 1)), lengths
 
 
 def token_stream(
-    sentences: Sequence[Sequence[int]], width: int
+    flat: np.ndarray, lengths: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate coded sentences into one padded stream.
+    """Lay coded sentences out as one padded stream, in ``flat``'s dtype.
 
     Each sentence becomes its begin marker, its tokens and its end marker.
     Returns the token codes, each position's predecessor (a sentence's
@@ -234,25 +242,16 @@ def token_stream(
     the gram of length n ending there is n begin markers), and the position
     at which each sentence starts.
     """
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
-    tokens, starts = padded(flat, lengths, width)
+    ends = np.cumsum(lengths + 2)
+    starts = ends - lengths - 2
+    tokens = np.full(len(flat) + 2 * len(lengths), width - 1, dtype=flat.dtype)
+    tokens[starts] = width - 2
+    inner = np.ones(len(tokens), dtype=bool)
+    inner[starts] = inner[ends - 1] = False
+    tokens[inner] = flat
     prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
     prev[starts] = starts
     return tokens, prev, starts
-
-
-def padded(flat: np.ndarray, lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tokens of :func:`token_stream`, in ``flat``'s dtype, of the
-    sentences whose codes ``flat`` concatenates; and the sentence starts."""
-    ends = np.cumsum(lengths + 2)
-    starts = ends - lengths - 2
-    stream = np.full(len(flat) + 2 * len(lengths), width - 1, dtype=flat.dtype)
-    stream[starts] = width - 2
-    inner = np.ones(len(stream), dtype=bool)
-    inner[starts] = inner[ends - 1] = False
-    stream[inner] = flat
-    return stream, starts
 
 
 def ranges(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -445,38 +444,29 @@ class CountTable:
     @classmethod
     def from_sentences(
         cls,
-        sentences: Sequence[Sequence[int]],
+        flat: np.ndarray,
+        lengths: np.ndarray,
         models: Sequence[Sequence[int]],
         order: int,
         width: int,
-        queries: Optional[Sequence[Sequence[int]]] = None,
+        queries: int = 0,
     ) -> "CountTable":
-        """:meth:`from_stream` over the :func:`token_stream` of coded
-        sentences, followed by that of the ``queries`` when given."""
-        tokens, prev, starts = token_stream([*sentences, *(queries or ())], width)
-        bounds = np.append(starts, len(tokens))[: len(sentences) + 1]
-        return cls.from_stream(tokens, prev, bounds, models, order, width)
-
-    @classmethod
-    def from_stream(
-        cls, tokens: np.ndarray, prev: np.ndarray, bounds: np.ndarray,
-        models: Sequence[Sequence[int]], order: int, width: int,
-    ) -> "CountTable":
-        """Count several models over one index of a :func:`token_stream`
-        whose training sentence i spans ``bounds[i]:bounds[i + 1]``.
+        """Count several models over one index of coded sentences (see
+        :func:`code_sentences`), laid out by :func:`token_stream`.
 
         ``models[m]`` lists the numbers of model m's training sentences,
         repeats allowed. Each sentence is windowed once, however many models
         train on it; a model's counts are the counts of its sentences' gram
-        ids. Where the stream runs past ``bounds[-1]``, the rest holds the
-        sentences that will be scored, and only the grams
+        ids. The last ``queries`` sentences are the ones that will be
+        scored, which no model trains on: only the grams
         :func:`kneser_ney_probs` reads for them are indexed and counted (see
         :meth:`GramIndex.from_stream`), each with its full count, so their
         probabilities at this order or any lower one are exactly those of
         the full table, but count-of-count statistics are not.
         """
-        end = int(bounds[-1])
-        queried_from = end if end < len(tokens) else None
+        tokens, prev, starts = token_stream(flat, lengths, width)
+        bounds = np.append(starts, len(tokens))
+        queried_from = int(bounds[len(lengths) - queries]) if queries else None
         index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
         spans = np.diff(bounds)[rows]
@@ -484,7 +474,7 @@ class CountTable:
         model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
         n_models = len(models)
         windows = (ids[:, positions] * n_models + model_of).reshape(-1)
-        if queried_from is not None:
+        if queries:
             windows = windows[windows < index.missing * n_models]  # not dropped
         keys, counts = np.unique(
             np.concatenate([np.arange(n_models), windows]), return_counts=True
@@ -502,9 +492,8 @@ class CountTable:
         suffixes are indexed with it, with count 0 where the table does not
         count them.
         """
-        lengths = np.array([len(g) for g in raw], dtype=np.int64)
+        tokens, lengths = code_sentences(list(raw), codes, markers=True)
         ends = np.cumsum(lengths)
-        tokens = np.array([codes[t] for g in raw for t in g], dtype=np.int64)
         prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
         prev[ends - lengths] = -1
         index, ids = GramIndex.from_stream(tokens, prev, order, len(codes))
@@ -781,8 +770,7 @@ class GrammarModel:
 
     def _coded(self, gram: Sequence[str]) -> list[int]:
         """Token codes; a token outside the vocabulary is the unknown token."""
-        unk = self._codes[UNK]
-        return [self._codes.get(t, unk) for t in gram]
+        return code_sentences([gram], self._codes, markers=True)[0].tolist()
 
     def count(self, gram: Sequence[str]) -> int:
         """Raw count of a gram (1 <= length <= order) under padded counting."""
@@ -836,7 +824,7 @@ class GrammarModel:
             raise ValueError(f"gram length must be <= {self.order - 1}")
         counts, tokens = self._extensions(gram, left)
         # t is never the end marker on the left or the begin marker on the right.
-        excluded = self._codes[EOS if left else BOS]
+        (excluded,) = self._coded([EOS if left else BOS])
         return sum(c >= r if at_least else c == r for c, t in zip(counts, tokens) if t != excluded)
 
     # ------------------------------------------------------------------
@@ -853,8 +841,9 @@ class GrammarModel:
         """
         if token == BOS:
             raise ValueError("the begin marker has no conditional probability")
-        # The last order - 1 tokens of the context: none at order 1.
-        ctx = tuple(self._coded(context[max(len(context) - self.order + 1, 0) :]))
+        # The last order - 1 tokens of the context (none at order 1), then the token.
+        *ctx, code = self._coded([*context[max(len(context) - self.order + 1, 0) :], token])
+        ctx = tuple(ctx)
         dist = self._distributions.get(ctx)
         if dist is None:
             # Every token code follows the last context token.
@@ -867,7 +856,7 @@ class GrammarModel:
             if len(self._distributions) >= _KEPT_DISTRIBUTIONS:
                 self._distributions.clear()
             self._distributions[ctx] = dist
-        return dist[self._coded([token])[0]]
+        return dist[code]
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
@@ -876,7 +865,7 @@ class GrammarModel:
         """Probabilities of every token and end marker of sentences, in order,
         with tokens outside the vocabulary mapped to the unknown token."""
         coded = code_sentences(sentences, self._codes)
-        return sentence_probs(self.table, [self.discounts], coded)[0]
+        return sentence_probs(self.table, [self.discounts], *coded)[0]
 
     def sentence_logprob(self, sentence: Sequence[str]) -> float:
         """Log probability of a sentence including its end-marker transition."""
@@ -908,14 +897,19 @@ class GrammarModel:
 def sentence_probs(
     table: CountTable,
     discounts: Sequence[DiscountSchedule],
-    sentences: Sequence[Sequence[int]],
+    flat: np.ndarray,
+    lengths: np.ndarray,
+    orders: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Probabilities of every token and end marker of coded sentences, in
-    order, under every model of a table: shape (models, positions)."""
-    tokens, prev, starts = token_stream(sentences, table.index.width)
+    """Probabilities of every token and end marker of coded sentences (see
+    :func:`code_sentences`), in order, under every model of a table: shape
+    (models, positions), or (orders, models, positions) for a list of
+    ``orders``, as :func:`kneser_ney_probs` takes them."""
+    tokens, prev, starts = token_stream(flat, lengths, table.index.width)
     scored = np.ones(len(tokens), dtype=bool)
     scored[starts] = False
-    return kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored))[0]
+    probs = kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored), orders)
+    return probs[0] if orders is None else probs
 
 
 def train(
@@ -929,7 +923,7 @@ def train(
     Tokens outside ``vocab`` are replaced by the unknown token before
     counting; with no vocabulary given, one is built from the sentences
     themselves. The sentences are counted as one model of
-    :meth:`CountTable.from_stream`, and the model keeps that table.
+    :meth:`CountTable.from_sentences`, and the model keeps that table.
     Requires at least one non-empty sentence.
     """
     if order < 1:
@@ -944,7 +938,7 @@ def train(
         vocab = Vocabulary.from_sentences(sents)
     codes = token_codes(vocab)
     table = CountTable.from_sentences(
-        code_sentences(sents, codes), [range(len(sents))], order, len(codes)
+        *code_sentences(sents, codes), [range(len(sents))], order, len(codes)
     )
     return GrammarModel(
         order, vocab, discounts or DiscountSchedule.constant(), len(sents), table

@@ -148,36 +148,24 @@ def _report(
     test_scores: Sequence[float],
 ) -> EvaluationResult:
     """Apply a fitted calibration to both splits' scores and report."""
-    test_labels = test.labels
-    test_log_lrs = [calibration.apply(s) for s in test_scores]
-    report = build_metrics_report(test_log_lrs, test_labels)
-    raw_same = [s for s, lab in zip(test_scores, test_labels) if lab == "Y"]
-    raw_diff = [s for s, lab in zip(test_scores, test_labels) if lab == "N"]
-    cllr_raw = cllr_from_log_lrs(raw_same, raw_diff)
 
     def rows(corpus: Corpus, scores: Sequence[float]) -> tuple[ProblemResult, ...]:
-        out = []
-        for p, s in zip(corpus.problems, scores):
-            lr = calibration.apply(s)
-            out.append(
-                ProblemResult(
-                    problem_id=p.id,
-                    label=p.label,
-                    score=s,
-                    log_lr=lr,
-                    decision=decide(lr),
-                )
-            )
-        return tuple(out)
+        log_lrs = map(calibration.apply, scores)
+        return tuple(
+            ProblemResult(p.id, p.label, s, lr, decide(lr))
+            for p, s, lr in zip(corpus.problems, scores, log_lrs)
+        )
 
-    train_results = rows(train, train_scores)
     test_results = rows(test, test_scores)
+    report = build_metrics_report([r.log_lr for r in test_results], test.labels)
+    raw_same = [s for s, lab in zip(test_scores, test.labels) if lab == "Y"]
+    raw_diff = [s for s, lab in zip(test_scores, test.labels) if lab == "N"]
     return EvaluationResult(
         config=config,
         calibration=calibration,
         report=report,
-        cllr_raw=cllr_raw,
-        train_results=train_results,
+        cllr_raw=cllr_from_log_lrs(raw_same, raw_diff),
+        train_results=rows(train, train_scores),
         test_results=test_results,
     )
 

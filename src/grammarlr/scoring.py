@@ -21,8 +21,10 @@ known-author training set so the comparison is like-for-like. All 1 + r
 models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
 ``ngram``; models trained apart are each scored on their own count table
-and their rows stacked into the same matrix. A reference pool is coded once
-into an int stream that each problem gathers its samples from, and a problem
+and their rows stacked into the same matrix. Scoring hands ``ngram`` only
+coded sentences: a reference pool is coded once, and each problem gathers
+its samples' codes from it, codes its two sides, counts them with
+``CountTable.from_sentences`` and queries ``sentence_probs``. A problem
 scored for several reference counts and orders is counted once, at the
 largest of each, and scored by one kernel call per discount list.
 
@@ -54,11 +56,9 @@ from .ngram import (
     GrammarModel,
     Vocabulary,
     code_sentences,
-    kneser_ney_probs,
-    padded,
     ranges,
+    sentence_probs,
     token_codes,
-    token_stream,
 )
 
 SAMPLING_MODES = ("without_replacement", "with_replacement")
@@ -134,9 +134,10 @@ class LambdaTrace:
     Python float scores; it is built on first access and then kept.
 
     ``total`` equals the sum of ``sentence_scores`` equals the sum of token
-    scores (checked at construction to a 1e-9 absolute tolerance). ``seed``
-    is the effective sampling seed actually used, which for problem-level
-    runs is derived from the config seed and the problem id.
+    scores, all finite (checked at construction to a 1e-9 absolute
+    tolerance). ``seed`` is the effective sampling seed actually used, which
+    for problem-level runs is derived from the config seed and the problem
+    id.
 
     The constructor takes the columns and the sentence scores;
     ``from_columns`` sums the sentences itself. ``from_json`` reads the
@@ -170,11 +171,14 @@ class LambdaTrace:
         vars(self).update(
             scores=scores, tokens=tokens, bounds=bounds, sentence_scores=sentence_scores
         )
-        by_tokens = math.fsum(scores.tolist())
-        by_sentences = math.fsum(sentence_scores)
-        if abs(by_tokens - self.total) > 1e-9 or abs(by_sentences - self.total) > 1e-9:
+        try:  # fsum raises on inf - inf, and where finite parts overflow
+            sums = (math.fsum(scores.tolist()), math.fsum(sentence_scores))
+        except (ValueError, OverflowError):
+            sums = (math.nan,)
+        # A finite total within 1e-9 of each sum: no NaN or infinity passes.
+        if not (math.isfinite(self.total) and all(abs(x - self.total) <= 1e-9 for x in sums)):
             raise ContractError(
-                "trace total does not decompose into sentence and token sums"
+                "trace total does not decompose into finite sentence and token sums"
             )
 
     @classmethod
@@ -478,24 +482,21 @@ def _doc_sentences(docs: Sequence[Document]) -> list[Sentence]:
 @dataclass(frozen=True)
 class _Pool:
     """What every problem scored against one reference pool shares: its
-    vocabulary and token codes, and its sentences as the tokens of one
-    ``ngram.token_stream`` in the narrowest dtype that holds the codes."""
+    vocabulary and token codes, and its sentences' codes end to end, from
+    ``ngram.code_sentences``, with each sentence's offset (plus the end)."""
 
     vocab: Vocabulary
     codes: dict[str, int]
-    stream: np.ndarray
-    bounds: np.ndarray
+    flat: np.ndarray
+    offsets: np.ndarray
 
     @classmethod
     def of(cls, reference_docs: Sequence[Document]) -> "_Pool":
         sentences = _doc_sentences(reference_docs)
         vocab = Vocabulary.from_sentences(sentences)
         codes = token_codes(vocab)
-        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-        dtype = np.min_scalar_type(len(codes) - 1)
-        flat = np.fromiter(map(codes.__getitem__, chain.from_iterable(sentences)), dtype)
-        stream, starts = padded(flat, lengths, len(codes))
-        return cls(vocab, codes, stream, np.append(starts, len(stream)))
+        flat, lengths = code_sentences(sentences, codes)
+        return cls(vocab, codes, flat, np.append(0, np.cumsum(lengths)))
 
 
 def _score_problem(
@@ -519,7 +520,7 @@ def _score_problem(
         raise ValueError("configs scored together may differ only in refs and order")
     known = _doc_sentences(problem.known_docs)
     unknown = _doc_sentences(problem.unknown_docs)
-    pool_size = len(pool.bounds) - 1
+    pool_size = len(pool.offsets) - 1
     if not known:
         raise DataError(f"problem {problem.id!r}: no known-author sentences")
     if not unknown:
@@ -534,34 +535,26 @@ def _score_problem(
     samples = _sample_indices(
         pool_size, len(known), max(c.refs for c in configs), seed, first.sampling
     )
-    # One stream for all 1 + r models: each distinct sampled pool sentence,
-    # gathered from the pool's stream (its codes remapped where the known
-    # side adds tokens), then the known side and the unknown document.
+    # The models train on the known side and each distinct drawn pool
+    # sentence, gathered from the pool's codes (re-coded where the known side
+    # adds tokens: the pool's codes number its sorted vocabulary).
     drawn = np.unique(samples)
-    codes, lengths = pool.codes, np.diff(pool.bounds)[drawn]
-    drawn_tokens = pool.stream[ranges(pool.bounds[drawn], lengths)]
+    codes, lengths = pool.codes, np.diff(pool.offsets)[drawn]
+    drawn_flat = pool.flat[ranges(pool.offsets[drawn], lengths)]
     if extra := set(chain.from_iterable(known)).difference(codes):
         codes = token_codes(Vocabulary(pool.vocab.items | extra))
-        drawn_tokens = np.array([codes[tok] for tok in pool.codes])[drawn_tokens]
-    coded, _, coded_starts = token_stream(code_sentences([*known, *unknown], codes), len(codes))
-    tokens = np.concatenate([drawn_tokens, coded])
-    starts = np.concatenate([np.cumsum(lengths) - lengths, len(drawn_tokens) + coded_starts])
-    prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
-    prev[starts] = starts
-    trained = len(drawn) + len(known)
-    q = starts[trained]
+        drawn_flat = code_sentences([pool.vocab.sorted_items()], codes)[0][drawn_flat]
+    query = code_sentences(unknown, codes)
     # Only the grams the unknown document can read are counted, except in
     # modified mode: its discounts need every top-order window, so the
     # counter does not see the document.
-    counted = len(tokens) if first.discount_mode == "constant" else q
+    queries = len(unknown) if first.discount_mode == "constant" else 0
+    sides = [(drawn_flat, lengths), code_sentences(known, codes), query][: 3 if queries else 2]
+    models = [range(len(drawn), len(drawn) + len(known)), *np.searchsorted(drawn, samples)]
     top = max(c.order for c in configs)
-    models = [range(len(drawn), trained), *np.searchsorted(drawn, samples)]
-    table = CountTable.from_stream(
-        tokens[:counted], prev[:counted], starts[: trained + 1], models, top, len(codes)
+    table = CountTable.from_sentences(
+        *map(np.concatenate, zip(*sides)), models, top, len(codes), queries
     )
-    scored = np.ones(len(tokens) - q, dtype=bool)
-    scored[starts[trained:] - q] = False
-    query = (tokens[q:], prev[q:] - q, np.flatnonzero(scored))
     logs, groups = {}, {}  # groups: the orders of each discount list
     for order in sorted({c.order for c in configs}):
         if first.discount_mode == "modified":
@@ -573,7 +566,7 @@ def _score_problem(
             discounts = (DiscountSchedule.constant(first.discount),) * table.n_models
         groups.setdefault(discounts, []).append(order)
     for discounts, orders in groups.items():
-        probs = kneser_ney_probs(table.truncated(orders[-1]), discounts, *query, orders=orders)
+        probs = sentence_probs(table.truncated(orders[-1]), discounts, *query, orders=orders)
         logs.update(zip(orders, map(_log_probs, probs)))
     layout = _layout(unknown)
     return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]
@@ -590,7 +583,7 @@ def verify_problem(
     The problem and the reference pool, which may repeat ids or hold the
     problem's own documents, are masked by ``masking.mask_problems`` on
     every call (with the bundled lexicon unless another is given). The
-    pool's vocabulary, its token codes and its coded stream are built on
+    pool's vocabulary, its token codes and its coded sentences are built on
     every call too. ``score_corpus`` masks a whole corpus and builds these
     once, then scores each problem, so prefer it for many problems. One
     vocabulary, the pool's tokens plus the known side's, is shared by every
@@ -618,7 +611,7 @@ def score_corpus(
     is given), so each tagged document is masked once per call, not once
     per problem. A malformed tagged document therefore fails before the
     first problem is scored. The pool's vocabulary, its token codes and its
-    coded stream are likewise built once per call, in this process. Each
+    coded sentences are likewise built once per call, in this process. Each
     trace equals that of ``verify_problem`` on the same problem. To score
     many problems against one pool, call this (or ``evaluate_corpus``)
     rather than ``verify_problem`` in a loop.

@@ -1,10 +1,16 @@
 import errno
+import io
 import json
 import math
 import multiprocessing
 import os
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grammarlr import cli, protocol, scoring
 from grammarlr.calibration import CalibrationModel
@@ -265,6 +271,25 @@ class TestEvaluate:
         capsys.readouterr()
         assert run(["evaluate", corpus_dir] + FAST_MODEL) == 4
         assert capsys.readouterr().err == "internal contract violation: a precondition failed\n"
+
+    def test_one_file_for_results_and_calibration_exit_2(
+        self, corpus_dir, tmp_path, monkeypatch, capsys
+    ):
+        """``--out`` and ``--calibration-out`` naming one file, however the
+        two are spelled, is a usage error found before any input is read:
+        the results would overwrite the calibration."""
+
+        def reached(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_corpus", reached)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        argv = ["evaluate", corpus_dir, "--out", "x.json", "--calibration-out", "./x.json"]
+        assert run(argv + FAST_MODEL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -542,3 +567,97 @@ class TestLogging:
             == 0
         )
         assert (out / "train.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def base_corpus(tmp_path_factory):
+    """One synthetic corpus directory, copied afresh for every fault."""
+    out = tmp_path_factory.mktemp("base") / "corpus"
+    argv = ["synth", "--out", out, "--authors", "6", "--sentences-per-doc", "8", "--ref-docs", "2"]
+    assert run(argv) == 0
+    return out
+
+
+# Each fault class: the commands it applies to and its documented exit code.
+FAULTS = {
+    "bad flag": (("verify", "evaluate", "sweep"), 2),
+    "unreadable or malformed file": (("verify", "evaluate", "sweep"), 3),
+    "labels of one class": (("evaluate", "sweep"), 3),
+    "missing pool": (("verify", "evaluate", "sweep"), 3),
+    "bad lexicon": (("verify", "evaluate", "sweep"), 3),
+    "unwritable output": (("verify", "evaluate", "sweep"), 2),
+}
+
+
+def _faulty_argv(data, fault, command, corpus):
+    """Break the copied corpus or the command line as ``fault`` says, and
+    return the command line."""
+    test = corpus / "test.jsonl"
+    first_id = json.loads(test.read_text(encoding="utf-8").splitlines()[0])["id"]
+    argv = {
+        "verify": ["verify", test, "--problem", first_id],
+        "evaluate": ["evaluate", corpus],
+        "sweep": ["sweep", corpus, "--r-grid", "2", "--n-grid", "2"],
+    }[command] + FAST_MODEL
+    split = corpus / data.draw(st.sampled_from(["test.jsonl"] if command == "verify"
+                                               else ["train.jsonl", "test.jsonl"]))
+    if fault == "bad flag":
+        flags = [["--order", "0"], ["--refs", "0"], ["--discount", "1.5"]]
+        if command != "verify":
+            flags.append(["--parallel", "0"])
+        argv += data.draw(st.sampled_from(flags))
+    elif fault == "unreadable or malformed file":
+        how = data.draw(st.sampled_from(["missing", "not utf-8", "bad json", "bad field"]))
+        if how == "missing":
+            split.unlink()
+        elif how == "not utf-8":
+            split.write_bytes(b"\xff\xfe{}\n")
+        else:
+            line = "{not json" if how == "bad json" else json.dumps({"id": "x", "known": 1})
+            with split.open("a", encoding="utf-8") as f:
+                f.write(line + "\n")
+    elif fault == "labels of one class":
+        label = data.draw(st.sampled_from(["Y", "N"]))
+        rows = [json.loads(line) for line in split.read_text(encoding="utf-8").splitlines()]
+        split.write_text("".join(json.dumps({**r, "label": label}) + "\n" for r in rows))
+    elif fault == "missing pool":
+        refs = corpus / "refs.jsonl"
+        if data.draw(st.booleans()):
+            refs.unlink()
+        else:
+            refs.write_text("", encoding="utf-8")
+    elif fault == "bad lexicon":
+        lexicon = corpus / "lexicon.txt"
+        content = data.draw(st.sampled_from([None, b"\xff\xfe[retain]\n", b"the\n"]))
+        if content is not None:
+            lexicon.write_bytes(content)
+        argv += ["--lexicon", lexicon]
+    else:
+        blocker = corpus / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        argv += ["--out", blocker if command == "verify" else blocker / "out"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), fault=st.sampled_from(sorted(FAULTS)))
+def test_every_fault_class_exits_with_its_code(base_corpus, data, fault):
+    """A drawn fault of each class ends with its documented exit code and
+    one line on stderr, never a traceback, and before any problem is
+    scored."""
+    commands, code = FAULTS[fault]
+    command = data.draw(st.sampled_from(commands))
+    calls = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(base_corpus, corpus)
+        argv = _faulty_argv(data, fault, command, corpus)
+        patch.setattr(scoring, "sentence_probs", lambda *args, **kwargs: calls.append(args))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert run(argv) == code
+    err = err.getvalue()
+    assert err.startswith("usage error: " if code == 2 else "error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert calls == []

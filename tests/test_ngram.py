@@ -50,6 +50,15 @@ from grammarlr.synth import synth_corpus
 ALPHABET = ("a", "b", "c", "d", "e")
 
 
+def coded(sentences):
+    """Sentences of integer codes as coded sentences: their codes end to
+    end and their lengths."""
+    return (
+        np.array([c for sent in sentences for c in sent], dtype=np.int64),
+        np.array([len(sent) for sent in sentences], dtype=np.int64),
+    )
+
+
 def random_sentences(rng, max_sents=6, max_len=7, alphabet=ALPHABET):
     return [
         tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, max_len + 1)))
@@ -618,8 +627,8 @@ class TestTruncatedTable:
     def test_equals_counting_at_the_lower_order(self, counted, orders):
         sentences, models = counted
         low, high = sorted(orders)
-        cut = CountTable.from_sentences(sentences, models, high, 6).truncated(low)
-        direct = CountTable.from_sentences(sentences, models, low, 6)
+        cut = CountTable.from_sentences(*coded(sentences), models, high, 6).truncated(low)
+        direct = CountTable.from_sentences(*coded(sentences), models, low, 6)
         assert cut.index.order == direct.index.order == low
         for got, want in zip(cut.index.keys, direct.index.keys, strict=True):
             assert np.array_equal(got, want)
@@ -631,7 +640,7 @@ class TestTruncatedTable:
         assert cut.count_of_counts() == direct.count_of_counts()
 
     def test_own_order_is_the_table_and_others_are_rejected(self):
-        table = CountTable.from_sentences([[0, 1, 2]], [[0]], 3, 6)
+        table = CountTable.from_sentences(*coded([[0, 1, 2]]), [[0]], 3, 6)
         assert table.truncated(3) is table
         for order in (0, 4):
             with pytest.raises(ValueError, match="order"):
@@ -652,7 +661,7 @@ def scored_tables(draw):
     that models share schedules or mix the two modes."""
     sentences, models = draw(counted_models())
     order = draw(st.integers(1, 6))
-    table = CountTable.from_sentences(sentences, models, order, 6).truncated(
+    table = CountTable.from_sentences(*coded(sentences), models, order, 6).truncated(
         draw(st.integers(1, order))
     )
     pool = draw(st.lists(discount_schedules, min_size=1, max_size=3))
@@ -672,10 +681,10 @@ class TestDemandDrivenKernel:
     )
     def test_sentence_streams(self, scored, queries):
         table, discounts = scored
-        tokens, prev, starts = token_stream(queries, 6)
+        tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
-        got = sentence_probs(table, discounts, queries)
+        got = sentence_probs(table, discounts, *coded(queries))
         assert got.shape == (table.n_models, len(positions))
         assert np.array_equal(got, want)
 
@@ -729,26 +738,29 @@ class TestDemandDrivenKernel:
         whole-table kernel on the table that counts every window. In
         constant mode the counter keeps only what those queries read."""
         corpus = synth_corpus(seed=3, authors=5, sentences_per_doc=12)
-        count, kernel = CountTable.from_stream.__func__, scoring.kneser_ney_probs
+        count, query = CountTable.from_sentences.__func__, scoring.sentence_probs
         counted, same = [], []
 
-        def counting(cls, tokens, prev, bounds, models, order, width):
-            table = count(cls, tokens, prev, bounds, models, order, width)
-            # The training sentences, each without its begin and end marker.
-            sentences = [tokens[a + 1 : b - 1].tolist() for a, b in pairwise(bounds.tolist())]
+        def counting(cls, flat, lengths, models, order, width, queries=0):
+            table = count(cls, flat, lengths, models, order, width, queries)
+            # The training sentences: all but the last ``queries``.
+            ends = np.cumsum(lengths).tolist()[: len(lengths) - queries]
+            sentences = [flat[a:b].tolist() for a, b in pairwise([0, *ends])]
             counted.append((table, oracle_count_table(sentences, models, order, width)))
             return table
 
-        def checked(table, discounts, tokens, prev, positions, orders=None):
-            got = kernel(table, discounts, tokens, prev, positions, orders=orders)
+        def checked(table, discounts, flat, lengths, orders=None):
+            got = query(table, discounts, flat, lengths, orders=orders)
+            tokens, prev, starts = token_stream(flat, lengths, table.index.width)
+            positions = np.setdiff1d(np.arange(len(tokens)), starts)
             for order, probs in zip(orders or [table.index.order], got, strict=True):
                 full = counted[-1][1].truncated(order)
                 want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
                 same.append(np.array_equal(probs, want))
             return got
 
-        monkeypatch.setattr(CountTable, "from_stream", classmethod(counting))
-        monkeypatch.setattr(scoring, "kneser_ney_probs", checked)
+        monkeypatch.setattr(CountTable, "from_sentences", classmethod(counting))
+        monkeypatch.setattr(scoring, "sentence_probs", checked)
         config = LambdaConfig(order=10, refs=100, discount_mode=mode)
         verify_problem(corpus.problems[0], corpus.reference_docs, config)
         assert same and all(same)
@@ -769,9 +781,9 @@ class TestDemandDrivenKernel:
         models = [rng.integers(0, 40, rng.integers(1, 6)).tolist() for _ in range(n_models)]
         pool = [DiscountSchedule.constant(0.6), DiscountSchedule.modified(0.4, 0.7, 0.9)]
         discounts = [pool[m % 2] for m in range(n_models)]
-        table = CountTable.from_sentences(sentences, models, 4, 6)
+        table = CountTable.from_sentences(*coded(sentences), models, 4, 6)
         queries = [rng.integers(0, 4, 9).tolist() for _ in range(3)]
-        tokens, prev, starts = token_stream(queries, 6)
+        tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=[2, 4])
         for order, probs in zip([2, 4], got, strict=True):
@@ -792,7 +804,7 @@ class TestDemandDrivenKernel:
         schedule = random_schedule(rng)
         model = train(sentences, order=4, discounts=schedule)
         assert len(model.table.index.keys[2]) > 0  # some entries are not reached
-        coded = [[token_codes(model.vocab)[t] for t in s] for s in sentences]
+        training = [[token_codes(model.vocab)[t] for t in s] for s in sentences]
         token = rng.randrange(len(model.vocab))
         tokens, prev, positions = np.array([token]), np.array([-1]), np.array([0])
         want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
@@ -800,8 +812,10 @@ class TestDemandDrivenKernel:
         assert np.array_equal(got, want)
 
         width = model.table.index.width
-        kept = CountTable.from_sentences(coded, [range(len(coded))], 4, width, queries=[[token]])
-        tokens, prev, starts = token_stream([[token]], width)
+        kept = CountTable.from_sentences(
+            *coded([*training, [token]]), [range(len(training))], 4, width, queries=1
+        )
+        tokens, prev, starts = token_stream(*coded([[token]]), width)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
         got = kneser_ney_probs(kept, [schedule], tokens, prev, positions)[0]
@@ -822,7 +836,7 @@ class TestKernelOrders:
         table, discounts = scored
         top = table.index.order
         orders = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=top, unique=True))
-        tokens, prev, starts = token_stream(queries, 6)
+        tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=orders)
         assert got.shape == (len(orders), table.n_models, len(positions))
@@ -832,8 +846,8 @@ class TestKernelOrders:
             assert np.array_equal(probs, want), order
 
     def test_orders_outside_the_table_are_rejected(self):
-        table = CountTable.from_sentences([[0, 1, 2]], [[0]], 3, 6)
-        tokens, prev, _ = token_stream([[0, 1]], 6)
+        table = CountTable.from_sentences(*coded([[0, 1, 2]]), [[0]], 3, 6)
+        tokens, prev, _ = token_stream(*coded([[0, 1]]), 6)
         for orders in ([], [0], [4], [2, 4]):
             with pytest.raises(ValueError, match="orders"):
                 kneser_ney_probs(
@@ -877,7 +891,7 @@ class TestQueryFilteredCounting:
     @given(counted=counted_models(), order=st.integers(1, 6))
     def test_without_queries_every_window_is_counted(self, counted, order):
         sentences, models = counted
-        got = CountTable.from_sentences(sentences, models, order, 6)
+        got = CountTable.from_sentences(*coded(sentences), models, order, 6)
         want = oracle_count_table(sentences, models, order, 6)
         for got_keys, want_keys in zip(got.index.keys, want.index.keys, strict=True):
             assert np.array_equal(got_keys, want_keys)
@@ -897,14 +911,16 @@ class TestQueryFilteredCounting:
     ):
         sentences, models = counted
         low = data.draw(st.one_of(st.none(), st.integers(1, order)))
-        table = CountTable.from_sentences(sentences, models, order, 6, queries=queries)
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries]), models, order, 6, queries=len(queries)
+        )
         full = oracle_count_table(sentences, models, order, 6)
         if low is not None:
             table, full = table.truncated(low), full.truncated(low)
         pool = data.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
         discounts = [DiscountSchedule.constant(data.draw(st.sampled_from(pool))) for _ in models]
 
-        tokens, prev, starts = token_stream(queries, 6)
+        tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         got = kneser_ney_probs(table, discounts, tokens, prev, positions)[0]
         want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)

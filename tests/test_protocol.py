@@ -304,13 +304,13 @@ class TestSweep:
 
     def test_invalid_cell_fails_before_any_scoring(self, corpora, config, monkeypatch):
         calls = []
-        real = scoring.kneser_ney_probs
+        real = scoring.sentence_probs
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scoring, "kneser_ney_probs", spy)
+        monkeypatch.setattr(scoring, "sentence_probs", spy)
         train, test = corpora
         with pytest.raises(ValueError, match="refs"):
             sweep_grid(train, test, config, ref_counts=[3, 0], orders=[2])

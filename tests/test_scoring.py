@@ -24,11 +24,9 @@ from grammarlr.ngram import (
     CountTable,
     DiscountSchedule,
     Vocabulary,
-    code_sentences,
     deserialize_model,
     serialize_model,
     token_codes,
-    token_stream,
     train,
     train_with_estimated_discounts,
 )
@@ -297,17 +295,43 @@ class TestLambdaDocument:
         assert clone == trace
 
     def test_trace_decomposition_enforced(self):
+        """A total that is not the sum of its parts fails, and so does any
+        NaN or infinity, read back from JSON too: no sum holds for them."""
         cfg = LambdaConfig(order=1, refs=1)
-        with pytest.raises(ContractError, match="decompose"):
-            LambdaTrace(
-                scores=np.array([1.0]),
-                tokens=("a",),
-                bounds=(0, 1),
-                sentence_scores=(1.0,),
-                total=2.0,
-                config=cfg,
-                seed=0,
-            )
+        nan, inf, big = math.nan, math.inf, 1e308
+        cases = [  # (token scores, sentence score, total)
+            ([1.0], 1.0, 2.0),
+            ([5.0], nan, 5.0),
+            ([nan], 5.0, 5.0),
+            ([5.0], 5.0, nan),
+            ([nan], nan, nan),
+            ([inf], inf, inf),
+            ([-inf], -inf, -inf),
+            ([inf], 5.0, 5.0),
+            ([inf, -inf], 0.0, 0.0),
+            ([big, big], 1.0, 1.0),  # finite scores whose sum overflows
+        ]
+        for scores, sentence_score, total in cases:
+            with pytest.raises(ContractError, match="decompose"):
+                LambdaTrace(
+                    scores=np.array(scores),
+                    tokens=("a",) * len(scores),
+                    bounds=(0, len(scores)),
+                    sentence_scores=(sentence_score,),
+                    total=total,
+                    config=cfg,
+                    seed=0,
+                )
+            text = json.dumps({
+                "config": cfg.to_json_dict(), "seed": 0, "total": total,
+                "sentence_scores": [sentence_score],
+                "token_scores": [
+                    {"token": "a", "sentence_index": 0, "position": i + 1, "lambda": score}
+                    for i, score in enumerate(scores)
+                ],
+            })
+            with pytest.raises(ContractError, match="decompose"):
+                LambdaTrace.from_json(text)
 
 
 # Summands that stress an exactly rounded sum: any magnitude from subnormal
@@ -915,11 +939,21 @@ class TestCountOncePath:
             assert expected.total == pytest.approx(total, abs=1e-9)
 
 
+def coded_sentences(sentences, codes):
+    """The codes of token sentences end to end, a token outside ``codes``
+    coded as the unknown token, and the sentences' lengths."""
+    return (
+        np.array([codes.get(t, codes[UNK]) for sent in sentences for t in sent]),
+        np.array([len(sent) for sent in sentences]),
+    )
+
+
 class TestGatheredStream:
-    """A problem's counting stream, gathered from the pool's coded stream,
-    is the ``token_stream`` of its coded sentences (the distinct drawn pool
-    sentences, the known side, the unknown document), and it counts and
-    queries exactly as the coded sentences do."""
+    """A problem's counted sentences, gathered from the pool's codes, are
+    the coded sentences the counter is handed: the distinct drawn pool
+    sentences, the known side and, where constant mode counts for it, the
+    unknown document as the queries; and the document is queried as its
+    coded sentences."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -958,19 +992,19 @@ class TestGatheredStream:
             order=order, refs=refs, seed=seed, discount_mode=discount_mode, sampling=sampling
         )
         counted, queried = [], []
-        count, kernel = CountTable.from_stream.__func__, scoring.kneser_ney_probs
+        count, query = CountTable.from_sentences.__func__, scoring.sentence_probs
 
         def counting(cls, *args, **kwargs):
             counted.append((args, kwargs))
             return count(cls, *args, **kwargs)
 
-        def querying(table, discounts, *query, **kwargs):
-            queried.append(query)
-            return kernel(table, discounts, *query, **kwargs)
+        def querying(table, discounts, *coded, **kwargs):
+            queried.append(coded)
+            return query(table, discounts, *coded, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CountTable, "from_stream", classmethod(counting))
-            patch.setattr(scoring, "kneser_ney_probs", querying)
+            patch.setattr(CountTable, "from_sentences", classmethod(counting))
+            patch.setattr(scoring, "sentence_probs", querying)
             scoring._score_problem(problem, scoring._Pool.of(pool_docs), [cfg])
 
         pool_sents = [s for d in pool for s in d]
@@ -979,32 +1013,25 @@ class TestGatheredStream:
             range(len(pool_sents)), len(known), refs, derive_seed(seed, "p"), sampling
         )
         drawn = sorted({i for sample in samples for i in sample})
-        training = code_sentences([*(pool_sents[i] for i in drawn), *known], codes)
-        want = token_stream([*training, *code_sentences(unknown, codes)], len(codes))
-        [((tokens, prev, bounds, models, got_order, width), kwargs)] = counted
-        assert (got_order, width, kwargs) == (order, len(codes), {})
-        # Constant mode counts for the unknown document, which ends the
-        # stream; modified mode counts every window of the training side.
-        filtered = discount_mode == "constant"
-        end = len(want[0]) if filtered else want[2][len(training)]
-        assert np.array_equal(tokens, want[0][:end])
-        assert np.array_equal(prev, want[1][:end])
-        assert np.array_equal(bounds, np.append(want[2], len(want[0]))[: len(training) + 1])
+        training = [*(pool_sents[i] for i in drawn), *known]
+        # Constant mode counts for the unknown document, whose sentences end
+        # the counted ones; modified mode counts every window of the
+        # training side.
+        queries = len(unknown) if discount_mode == "constant" else 0
+        want_flat, want_lengths = coded_sentences([*training, *unknown[:queries]], codes)
+        [((flat, lengths, models, got_order, width, got_queries), kwargs)] = counted
+        assert (got_order, width, got_queries, kwargs) == (order, len(codes), queries, {})
+        assert flat.dtype == np.min_scalar_type(len(codes) - 1)
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(lengths, want_lengths)
         assert list(models[0]) == list(range(len(drawn), len(training)))
         assert [[drawn[i] for i in rows] for rows in models[1:]] == samples
 
-        got = count(CountTable, tokens, prev, bounds, models, order, width)
-        coded_unknown = code_sentences(unknown, codes)
-        direct = CountTable.from_sentences(
-            training, models, order, width, queries=coded_unknown if filtered else None
-        )
-        assert np.array_equal(got.keys, direct.keys)
-        assert np.array_equal(got.counts, direct.counts)
-        query_tokens, query_prev, query_starts = token_stream(coded_unknown, width)
-        for got_tokens, got_prev, positions in queried:
-            assert np.array_equal(got_tokens, query_tokens)
-            assert np.array_equal(got_prev, query_prev)
-            assert np.array_equal(positions, np.setdiff1d(np.arange(len(query_tokens)), query_starts))
+        query_flat, query_lengths = coded_sentences(unknown, codes)
+        assert queried
+        for got_flat, got_lengths in queried:
+            assert np.array_equal(got_flat, query_flat)
+            assert np.array_equal(got_lengths, query_lengths)
 
 
 small_corpora = st.lists(
