@@ -28,7 +28,6 @@ from .corpus import (
     VerificationProblem,
     load_corpus,
     parse_tagged_document,
-    segment_sentences,
     serialize_corpus,
 )
 from .errors import (
@@ -139,7 +138,6 @@ __all__ = [
     "roc_auc",
     "sample_reference_sets",
     "score_corpus",
-    "segment_sentences",
     "serialize_corpus",
     "serialize_model",
     "suffixed_alphabet",

@@ -8,7 +8,8 @@ protocol, ``sweep`` grids over reference counts and model orders, and
 
 Exit codes: 0 success, 1 an output that failed while being written (a full
 disk, an I/O error), 2 usage error (a bad flag or an output path that
-cannot be written, found before any input is read), 3 data error
+cannot be written, found before any input is read; one line, also for a
+flag argparse rejects), 3 data error
 (unreadable or invalid inputs), 4 internal contract violation (a
 ``ContractError``, or any ``ValueError`` that escapes the pipeline: a
 library precondition that failed, not a bad flag) or a worker process that
@@ -43,7 +44,15 @@ logger = logging.getLogger("grammarlr")
 
 
 class UsageError(Exception):
-    """Flag combinations argparse cannot catch on its own."""
+    """A bad flag or flag combination, found before any input is read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser (and, by inheritance, its sub-parsers) whose rejections
+    raise ``UsageError``, so they end with one line like every other."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _setup_logging() -> None:
@@ -388,7 +397,7 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grammarlr",
         description="Authorship verification from grammar-bearing token streams.",
     )
@@ -467,9 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Corpus ingestion and on-disk formats.
 
-Three layers live here:
+Two layers live here:
 
-* tagged token streams: ``surface<TAB>pos`` lines, one token per line, with
-  blank lines and literal ``<NL>`` lines acting as hard sentence breaks;
-* sentence segmentation over those streams;
+* tagged text: ``surface<TAB>pos`` lines, one token per line, split into
+  sentences as they are read, at blank lines and literal ``<NL>`` lines
+  (hard breaks) and after each terminal surface;
 * the JSONL corpus format: one verification problem per line, each holding
   unknown/known document lists, plus an optional sidecar JSONL of reference
   documents drawn from other authors.
@@ -229,36 +229,6 @@ class Corpus:
         return tuple(p.label for p in self.problems)
 
 
-def segment_sentences(
-    items: Iterable[Optional[TaggedToken]],
-) -> list[tuple[TaggedToken, ...]]:
-    """Split a token stream into sentences.
-
-    ``items`` yields TaggedToken objects with None acting as a hard break
-    (blank line or newline marker in the file format). A boundary also falls
-    immediately after every terminal surface (. ! ? …). Empty segments are
-    dropped, so consecutive breaks never produce empty sentences and the
-    concatenation of the output equals the input token sequence.
-    """
-    sentences: list[tuple[TaggedToken, ...]] = []
-    current: list[TaggedToken] = []
-
-    def flush() -> None:
-        if current:
-            sentences.append(tuple(current))
-            current.clear()
-
-    for item in items:
-        if item is None:
-            flush()
-            continue
-        current.append(item)
-        if item.surface in TERMINAL_SURFACES:
-            flush()
-    flush()
-    return sentences
-
-
 def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Document:
     """Parse ``surface<TAB>pos`` lines into a tagged Document.
 
@@ -276,38 +246,41 @@ def _parse_tagged(
 ) -> Document:
     """``parse_tagged_document``, reusing the token of each raw line found in
     ``seen`` and adding each new token line to it, so the copies of a line
-    across one load are validated once and share one token."""
+    across one load are validated once and share one token. Sentences are
+    closed as the lines are read, and an empty one is never made."""
     if not isinstance(doc_id, str) or not doc_id:
         raise ParseError(f"document id must be a non-empty string: {doc_id!r}")
     lines = text.splitlines() if isinstance(text, str) else text
-    stream: list[Optional[TaggedToken]] = []
+    sentences: list[tuple[TaggedToken, ...]] = []
+    current: list[TaggedToken] = []
     for lineno, raw in enumerate(lines, start=1):
-        if (token := seen.get(raw)) is not None:
-            stream.append(token)
-            continue
-        line = raw.rstrip("\n")
-        stripped = line.strip()
-        if not stripped or stripped == NEWLINE_MARKER:
-            stream.append(None)
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(
-                f"{doc_id}: line {lineno}: expected 'surface<TAB>pos', got {len(fields)} field(s)"
-            )
-        surface, pos = fields
-        if not surface:
-            raise ParseError(f"{doc_id}: line {lineno}: empty surface")
-        label = _CANONICAL_POS.get(pos)
-        if label is None:
-            raise ParseError(f"{doc_id}: line {lineno}: unknown POS label {pos!r}")
-        if "\n" in surface:
-            raise ParseError(f"token surface contains format characters: {surface!r}")
-        if surface == "...":
-            surface = "…"
-        token = seen[raw] = tuple.__new__(TaggedToken, (sys.intern(surface), label))
-        stream.append(token)
-    sentences = segment_sentences(stream)
+        token = seen.get(raw)
+        if token is None and (stripped := raw.strip()) and stripped != NEWLINE_MARKER:
+            fields = raw.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"{doc_id}: line {lineno}: expected 'surface<TAB>pos', "
+                                 f"got {len(fields)} field(s)")
+            surface, pos = fields
+            if not surface:
+                raise ParseError(f"{doc_id}: line {lineno}: empty surface")
+            label = _CANONICAL_POS.get(pos)
+            if label is None:
+                raise ParseError(f"{doc_id}: line {lineno}: unknown POS label {pos!r}")
+            if "\n" in surface:
+                raise ParseError(f"token surface contains format characters: {surface!r}")
+            if surface == "...":
+                surface = "…"
+            token = seen[raw] = tuple.__new__(TaggedToken, (sys.intern(surface), label))
+        if token is not None:
+            current.append(token)
+            if token[0] not in TERMINAL_SURFACES:
+                continue
+        # A hard break, or a terminal surface, closes the sentence.
+        if current:
+            sentences.append(tuple(current))
+            current = []
+    if current:
+        sentences.append(tuple(current))
     if not sentences:
         raise ParseError(f"{doc_id}: empty document")
     return Document._trusted(doc_id, tuple(sentences))
@@ -466,6 +439,9 @@ def load_corpus(
     next to the problems file, then for a shared ``refs.jsonl`` in the same
     directory. ``partition`` overrides (and must agree with) any per-problem
     "partition" fields; with neither present the corpus defaults to "test".
+    Each entry's JSON shape is checked here. Its id, label and sides are
+    checked by ``VerificationProblem``, whose error is prefixed with the file
+    and line, and the ``partition`` argument by ``Corpus``.
     """
     problems_path = Path(problems_path)
     problems = []
@@ -475,12 +451,6 @@ def load_corpus(
         where = f"{problems_path.name}: line {lineno}"
         if not isinstance(obj, dict):
             raise CorpusError(f"{where}: problem entry is not an object")
-        prob_id = obj.get("id")
-        if not isinstance(prob_id, str) or not prob_id:
-            raise CorpusError(f"{where}: problem missing string id")
-        label = obj.get("label")
-        if label not in (None, "Y", "N"):
-            raise CorpusError(f"{where}: invalid label {label!r}; expected Y, N or null")
         author = obj.get("author")
         if author is not None and not isinstance(author, str):
             raise CorpusError(f"{where}: author must be a string when present")
@@ -489,32 +459,27 @@ def load_corpus(
             if part not in ("train", "test"):
                 raise CorpusError(f"{where}: invalid partition {part!r}")
             field_partitions.add(part)
+        sides = []
         for key in ("unknown", "known"):
-            if not isinstance(obj.get(key), list) or not obj[key]:
-                raise CorpusError(f"{where}: {key!r} must be a non-empty list")
-        unknown = tuple(
-            _doc_from_json(d, problems_path.parent, where, seen) for d in obj["unknown"]
-        )
-        known = tuple(
-            _doc_from_json(d, problems_path.parent, where, seen) for d in obj["known"]
-        )
-        problems.append(
-            VerificationProblem(
-                id=prob_id, unknown_docs=unknown, known_docs=known, label=label, author=author
-            )
-        )
+            docs = obj.get(key)
+            if not isinstance(docs, list):
+                raise CorpusError(f"{where}: {key!r} must be a list")
+            sides.append(tuple(_doc_from_json(d, problems_path.parent, where, seen) for d in docs))
+        try:
+            problem = VerificationProblem(obj.get("id"), *sides, obj.get("label"), author)
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
+        problems.append(problem)
     if len(field_partitions) > 1:
         raise CorpusError(
             f"{problems_path.name}: mixed partition fields {sorted(field_partitions)}"
         )
     field_part = field_partitions.pop() if field_partitions else None
-    if partition is not None and partition not in ("train", "test"):
-        raise CorpusError(f"invalid partition {partition!r}")
     if partition is not None and field_part is not None and partition != field_part:
         raise CorpusError(
             f"partition argument {partition!r} conflicts with per-problem fields {field_part!r}"
         )
-    effective = partition or field_part or "test"
+    effective = partition if partition is not None else field_part or "test"
 
     if refs_path is None:
         resolved = _resolve_refs_path(problems_path)

@@ -504,8 +504,8 @@ def _score_problem(
     pool: _Pool,
     configs: Sequence[LambdaConfig],
 ) -> list[LambdaTrace]:
-    """Score one masked problem for configs that differ only in ``refs`` and
-    ``order``: each config's trace.
+    """Score one masked problem against a non-empty pool for configs that
+    differ only in ``refs`` and ``order``: each config's trace.
 
     The problem is counted once, at the largest order, over the author and
     the largest number of reference samples. The first r samples of that
@@ -521,13 +521,6 @@ def _score_problem(
     known = _doc_sentences(problem.known_docs)
     unknown = _doc_sentences(problem.unknown_docs)
     pool_size = len(pool.offsets) - 1
-    if not known:
-        raise DataError(f"problem {problem.id!r}: no known-author sentences")
-    if not unknown:
-        raise DataError(f"problem {problem.id!r}: no unknown-document sentences")
-    if not pool_size:
-        raise DataError(f"problem {problem.id!r}: no reference sentences")
-
     seed = derive_seed(first.seed, problem.id)
     if first.sampling == "without_replacement" and pool_size < len(known):
         logger.warning("problem %r: %d reference sentences, fewer than a sample of %d; "
@@ -639,11 +632,14 @@ def _score_problems(
     and ``order``, as ``_score_problem`` does: per problem, in problem
     order, each config's trace.
 
-    Each worker receives the prepared pool once, at start-up. See
-    ``score_corpus`` for ``parallel``.
+    An empty pool raises ``DataError`` here, before any problem is scored
+    or any worker starts. Each worker receives the prepared pool once, at
+    start-up. See ``score_corpus`` for ``parallel``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
+    if problems and len(pool.offsets) == 1:
+        raise DataError("reference pool is empty")
     if parallel == 1 or len(problems) <= 1:
         return [_score_problem(p, pool, configs) for p in problems]
     from concurrent.futures import ProcessPoolExecutor

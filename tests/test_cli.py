@@ -291,10 +291,9 @@ class TestEvaluate:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.json").exists()
 
-    def test_unknown_flag_exits_via_argparse(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["evaluate", "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_flag_exits_via_argparse(self, capsys):
+        assert run(["evaluate", "--bogus"]) == 2
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --bogus\n"
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -602,9 +601,12 @@ def _faulty_argv(data, fault, command, corpus):
     split = corpus / data.draw(st.sampled_from(["test.jsonl"] if command == "verify"
                                                else ["train.jsonl", "test.jsonl"]))
     if fault == "bad flag":
-        flags = [["--order", "0"], ["--refs", "0"], ["--discount", "1.5"]]
+        flags = [["--order", "0"], ["--refs", "0"], ["--discount", "1.5"], ["--order", "x"],
+                 ["--discount-mode", "bogus"], ["--bogus"]]
         if command != "verify":
             flags.append(["--parallel", "0"])
+        if command == "sweep":
+            flags.append(["--r-grid", ","])
         argv += data.draw(st.sampled_from(flags))
     elif fault == "unreadable or malformed file":
         how = data.draw(st.sampled_from(["missing", "not utf-8", "bad json", "bad field"]))

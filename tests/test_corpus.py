@@ -16,7 +16,6 @@ from grammarlr.corpus import (
     load_corpus,
     load_reference_docs,
     parse_tagged_document,
-    segment_sentences,
     serialize_corpus,
 )
 from grammarlr.errors import CorpusError, GrammarLRError, ParseError
@@ -61,29 +60,37 @@ class TestTaggedToken:
         assert (back.surface, back.pos) == ("the", "DET")
 
 
+def segment(stream):
+    """The sentences ``parse_tagged_document`` reads from a token stream
+    written as tagged lines, with a blank line for each None."""
+    text = "".join("\n" if t is None else f"{t.surface}\t{t.pos}\n" for t in stream)
+    return parse_tagged_document(text, "d").sentences
+
+
 class TestSegmentSentences:
     def test_boundary_after_terminals(self):
         stream = [tok("a"), tok("."), tok("b"), tok("!"), tok("c")]
-        sents = segment_sentences(stream)
+        sents = segment(stream)
         assert [[t.surface for t in s] for s in sents] == [["a", "."], ["b", "!"], ["c"]]
 
     def test_consecutive_terminals(self):
         stream = [tok("a"), tok("."), tok("."), tok("b")]
-        sents = segment_sentences(stream)
+        sents = segment(stream)
         assert [[t.surface for t in s] for s in sents] == [["a", "."], ["."], ["b"]]
 
     def test_hard_break_marker(self):
         stream = [tok("a"), None, tok("b")]
-        sents = segment_sentences(stream)
+        sents = segment(stream)
         assert [[t.surface for t in s] for s in sents] == [["a"], ["b"]]
 
     def test_empty_segments_dropped(self):
         stream = [None, tok("a"), tok("."), None, None, tok("b"), None]
-        sents = segment_sentences(stream)
+        sents = segment(stream)
         assert [[t.surface for t in s] for s in sents] == [["a", "."], ["b"]]
 
     def test_concatenation_preserved(self):
-        # Segmenting never loses, duplicates, or reorders tokens.
+        # Segmenting never loses, duplicates, or reorders tokens; a stream
+        # with no tokens is an empty document.
         rng = random.Random(11)
         surfaces = ["a", "b", ".", "?", "…", "c", "!"]
         for _ in range(200):
@@ -93,9 +100,14 @@ class TestSegmentSentences:
                     stream.append(None)
                 else:
                     stream.append(tok(rng.choice(surfaces)))
-            sents = segment_sentences(stream)
+            tokens = [t for t in stream if t is not None]
+            if not tokens:
+                with pytest.raises(ParseError, match="empty document"):
+                    segment(stream)
+                continue
+            sents = segment(stream)
             flat = [t for s in sents for t in s]
-            assert flat == [t for t in stream if t is not None]
+            assert flat == tokens
             assert all(len(s) >= 1 for s in sents)
 
 

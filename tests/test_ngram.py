@@ -23,7 +23,7 @@ from oracles import (
     whole_table_kneser_ney_probs,
 )
 
-from grammarlr import scoring
+from grammarlr import ngram, scoring
 from grammarlr.errors import ModelFormatError
 from grammarlr.ngram import (
     BOS,
@@ -293,6 +293,26 @@ class TestNormalization:
             model = train(sents, order=3)
             for t in model.vocab.sorted_items() + [EOS]:
                 assert model.prob(t, ("a",)) > 0.0
+
+
+class TestKeptDistributions:
+    def test_evicted_distributions_give_the_same_probabilities(self, monkeypatch):
+        """A model that keeps at most 2 distributions drops them all when a
+        third context is queried, and every query, before and after, equals
+        that of a fresh model."""
+        monkeypatch.setattr(ngram, "_KEPT_DISTRIBUTIONS", 2)
+        rng = random.Random(191)
+        sents = random_sentences(rng, max_sents=8)
+        vocab = Vocabulary.from_sentences([ALPHABET])
+        model = train(sents, 3, vocab=vocab)
+        contexts = [(), ("a",), ("b", "c"), ("d", "e")]
+        queries = [(t, ctx) for _ in range(2) for ctx in contexts for t in (*ALPHABET, EOS)]
+        got, kept = [], []
+        for token, ctx in queries:
+            got.append(model.prob(token, ctx))
+            kept.append(len(model._distributions))
+        assert got == [train(sents, 3, vocab=vocab).prob(t, ctx) for t, ctx in queries]
+        assert kept[:: len(ALPHABET) + 1] == [1, 2] * 4
 
 
 def pruned(model, rng):

@@ -16,7 +16,7 @@ from grammarlr.protocol import (
     evaluate_corpus,
     sweep_grid,
 )
-from grammarlr.scoring import SAMPLING_MODES, LambdaConfig
+from grammarlr.scoring import SAMPLING_MODES, LambdaConfig, score_corpus
 from grammarlr.synth import DEFAULT_ALPHABET, suffixed_alphabet, synth_corpus
 
 SYNTH_ARGS = dict(
@@ -392,6 +392,16 @@ class TestPoolPreparedOnce:
         assert len(prepared) == 1
         sweep_grid(train, test, config, [1, 3], [1, 2])
         assert len(prepared) == 2
+
+    def test_splits_with_different_pools(self, prepared, corpora, config):
+        """Splits with different pools each score against their own, each
+        prepared once."""
+        train, test = corpora
+        test = dataclasses.replace(test, reference_docs=test.reference_docs[::2])
+        result = evaluate_corpus(train, test, config)
+        assert len(prepared) == 2
+        for rows, corpus in ((result.train_results, train), (result.test_results, test)):
+            assert [r.score for r in rows] == [t.total for t in score_corpus(corpus, config)]
 
     def test_workers_receive_the_prepared_pool(self, prepared, corpora, config, monkeypatch):
         import concurrent.futures

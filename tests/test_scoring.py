@@ -803,6 +803,22 @@ class TestScoreCorpus:
         traces = score_corpus(corpus, LambdaConfig(order=2, refs=2, seed=1))
         assert [t.problem_id for t in traces] == [p.id for p in corpus.problems]
 
+    def test_empty_pool_fails_before_any_problem_or_worker(self, monkeypatch):
+        """An empty pool raises once, before any problem is scored or any
+        worker starts; a corpus with no problems still scores to []."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        corpus = replace(self._corpus(random.Random(127)), reference_docs=())
+        cfg = LambdaConfig(order=2, refs=2, seed=1)
+        monkeypatch.setattr(scoring, "_score_problem", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        for parallel in (1, 2):
+            with pytest.raises(DataError, match="^reference pool is empty$"):
+                score_corpus(corpus, cfg, parallel=parallel)
+        assert score_corpus(replace(corpus, problems=()), cfg) == []
+
     def test_parallel_matches_serial(self):
         rng = random.Random(109)
         corpus = self._corpus(rng)
