@@ -226,7 +226,7 @@ class Corpus:
 
     @property
     def labels(self) -> tuple[Optional[str], ...]:
-        return tuple(p.label for p in self.problems)
+        return tuple([p.label for p in self.problems])
 
 
 def parse_tagged_document(text: Union[str, Iterable[str]], doc_id: str) -> Document:
@@ -311,7 +311,7 @@ def _doc_from_json(
                     f"{where}: document {doc_id!r} sentence {i} is not a list of strings"
                 )
         try:
-            return Document(id=doc_id, sentences=tuple(tuple(sent) for sent in sents))
+            return Document(id=doc_id, sentences=tuple([tuple(sent) for sent in sents]))
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
     if "tagged" in obj:
@@ -417,10 +417,10 @@ def load_reference_docs(path: Union[str, Path]) -> tuple[Document, ...]:
     if key is not None and key == _last_reference_load[0]:
         return _last_reference_load[1]
     seen: dict[str, TaggedToken] = {}
-    docs = tuple(
+    docs = tuple([
         _doc_from_json(obj, path.parent, f"{path.name}: line {lineno}", seen, tagged_bytes)
         for lineno, obj in entries
-    )
+    ])
     if error is not None:
         raise error
     if key is not None:
@@ -464,7 +464,9 @@ def load_corpus(
             docs = obj.get(key)
             if not isinstance(docs, list):
                 raise CorpusError(f"{where}: {key!r} must be a list")
-            sides.append(tuple(_doc_from_json(d, problems_path.parent, where, seen) for d in docs))
+            sides.append(
+                tuple([_doc_from_json(d, problems_path.parent, where, seen) for d in docs])
+            )
         try:
             problem = VerificationProblem(obj.get("id"), *sides, obj.get("label"), author)
         except CorpusError as exc:

@@ -157,14 +157,17 @@ def mask_sentence(
     sentence: Sequence[TaggedToken], lexicon: MaskingLexicon
 ) -> tuple[str, ...]:
     """Mask one sentence; output has exactly one token per input token."""
+    # Tuples here are built from lists, at their final size. One built from
+    # an iterator is allocated at a guess and resized, and over repeated calls
+    # the freed tuples pile up in the interpreter's free lists of other sizes.
     memo = lexicon._masked
     try:
-        return tuple(map(memo.__getitem__, sentence))
+        return tuple([*map(memo.__getitem__, sentence)])
     except KeyError:
         for tok in sentence:
             if tok not in memo:
                 memo[tok] = mask_token(tok, lexicon)
-        return tuple(map(memo.__getitem__, sentence))
+        return tuple([*map(memo.__getitem__, sentence)])
 
 
 def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
@@ -177,7 +180,7 @@ def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
     """
     if not doc.is_tagged:
         return doc
-    sentences = tuple(mask_sentence(s, lexicon) for s in doc.sentences)
+    sentences = tuple([mask_sentence(s, lexicon) for s in doc.sentences])
     if lexicon.glyphs.isdisjoint(RESERVED_SURFACES):
         return Document._trusted(doc.id, sentences)
     return Document(id=doc.id, sentences=sentences)
@@ -195,7 +198,7 @@ def mask_problems(
     lexicon = lexicon if lexicon is not None else default_lexicon()
 
     def mask(docs: Sequence[Document]) -> tuple[Document, ...]:
-        return tuple(mask_document(d, lexicon) if d.is_tagged else d for d in docs)
+        return tuple([mask_document(d, lexicon) if d.is_tagged else d for d in docs])
 
     pools: list[tuple[tuple[Document, ...], tuple[Document, ...]]] = []
     masked = []
@@ -204,10 +207,10 @@ def mask_problems(
         if pool is None:
             pool = mask(refs)
             pools.append((refs, pool))
-        problems = tuple(
+        problems = tuple([
             replace(p, unknown_docs=mask(p.unknown_docs), known_docs=mask(p.known_docs))
             for p in problems
-        )
+        ])
         masked.append((problems, pool))
     return masked
 

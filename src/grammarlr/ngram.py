@@ -662,7 +662,8 @@ def kneser_ney_probs(
             mine = at[schedules[at] == i]
             gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
         total = np.where(usable, total, np.inf)
-        per_code = np.tile([[[0.0]], [[np.inf]], [[1.0]]], (1, n_models, index.width + 1))
+        per_code = np.empty((3, n_models, index.width + 1))
+        per_code[0], per_code[1], per_code[2] = 0.0, np.inf, 1.0
         if lo <= unigrams.start:
             own = slice(unigrams.start - lo, unigrams.stop - lo)
             per_code[per_code_at] = numerator[own], total[own], gamma[own]

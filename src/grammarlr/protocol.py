@@ -151,10 +151,10 @@ def _report(
 
     def rows(corpus: Corpus, scores: Sequence[float]) -> tuple[ProblemResult, ...]:
         log_lrs = map(calibration.apply, scores)
-        return tuple(
+        return tuple([
             ProblemResult(p.id, p.label, s, lr, decide(lr))
             for p, s, lr in zip(corpus.problems, scores, log_lrs)
-        )
+        ])
 
     test_results = rows(test, test_scores)
     report = build_metrics_report([r.log_lr for r in test_results], test.labels)
@@ -267,18 +267,18 @@ class CrossGenreResult:
     @property
     def accuracy_loss(self) -> tuple[tuple[float, ...], ...]:
         """Within-domain accuracy minus cell accuracy (positive = worse)."""
-        return tuple(
-            tuple(self.accuracy[i][i] - cell for cell in row)
+        return tuple([
+            tuple([self.accuracy[i][i] - cell for cell in row])
             for i, row in enumerate(self.accuracy)
-        )
+        ])
 
     @property
     def cllr_excess(self) -> tuple[tuple[float, ...], ...]:
         """Cell Cllr minus within-domain Cllr (positive = worse)."""
-        return tuple(
-            tuple(cell - self.cllr[i][i] for cell in row)
+        return tuple([
+            tuple([cell - self.cllr[i][i] for cell in row])
             for i, row in enumerate(self.cllr)
-        )
+        ])
 
     def to_json_dict(self) -> dict:
         return {
@@ -306,7 +306,7 @@ def cross_genre(
     """
     if len(corpora) < 2:
         raise ValueError("cross-domain runs need at least two corpora")
-    names = tuple(name for name, _, _ in corpora)
+    names = tuple([name for name, _, _ in corpora])
     masked = _masked_splits([(train, test) for _, train, test in corpora], lexicon)
     domains = list(zip(names, masked[::2], masked[1::2]))
     acc_rows = []

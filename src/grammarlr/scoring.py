@@ -195,7 +195,7 @@ class LambdaTrace:
         exactly rounded sum of its slice, and the total that of the
         sentence scores."""
         values = np.asarray(scores, dtype=np.float64).tolist()
-        sentence_scores = tuple(math.fsum(values[a:b]) for a, b in pairwise(bounds))
+        sentence_scores = tuple([math.fsum(values[a:b]) for a, b in pairwise(bounds)])
         return cls(
             scores, tokens, bounds, sentence_scores, math.fsum(sentence_scores),
             config, seed, problem_id,
@@ -204,11 +204,11 @@ class LambdaTrace:
     @cached_property
     def token_scores(self) -> tuple[TokenScore, ...]:
         values = self.scores.tolist()
-        return tuple(
+        return tuple([
             TokenScore(self.tokens[i], si, i - a + 1, values[i])
             for si, (a, b) in enumerate(pairwise(self.bounds))
             for i in range(a, b)
-        )
+        ])
 
     def _key(self) -> tuple:
         return (
@@ -225,7 +225,7 @@ class LambdaTrace:
         return hash(self._key())
 
     def __reduce__(self) -> tuple:
-        return LambdaTrace, tuple(getattr(self, f.name) for f in fields(self))
+        return LambdaTrace, tuple([getattr(self, f.name) for f in fields(self)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,8 +383,8 @@ def _layout(sentences: Sequence[Sentence]) -> tuple[tuple[str, ...], tuple[int, 
     """The display tokens of a document's scored positions, each sentence's
     tokens then its end marker, and the offsets where its sentences start
     (plus the end)."""
-    tokens = tuple(t for sent in sentences for t in (*sent, EOS))
-    return tokens, tuple(accumulate((len(sent) + 1 for sent in sentences), initial=0))
+    tokens = tuple([t for sent in sentences for t in (*sent, EOS)])
+    return tokens, tuple([*accumulate((len(sent) + 1 for sent in sentences), initial=0)])
 
 
 def _trace(
@@ -551,10 +551,10 @@ def _score_problem(
     logs, groups = {}, {}  # groups: the orders of each discount list
     for order in sorted({c.order for c in configs}):
         if first.discount_mode == "modified":
-            discounts = tuple(
+            discounts = tuple([
                 DiscountSchedule.estimate_modified(coc, fallback=first.discount)
                 for coc in table.truncated(order).count_of_counts()
-            )
+            ])
         else:
             discounts = (DiscountSchedule.constant(first.discount),) * table.n_models
         groups.setdefault(discounts, []).append(order)

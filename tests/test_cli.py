@@ -609,13 +609,34 @@ def _faulty_argv(data, fault, command, corpus):
             flags.append(["--r-grid", ","])
         argv += data.draw(st.sampled_from(flags))
     elif fault == "unreadable or malformed file":
-        how = data.draw(st.sampled_from(["missing", "not utf-8", "bad json", "bad field"]))
+        known = [{"id": "x-k", "sentences": [["a"]]}]
+        entries = {
+            "bad field": {"id": "x", "known": 1},
+            "document not an object": {"id": "x", "unknown": [1], "known": known},
+            "bad tagged path": {"id": "x", "unknown": [{"id": "x-u", "tagged": ""}],
+                                "known": known},
+            "empty token": {"id": "x", "unknown": [{"id": "x-u", "sentences": [["a", ""]]}],
+                            "known": known},
+            "no known documents": {"id": "x", "unknown": known, "known": []},
+        }
+        how = data.draw(st.sampled_from(["missing", "not utf-8", "bad json", *entries,
+                                         "mixed partitions", "repeated reference id"]))
         if how == "missing":
             split.unlink()
         elif how == "not utf-8":
             split.write_bytes(b"\xff\xfe{}\n")
+        elif how == "mixed partitions":
+            rows = [json.loads(line) for line in split.read_text(encoding="utf-8").splitlines()]
+            flipped = {"train": "test", "test": "train"}[rows[-1]["partition"]]
+            rows[-1]["partition"] = flipped
+            split.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        elif how == "repeated reference id":
+            refs = corpus / "refs.jsonl"
+            first = refs.read_text(encoding="utf-8").splitlines()[0]
+            with refs.open("a", encoding="utf-8") as f:
+                f.write(first + "\n")
         else:
-            line = "{not json" if how == "bad json" else json.dumps({"id": "x", "known": 1})
+            line = "{not json" if how == "bad json" else json.dumps(entries[how])
             with split.open("a", encoding="utf-8") as f:
                 f.write(line + "\n")
     elif fault == "labels of one class":

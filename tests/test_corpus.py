@@ -317,6 +317,18 @@ class TestLoadAndSerialize:
         loaded = load_corpus(tmp_path / "train.jsonl", refs_path=tmp_path / "other.jsonl")
         assert loaded.reference_docs == corpus.reference_docs
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        corpus = self._corpus()
+        plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+        plain.mkdir()
+        spaced.mkdir()
+        serialize_corpus(corpus, plain / "train.jsonl", refs_path=plain / "refs.jsonl")
+        for name in ("train.jsonl", "refs.jsonl"):
+            lines = (plain / name).read_text(encoding="utf-8").splitlines()
+            (spaced / name).write_text("\n \t\n\n".join(lines) + "\n\n   \n", encoding="utf-8")
+        loaded = load_corpus(spaced / "train.jsonl")
+        assert loaded == load_corpus(plain / "train.jsonl") == corpus
+
     def test_missing_refs_is_empty(self, tmp_path):
         corpus = Corpus(problems=self._corpus().problems, partition="train")
         serialize_corpus(corpus, tmp_path / "solo.jsonl")

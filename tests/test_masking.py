@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from grammarlr.masking import (
     MaskingLexicon,
     default_lexicon,
     load_lexicon,
+    mask_corpora,
     mask_corpus,
     mask_document,
     mask_sentence,
@@ -354,3 +357,46 @@ class TestDocumentAndCorpus:
             for p in masked.problems
             for d in (*p.unknown_docs, *p.known_docs)
         )
+
+
+class TestRepeatedMasking:
+    def test_allocated_blocks_stay_flat_over_calls(self):
+        """Masking one corpus again and again holds no more memory blocks
+        after warm-up. Every masked sentence and document is a tuple built
+        at its final size, so a call frees its tuples into the free lists
+        that the next call takes them from. A tuple built from an iterator
+        of unknown length starts at another size, and the free lists of the
+        sizes it ends at fill over the calls. The cyclic collector is off
+        while measuring, because a full collection empties the free lists."""
+        rng = random.Random(11)
+        surfaces = ["The", "cat", "sat", "on", "Mat", "not", "7", ".", "!"]
+        pos = sorted(POS_LABELS)
+
+        # Sentences of 1-19 tokens: CPython 3.11 never reuses a freed
+        # 20-item tuple, so those would grow at any size they are built at.
+        def doc(doc_id):
+            return Document(id=doc_id, sentences=tuple(
+                tuple(
+                    TaggedToken(rng.choice(surfaces), rng.choice(pos))
+                    for _ in range(rng.randrange(1, 20))
+                )
+                for _ in range(60)
+            ))
+
+        problems = tuple(
+            VerificationProblem(f"p{i}", (doc(f"u{i}"),), (doc(f"k{i}"),)) for i in range(20)
+        )
+        corpus = Corpus(problems, tuple(doc(f"r{i}") for i in range(60)))
+        lex = small_lexicon()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mask_corpora([corpus], lex)  # fills the lexicon's memo
+            start = sys.getallocatedblocks()
+            for _ in range(10):
+                mask_corpora([corpus], lex)
+            grown = sys.getallocatedblocks() - start
+        finally:
+            if enabled:
+                gc.enable()
+        assert grown < 1000
