@@ -37,7 +37,6 @@ from .errors import (
     DataError,
     GrammarLRError,
     LexiconError,
-    ModelFormatError,
     ParseError,
     WorkerError,
 )
@@ -56,9 +55,6 @@ from .ngram import (
     DiscountSchedule,
     GrammarModel,
     Vocabulary,
-    deserialize_model,
-    dump_model,
-    serialize_model,
     train,
     train_with_estimated_discounts,
 )
@@ -106,7 +102,6 @@ __all__ = [
     "LexiconError",
     "MaskingLexicon",
     "MetricsReport",
-    "ModelFormatError",
     "ParseError",
     "TaggedToken",
     "TokenScore",
@@ -120,8 +115,6 @@ __all__ = [
     "cross_genre",
     "decide",
     "default_lexicon",
-    "deserialize_model",
-    "dump_model",
     "evaluate_corpus",
     "fit_calibration",
     "lambda_document",
@@ -139,7 +132,6 @@ __all__ = [
     "sample_reference_sets",
     "score_corpus",
     "serialize_corpus",
-    "serialize_model",
     "suffixed_alphabet",
     "sweep_grid",
     "synth_corpus",

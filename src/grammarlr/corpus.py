@@ -295,12 +295,12 @@ def _doc_from_json(
 ) -> Document:
     """One document entry; a tagged file already read is taken from
     ``tagged_bytes`` (keyed by its path as the entry names it), and its
-    lines are parsed with the tokens ``seen`` (see ``_parse_tagged``)."""
+    lines are parsed with the tokens ``seen`` (see ``_parse_tagged``). The
+    id is checked by ``Document`` or the parser, whose error is prefixed
+    with ``where``."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: document entry is not an object")
     doc_id = obj.get("id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusError(f"{where}: document missing string id")
     if "sentences" in obj:
         sents = obj["sentences"]
         if not isinstance(sents, list):
@@ -326,7 +326,10 @@ def _doc_from_json(
             raise CorpusError(
                 f"{where}: cannot read tagged file {str(path)!r}: {exc}"
             ) from exc
-        return _parse_tagged(text, doc_id, seen)
+        try:
+            return _parse_tagged(text, doc_id, seen)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
     raise CorpusError(f"{where}: document {doc_id!r} has neither 'sentences' nor 'tagged'")
 
 

@@ -2,9 +2,9 @@
 
 Every error raised deliberately by this package derives from GrammarLRError
 so callers can catch one base class. The CLI maps subclasses onto exit codes:
-data-shaped problems (parsing, corpus validation, lexicon config, model files,
-calibration inputs) exit 3; violated internal contracts and worker processes
-that die during a parallel run exit 4.
+data-shaped problems (parsing, corpus validation, lexicon config, calibration
+inputs) exit 3; violated internal contracts and worker processes that die
+during a parallel run exit 4.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class DataError(GrammarLRError):
 
 class CalibrationError(GrammarLRError):
     """Calibration cannot be fit, e.g. single-class training scores."""
-
-
-class ModelFormatError(GrammarLRError):
-    """Serialized model blob is not readable: bad magic, version, or checksum."""
 
 
 class ContractError(GrammarLRError):

@@ -49,16 +49,13 @@ a table counted at order N holds the table of every lower order as a prefix
 what they read at any lower order. :func:`train` counts with one model, and
 that one-model table is the whole count store of the :class:`GrammarModel` it
 makes: count queries (through :meth:`GramIndex.find`) and equality read it,
-and only serialization spells it as a gram -> count mapping. Loading a
-serialized model tabulates its raw counts once, at load.
+and only :attr:`GrammarModel.raw_counts` spells it as a gram -> count
+mapping.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -67,14 +64,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError
-
 BOS = "<BOS>"
 EOS = "<EOS>"
 UNK = "<UNK>"
-
-_MAGIC = b"GLRM"
-_FORMAT_VERSION = 1
 
 # Discounts must stay strictly inside (0, 1): positive so singleton mass is
 # actually redistributed, below one so no stored count is discounted to zero.
@@ -428,9 +420,8 @@ class CountTable:
 
     ``keys`` is sorted and holds ``gram id * n_models + model`` for every
     gram a model counts, with the count at the same place in ``counts``, so
-    the entries of one gram are adjacent. Each model also holds the root
-    and, where its grams are not closed under prefixes and suffixes, the
-    missing parts, with count 0.
+    the entries of one gram are adjacent. Each model also holds the root,
+    with count 0.
     """
 
     def __init__(
@@ -481,25 +472,6 @@ class CountTable:
         )
         counts[:n_models] = 0  # the roots
         return cls(index, n_models, keys, counts)
-
-    @classmethod
-    def from_raw(
-        cls, raw: Mapping[tuple[str, ...], int], order: int, codes: Mapping[str, int]
-    ) -> "CountTable":
-        """Tabulate one model's raw count table.
-
-        Each raw gram is indexed as a stream of its own, so its prefixes and
-        suffixes are indexed with it, with count 0 where the table does not
-        count them.
-        """
-        tokens, lengths = code_sentences(list(raw), codes, markers=True)
-        ends = np.cumsum(lengths)
-        prev = np.arange(-1, len(tokens) - 1, dtype=np.int64)
-        prev[ends - lengths] = -1
-        index, ids = GramIndex.from_stream(tokens, prev, order, len(codes))
-        counts = np.zeros(index.size, dtype=np.int64)
-        counts[ids[lengths - 1, ends - 1]] = list(raw.values())
-        return cls(index, 1, np.arange(index.size), counts)
 
     def truncated(self, order: int) -> "CountTable":
         """The counts of the grams up to length ``order``, as if counted at
@@ -732,9 +704,7 @@ class GrammarModel:
     :func:`train`. The model's state is its one-model :class:`CountTable`,
     with one entry per gram id: probabilities come from it through
     :func:`kneser_ney_probs`, and every count query and equality read it.
-    ``raw_counts`` spells the table as a gram -> count mapping on each read;
-    serialization persists only those raw counts, and loading tabulates them
-    again, so reconstruction is exact.
+    ``raw_counts`` spells the table as a gram -> count mapping on each read.
     """
 
     def __init__(
@@ -959,121 +929,3 @@ def train_with_estimated_discounts(
     # The model is new and has answered no query yet.
     model.discounts = DiscountSchedule.estimate_modified(coc, fallback=fallback)
     return model
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-def serialize_model(model: GrammarModel) -> bytes:
-    """Serialize to bytes: magic, version, length, checksum, payload.
-
-    The payload is compressed JSON holding only primary state (order,
-    discounts, vocabulary, sentence count, raw counts); derived tables are
-    rebuilt on load, so a round trip reproduces the model exactly.
-    """
-    discounts = {
-        "mode": model.discounts.mode,
-        "constant_d": model.discounts.constant_d,
-        "bins": list(model.discounts.bins) if model.discounts.bins else None,
-    }
-    payload = {
-        "order": model.order,
-        "sentence_count": model.sentence_count,
-        "discounts": discounts,
-        "vocab": model.vocab.sorted_items(),
-        "raw_counts": [[list(g), c] for g, c in sorted(model.raw_counts.items())],
-    }
-    blob = zlib.compress(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
-    digest = hashlib.sha256(blob).digest()
-    return (
-        _MAGIC
-        + _FORMAT_VERSION.to_bytes(2, "big")
-        + len(blob).to_bytes(8, "big")
-        + digest
-        + blob
-    )
-
-
-def deserialize_model(data: bytes) -> GrammarModel:
-    """Inverse of :func:`serialize_model` with integrity checks."""
-    header_len = len(_MAGIC) + 2 + 8 + 32
-    if len(data) < header_len:
-        raise ModelFormatError("model blob is too short to hold a header")
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise ModelFormatError("bad magic: not a serialized grammar model")
-    version = int.from_bytes(data[4:6], "big")
-    if version != _FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version}")
-    blob_len = int.from_bytes(data[6:14], "big")
-    digest = data[14:46]
-    blob = data[46:]
-    if len(blob) != blob_len:
-        raise ModelFormatError(
-            f"model blob is truncated or padded: expected {blob_len} bytes, got {len(blob)}"
-        )
-    if hashlib.sha256(blob).digest() != digest:
-        raise ModelFormatError("model checksum mismatch: data is corrupt")
-    try:
-        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"cannot decode model payload: {exc}") from exc
-    try:
-        dis = payload["discounts"]
-        discounts = DiscountSchedule(
-            mode=dis["mode"],
-            constant_d=dis["constant_d"],
-            bins=tuple(dis["bins"]) if dis["bins"] is not None else None,
-        )
-        vocab = Vocabulary(frozenset(payload["vocab"]))
-        order = payload["order"]
-        raw = _checked_counts(payload["raw_counts"], order, vocab)
-        table = CountTable.from_raw(raw, order, token_codes(vocab))
-        return GrammarModel(order, vocab, discounts, payload["sentence_count"], table)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model payload is malformed: {exc}") from exc
-
-
-def _checked_counts(
-    entries: Iterable, order: int, vocab: Vocabulary
-) -> dict[tuple[str, ...], int]:
-    """A payload's raw count table, rejecting what no training run makes.
-
-    Each gram is a list of 1..order tokens from the vocabulary and the two
-    markers, each count a positive integer, and no gram appears twice. Some
-    gram has ``order`` tokens, as every trained model's begin-marker run.
-    """
-    if type(order) is not int:
-        raise ValueError(f"order must be an integer: {order!r}")
-    tokens = vocab.items | {BOS, EOS}
-    raw: dict[tuple[str, ...], int] = {}
-    for gram, count in entries:
-        if not isinstance(gram, list) or not 1 <= len(gram) <= order:
-            raise ValueError(f"gram {gram!r} is not a list of 1..{order} tokens")
-        gram = tuple(gram)
-        for tok in gram:
-            if not isinstance(tok, str) or tok not in tokens:
-                raise ValueError(f"gram {gram!r} holds a token outside the vocabulary")
-        if type(count) is not int or count <= 0:
-            raise ValueError(f"gram {gram!r} has count {count!r}, not a positive integer")
-        if gram in raw:
-            raise ValueError(f"gram {gram!r} appears twice")
-        raw[gram] = count
-    if order not in map(len, raw):
-        raise ValueError(f"no gram has the model's order {order}")
-    return raw
-
-
-def dump_model(model: GrammarModel) -> str:
-    """Human-readable dump of the model's primary state, for inspection."""
-    lines = [
-        f"order: {model.order}",
-        f"sentences: {model.sentence_count}",
-        f"discounts: {model.discounts}",
-        f"vocabulary ({len(model.vocab)}): {' '.join(model.vocab.sorted_items())}",
-        "raw counts:",
-    ]
-    for gram, count in sorted(model.raw_counts.items()):
-        lines.append(f"  {' '.join(gram)}\t{count}")
-    return "\n".join(lines) + "\n"

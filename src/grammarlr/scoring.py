@@ -516,8 +516,6 @@ def _score_problem(
     author's row and its first r reference rows of that log matrix.
     """
     first = configs[0]
-    if any(replace(c, refs=first.refs, order=first.order) != first for c in configs):
-        raise ValueError("configs scored together may differ only in refs and order")
     known = _doc_sentences(problem.known_docs)
     unknown = _doc_sentences(problem.unknown_docs)
     pool_size = len(pool.offsets) - 1
@@ -632,12 +630,16 @@ def _score_problems(
     and ``order``, as ``_score_problem`` does: per problem, in problem
     order, each config's trace.
 
-    An empty pool raises ``DataError`` here, before any problem is scored
-    or any worker starts. Each worker receives the prepared pool once, at
-    start-up. See ``score_corpus`` for ``parallel``.
+    Configs that differ in more than ``refs`` and ``order`` raise
+    ``ValueError``, and an empty pool ``DataError``, here, before any
+    problem is scored or any worker starts. Each worker receives the
+    prepared pool once, at start-up. See ``score_corpus`` for ``parallel``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1: {parallel}")
+    first = configs[0]
+    if any(replace(c, refs=first.refs, order=first.order) != first for c in configs[1:]):
+        raise ValueError("configs scored together may differ only in refs and order")
     if problems and len(pool.offsets) == 1:
         raise DataError("reference pool is empty")
     if parallel == 1 or len(problems) <= 1:

@@ -201,6 +201,25 @@ class TestVerify:
         assert "probs.jsonl: line 1: document 'k' sentence 2 is not a list of strings" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["sentences", "tagged"])
+    @pytest.mark.parametrize("doc_id", [None, "", 5], ids=["missing", "empty", "number"])
+    def test_bad_document_id_exit_3(self, tmp_path, capsys, entry, doc_id):
+        """A document entry whose id is missing, empty or not a string is
+        rejected once, by the document or the tagged parser, with one line
+        that names the file and line."""
+        (tmp_path / "k.tsv").write_text("a\tNOUN\n.\tPUNCT\n", encoding="utf-8")
+        doc = {"sentences": [["a", "."]]} if entry == "sentences" else {"tagged": "k.tsv"}
+        if doc_id is not None:
+            doc["id"] = doc_id
+        problem = {"id": "p1", "known": [doc], "unknown": [{"id": "u", "sentences": [["a"]]}]}
+        path = tmp_path / "probs.jsonl"
+        path.write_text("\n" + json.dumps(problem) + "\n", encoding="utf-8")
+        assert run(["verify", path, "--problem", "p1"] + FAST_MODEL) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: probs.jsonl: line 2: ")
+        assert "document id must be a non-empty string" in err
+
     def test_malformed_calibration_exit_3(self, corpus_dir, tmp_path, capsys):
         pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
         valid = {"intercept": 0.5, "slope": 1.0, "prior_log_odds": 0.0, "separated": False}

@@ -506,7 +506,8 @@ class TestSharedReferencePool:
         base = tagged_dir(tmp_path)
         (base / "r1.tsv").write_text("a\tNOUN\n.\tPUNCT\n", encoding="utf-8")
         (base / "r2.tsv").write_text("a\tNOUN\na\tNOUN\na\tNOPE\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="^r2: line 3: unknown POS label 'NOPE'$"):
+        message = r"^refs\.jsonl: line 2: r2: line 3: unknown POS label 'NOPE'$"
+        with pytest.raises(ParseError, match=message):
             load_reference_docs(base / "refs.jsonl")
 
 
@@ -616,8 +617,9 @@ class TestParserProperties:
     )
     def test_sidecar_parses_each_file_alone_and_shares_equal_lines(self, files):
         """A sidecar's documents equal ``parse_tagged_document`` of each of
-        its tagged files, or it raises the first file's error; the tokens
-        of equal lines, in any of its files, are one object."""
+        its tagged files, or it raises the first file's error, prefixed with
+        the sidecar line that names the file; the tokens of equal lines, in
+        any of its files, are one object."""
         texts = ["\n".join(lines) + "\n" for lines in files]
         with tempfile.TemporaryDirectory() as tmp:
             base = Path(tmp)
@@ -632,7 +634,7 @@ class TestParserProperties:
             except ParseError as exc:
                 with pytest.raises(ParseError) as info:
                     load_reference_docs(base / "refs.jsonl")
-                assert str(info.value) == str(exc)
+                assert str(info.value) == f"refs.jsonl: line {i + 1}: {exc}"
                 return
             docs = load_reference_docs(base / "refs.jsonl")
         assert docs == tuple(expected)

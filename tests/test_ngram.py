@@ -1,9 +1,6 @@
-import hashlib
-import json
 import math
 import pickle
 import random
-import zlib
 from itertools import pairwise
 
 import numpy as np
@@ -24,7 +21,6 @@ from oracles import (
 )
 
 from grammarlr import ngram, scoring
-from grammarlr.errors import ModelFormatError
 from grammarlr.ngram import (
     BOS,
     EOS,
@@ -34,11 +30,8 @@ from grammarlr.ngram import (
     GramIndex,
     GrammarModel,
     Vocabulary,
-    deserialize_model,
-    dump_model,
     kneser_ney_probs,
     sentence_probs,
-    serialize_model,
     token_codes,
     token_stream,
     train,
@@ -315,17 +308,6 @@ class TestKeptDistributions:
         assert kept[:: len(ALPHABET) + 1] == [1, 2] * 4
 
 
-def pruned(model, rng):
-    """A model loaded from ``model``'s payload with about a third of its raw
-    counts dropped, one top-order gram always kept, and its raw counts. Its
-    table gives zero counts to the prefixes and suffixes the payload lacks."""
-    payload = _payload(model)
-    entries = payload["raw_counts"]
-    top = next(e for e in entries if len(e[0]) == model.order)
-    payload["raw_counts"] = [e for e in entries if e is top or rng.random() < 2 / 3]
-    return deserialize_model(_blob(payload)), {tuple(g): c for g, c in payload["raw_counts"]}
-
-
 class TestAgainstOracles:
     def test_raw_counts_match(self):
         rng = random.Random(23)
@@ -336,7 +318,7 @@ class TestAgainstOracles:
             assert model.raw_counts == dict(oracle_raw_counts(sents, order))
 
     def test_continuation_counts_match(self):
-        rng, prune, closed = random.Random(29), random.Random(30), 0
+        rng = random.Random(29)
         for _ in range(25):
             sents = random_sentences(rng)
             order = rng.randrange(1, 4)
@@ -344,18 +326,15 @@ class TestAgainstOracles:
             raw = oracle_raw_counts(sents, order)
             items = model.vocab.sorted_items()
             grams = list(raw.keys()) + [("q",), ("a", "q")[: order or 1]]
-            for model, raw in ((model, raw), pruned(model, prune)):
-                for gram in grams:
-                    if not 1 <= len(gram) <= order:
-                        continue
-                    assert model.continuation_count(gram) == oracle_continuation_count(
-                        raw, gram, order, items
-                    ), (sents, order, gram)
-                closed += bool((model.table.counts[1:] == 0).any())
-        assert closed > 0  # some pruned table holds zero-count entries
+            for gram in grams:
+                if not 1 <= len(gram) <= order:
+                    continue
+                assert model.continuation_count(gram) == oracle_continuation_count(
+                    raw, gram, order, items
+                ), (sents, order, gram)
 
     def test_type_counts_match(self):
-        rng, prune, closed = random.Random(31), random.Random(32), 0
+        rng = random.Random(31)
         for _ in range(25):
             sents = random_sentences(rng)
             order = rng.randrange(2, 5)
@@ -365,24 +344,21 @@ class TestAgainstOracles:
             grams = [()] + [
                 g[1:] for g in raw if 1 <= len(g) - 1 <= order - 1
             ]
-            for model, raw in ((model, raw), pruned(model, prune)):
-                for gram in grams[:40]:
-                    for r in (1, 2, 3):
-                        for at_least in (False, True):
-                            assert model.prefix_type_count(
-                                gram, r, at_least=at_least
-                            ) == oracle_prefix_type_count(raw, gram, r, items, at_least), (
-                                "prefix", sents, order, gram, r, at_least,
-                            )
-                            if gram and gram[-1] == BOS:
-                                continue
-                            assert model.suffix_type_count(
-                                gram, r, at_least=at_least
-                            ) == oracle_suffix_type_count(raw, gram, r, items, at_least), (
-                                "suffix", sents, order, gram, r, at_least,
-                            )
-                closed += bool((model.table.counts[1:] == 0).any())
-        assert closed > 0  # some pruned table holds zero-count entries
+            for gram in grams[:40]:
+                for r in (1, 2, 3):
+                    for at_least in (False, True):
+                        assert model.prefix_type_count(
+                            gram, r, at_least=at_least
+                        ) == oracle_prefix_type_count(raw, gram, r, items, at_least), (
+                            "prefix", sents, order, gram, r, at_least,
+                        )
+                        if gram and gram[-1] == BOS:
+                            continue
+                        assert model.suffix_type_count(
+                            gram, r, at_least=at_least
+                        ) == oracle_suffix_type_count(raw, gram, r, items, at_least), (
+                            "suffix", sents, order, gram, r, at_least,
+                        )
 
     def test_probabilities_match(self):
         rng = random.Random(37)
@@ -483,9 +459,6 @@ class TestTraining:
     def test_deterministic(self):
         sents = [("a", "b"), ("c",)]
         assert train(sents, order=3) == train(sents, order=3)
-        assert serialize_model(train(sents, order=3)) == serialize_model(
-            train(sents, order=3)
-        )
 
     def test_estimated_discounts_mode(self):
         rng = random.Random(43)
@@ -511,38 +484,44 @@ class TestTraining:
         with pytest.raises(ValueError):
             GrammarModel(1, vocab, sched, 0, {})
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DiscountSchedule("constant", 0.75, {"x": 1}), "no discount bins"),
+            (lambda: DiscountSchedule("constant", 0.75, [0.1, 0.2, 0.3]), "no discount bins"),
+            (lambda: DiscountSchedule("modified", "zz", (0.1, 0.2, 0.3)), "lie in"),
+            (lambda: DiscountSchedule("modified", 7.0, (0.1, 0.2, 0.3)), "lie in"),
+            (lambda: _with_sentence_count(True), "sentence count must be an integer"),
+            (lambda: _with_sentence_count(2.5), "sentence count must be an integer"),
+        ],
+        ids=[
+            "constant-bins-object", "constant-bins-list", "modified-discount-string",
+            "modified-discount-out-of-range", "sentence-count-bool", "sentence-count-fraction",
+        ],
+    )
+    def test_field_no_model_has(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def _with_sentence_count(sentence_count):
+    """A trained model's fields, with another sentence count."""
+    model = train([("a", "b"), ("a", "c")], order=2)
+    return GrammarModel(model.order, model.vocab, model.discounts, sentence_count, model.table)
+
 
 class TestCountTableKept:
-    """A trained model scores on the table it was counted with; only a model
-    built from raw counts tabulates them, once."""
+    """A trained model scores on the table it was counted with, and its count
+    queries, equality and pickling read that table alone."""
 
     @pytest.fixture()
-    def from_raw_calls(self, monkeypatch):
-        calls = []
-        real = CountTable.from_raw.__func__
-
-        def spy(cls, *args, **kwargs):
-            calls.append(args)
-            return real(cls, *args, **kwargs)
-
-        monkeypatch.setattr(CountTable, "from_raw", classmethod(spy))
-        return calls
-
-    @pytest.mark.parametrize("fit", [train, train_with_estimated_discounts])
-    def test_trained_models_never_call_from_raw(self, from_raw_calls, fit):
-        rng = random.Random(173)
-        vocab = Vocabulary.from_sentences([ALPHABET])
-        author, *refs = (fit(random_sentences(rng), 4, vocab=vocab) for _ in range(4))
-        author.prob("a", ("b", "c"))
-        author.sentence_logprob(("a", "b", "e"))
-        lambda_document([("a", "c"), ("d",)], author, refs)
-        assert from_raw_calls == []
-
-    def test_deserialized_model_tabulates_once(self, from_raw_calls):
-        model = deserialize_model(serialize_model(train([("a", "b"), ("c",)], order=3)))
-        model.prob("a", ("b",))
-        model.sentence_logprob(("a", "b"))
-        assert len(from_raw_calls) == 1
+    def model(self):
+        rng = random.Random(47)
+        return train(
+            random_sentences(rng, max_sents=8),
+            order=3,
+            discounts=DiscountSchedule.modified(0.4, 0.6, 0.8),
+        )
 
     @pytest.fixture()
     def spell_calls(self, monkeypatch):
@@ -559,12 +538,12 @@ class TestCountTableKept:
     @pytest.mark.parametrize("fit", [train, train_with_estimated_discounts])
     def test_trained_models_never_spell_their_table(self, spell_calls, fit):
         """Queries, scoring, equality and printing read the table alone;
-        only ``raw_counts`` and the two writers that read it spell it, once
-        per read, and nothing is kept."""
+        only ``raw_counts`` spells it, once per read, and nothing is kept."""
         rng = random.Random(181)
         vocab = Vocabulary.from_sentences([ALPHABET])
-        author, *refs = (fit(random_sentences(rng), 4, vocab=vocab) for _ in range(4))
-        twin = deserialize_model(serialize_model(author))
+        training = [random_sentences(rng) for _ in range(4)]
+        author, *refs = (fit(sentences, 4, vocab=vocab) for sentences in training)
+        twin = fit(training[0], 4, vocab=vocab)
         spell_calls.clear()
         assert author.count(("a",)) > 0
         assert author.continuation_count(("a",)) > 0
@@ -576,8 +555,8 @@ class TestCountTableKept:
         author.sentence_logprob(("a", "b", "e"))
         lambda_document([("a", "c"), ("d",)], author, refs)
         assert spell_calls == []
-        for read in (lambda m: m.raw_counts, lambda m: m.raw_counts, serialize_model, dump_model):
-            read(author)
+        for _ in range(2):
+            assert author.raw_counts
             assert len(spell_calls) == 1 and "raw_counts" not in vars(author)
             spell_calls.clear()
 
@@ -604,23 +583,44 @@ class TestCountTableKept:
         assert got == [spelled.get(g, 0) for g in mapped]
         assert any(got) and not all(got)
 
+    def test_equality_discriminates(self, model):
+        other = train([("a",)], order=1)
+        assert model != other
+        assert model != "not a model"
 
-@pytest.mark.parametrize(
-    "fit, digest",
-    [
-        (train, "41ee748d02a3754639f5b2dd00bd4358dd8271a38fc46bfb48f06c8f9892d2a9"),
-        (
-            train_with_estimated_discounts,
-            "abc71d0a8d09beb9a6ba7b5a8784fd1ba968c3c0b91ae234d7cde271c475da92",
-        ),
-    ],
-    ids=["constant", "estimated"],
-)
-def test_model_format_is_pinned(fit, digest):
-    """The serialized payload of a fixed model never changes. The digest is
-    of the decompressed payload, since zlib builds may compress differently."""
-    model = fit([("a", "b", "a"), ("c",), ("b", "a", "c", "a")], 3)
-    assert hashlib.sha256(zlib.decompress(serialize_model(model)[46:])).hexdigest() == digest
+    def test_equality_is_raw_count_equality(self):
+        """``==`` compares tables, and agrees with comparing the fields and
+        the raw counts on pairs of models whose sentences differ in one
+        sentence, at most: the same, another of the list, or a new one."""
+        rng = random.Random(197)
+
+        def fields(m):
+            return m.order, m.vocab, m.discounts, m.sentence_count, dict(m.raw_counts)
+
+        outcomes = []
+        for _ in range(60):
+            sents = random_sentences(rng, max_sents=4, max_len=3, alphabet=ALPHABET[:3])
+            other = list(sents)
+            pick = [*sents, *random_sentences(rng, max_sents=1, max_len=3, alphabet=ALPHABET[:3])]
+            other[rng.randrange(len(other))] = rng.choice(pick)
+            order, schedule = rng.randrange(1, 4), random_schedule(rng)
+            a, b = (train(s, order, discounts=schedule) for s in (sents, other))
+            same = fields(a) == fields(b)
+            assert (a == b) is same and (b == a) is same, (sents, other, order)
+            outcomes.append(same)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_pickles_after_every_query(self, model):
+        """A model that has answered every kind of query pickles, and the
+        copy equals it."""
+        model.count(("a",))
+        model.continuation_count(("a",))
+        model.prefix_type_count(("a",), 1)
+        model.suffix_type_count((), 1, at_least=True)
+        model.prob("b", ("a",))
+        model.sentence_logprob(("a", "c"))
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model and clone.prob("b", ("a",)) == model.prob("b", ("a",))
 
 
 # Coded sentences over four tokens (codes 0-3; 4 and 5 are the markers), a
@@ -724,30 +724,23 @@ class TestDemandDrivenKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        raw=st.dictionaries(
-            st.lists(st.sampled_from(("a", "b", BOS, EOS)), min_size=1, max_size=5).map(tuple),
-            st.integers(1, 4),
-            min_size=1,
-            max_size=12,
-        ),
-        schedule=discount_schedules,
-        stream=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.booleans()), max_size=12),
+        scored=scored_tables(),
+        stream=st.lists(st.tuples(st.integers(0, 5), st.booleans(), st.booleans()), max_size=12),
     )
-    def test_raw_tables_with_cut_streams(self, raw, schedule, stream):
-        """A raw table, closed or not, as deserialized models tabulate
-        theirs, queried on a stream where some positions have predecessor
-        -1 and any subset of positions, none included, is scored."""
-        codes = token_codes(Vocabulary(frozenset({"a", "b", UNK})))
-        table = CountTable.from_raw(raw, max(len(g) for g in raw), codes)
+    def test_raw_tables_with_cut_streams(self, scored, stream):
+        """A table queried on a stream of any codes, the markers included,
+        where some positions have predecessor -1 and any subset of
+        positions, none included, is scored."""
+        table, discounts = scored
         tokens = np.array([code for code, _, _ in stream], dtype=np.int64)
         prev = np.array(
             [i - 1 if joined and i else -1 for i, (_, joined, _) in enumerate(stream)],
             dtype=np.int64,
         )
-        positions = np.flatnonzero([scored for _, _, scored in stream]).astype(np.int64)
-        want = whole_table_kneser_ney_probs(table, [schedule], tokens, prev, positions)
-        got = kneser_ney_probs(table, [schedule], tokens, prev, positions)[0]
-        assert got.shape == (1, len(positions))
+        positions = np.flatnonzero([queried for _, _, queried in stream]).astype(np.int64)
+        want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
+        got = kneser_ney_probs(table, discounts, tokens, prev, positions)[0]
+        assert got.shape == (table.n_models, len(positions))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["constant", "modified"])
@@ -955,240 +948,3 @@ class TestQueryFilteredCounting:
 
         kept, every = entries(table), entries(full)
         assert kept.items() <= every.items()
-
-
-class TestSerialization:
-    @pytest.fixture()
-    def model(self):
-        rng = random.Random(47)
-        return train(
-            random_sentences(rng, max_sents=8),
-            order=3,
-            discounts=DiscountSchedule.modified(0.4, 0.6, 0.8),
-        )
-
-    def test_round_trip_identity(self, model):
-        clone = deserialize_model(serialize_model(model))
-        assert clone == model
-        assert clone.prob("b", ("a",)) == model.prob("b", ("a",))
-        assert serialize_model(clone) == serialize_model(model)
-
-    def test_truncated_blob(self, model):
-        data = serialize_model(model)
-        with pytest.raises(ModelFormatError, match="truncated"):
-            deserialize_model(data[:-3])
-
-    def test_too_short_for_header(self):
-        with pytest.raises(ModelFormatError, match="too short"):
-            deserialize_model(b"GLRM")
-
-    def test_bad_magic(self, model):
-        data = serialize_model(model)
-        with pytest.raises(ModelFormatError, match="magic"):
-            deserialize_model(b"XXXX" + data[4:])
-
-    def test_unsupported_version(self, model):
-        data = serialize_model(model)
-        tampered = data[:4] + (99).to_bytes(2, "big") + data[6:]
-        with pytest.raises(ModelFormatError, match="version"):
-            deserialize_model(tampered)
-
-    def test_corrupt_payload(self, model):
-        data = bytearray(serialize_model(model))
-        data[-1] ^= 0xFF
-        with pytest.raises(ModelFormatError, match="checksum"):
-            deserialize_model(bytes(data))
-
-    def test_dump_is_readable(self, model):
-        text = dump_model(model)
-        assert "order: 3" in text
-        assert "raw counts:" in text
-
-    def test_equality_discriminates(self, model):
-        other = train([("a",)], order=1)
-        assert model != other
-        assert model != "not a model"
-
-    def test_equality_is_raw_count_equality(self, model):
-        """``==`` compares tables, and agrees with comparing raw counts on a
-        round trip and on payloads with one count changed or one dropped."""
-        clone = deserialize_model(serialize_model(model))
-        assert clone == model and dict(clone.raw_counts) == dict(model.raw_counts)
-        entries = _payload(model)["raw_counts"]
-        for i, (gram, count) in enumerate(entries):
-            for edit in ([[gram, count + 1]], []):
-                payload = _payload(model)
-                payload["raw_counts"] = entries[:i] + edit + entries[i + 1 :]
-                if not any(len(g) == model.order for g, _ in payload["raw_counts"]):
-                    continue
-                edited = deserialize_model(_blob(payload))
-                assert dict(edited.raw_counts) != dict(model.raw_counts)
-                assert edited != model and model != edited
-
-    def test_pickles_after_every_query(self, model):
-        """A model that has answered every kind of query pickles, and the
-        copy equals it."""
-        model.count(("a",))
-        model.continuation_count(("a",))
-        model.prefix_type_count(("a",), 1)
-        model.suffix_type_count((), 1, at_least=True)
-        model.prob("b", ("a",))
-        model.sentence_logprob(("a", "c"))
-        dump_model(model)
-        assert model == deserialize_model(serialize_model(model))
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone == model and clone.prob("b", ("a",)) == model.prob("b", ("a",))
-
-    def test_deeply_nested_payload(self):
-        body = zlib.compress(b"[" * 100_000 + b"]" * 100_000)
-        blob = b"GLRM" + (1).to_bytes(2, "big") + len(body).to_bytes(8, "big")
-        with pytest.raises(ModelFormatError, match="cannot decode model payload"):
-            deserialize_model(blob + hashlib.sha256(body).digest() + body)
-
-
-def _payload(model):
-    return json.loads(zlib.decompress(serialize_model(model)[46:]))
-
-
-def _blob(payload):
-    """Serialize an arbitrary payload with a valid header and checksum."""
-    body = zlib.compress(json.dumps(payload, sort_keys=True).encode("utf-8"))
-    return (
-        b"GLRM"
-        + (1).to_bytes(2, "big")
-        + len(body).to_bytes(8, "big")
-        + hashlib.sha256(body).digest()
-        + body
-    )
-
-
-class TestImpossibleCountTables:
-    """Payloads that pass the checksum but hold a table no training run
-    produces must be rejected, not turned into a model."""
-
-    @pytest.fixture()
-    def payload(self):
-        return _payload(train([("a", "b"), ("a", "c")], order=2))
-
-    def test_valid_payload_loads(self, payload):
-        assert deserialize_model(_blob(payload)) == train([("a", "b"), ("a", "c")], order=2)
-
-    @pytest.mark.parametrize(
-        "entry",
-        [[[], 1], [["a", "b", "c"], 1]],
-        ids=["empty-gram", "gram-longer-than-order"],
-    )
-    def test_gram_length(self, payload, entry):
-        payload["raw_counts"].append(entry)
-        with pytest.raises(ModelFormatError, match="1..2 tokens"):
-            deserialize_model(_blob(payload))
-
-    @pytest.mark.parametrize("token", ["zzz", "", 7], ids=["oov", "empty", "number"])
-    def test_token_outside_vocabulary(self, payload, token):
-        payload["raw_counts"].append([["a", token], 1])
-        with pytest.raises(ModelFormatError, match="outside the vocabulary"):
-            deserialize_model(_blob(payload))
-
-    @pytest.mark.parametrize(
-        "count", [0, -4, True, 1.7, 2.0, "3"], ids=["zero", "negative", "bool", "fraction", "float", "string"]
-    )
-    def test_count_not_positive_integer(self, payload, count):
-        payload["raw_counts"][0][1] = count
-        with pytest.raises(ModelFormatError, match="not a positive integer"):
-            deserialize_model(_blob(payload))
-
-    def test_duplicate_gram(self, payload):
-        gram, count = payload["raw_counts"][0]
-        payload["raw_counts"].append([gram, count + 1])
-        with pytest.raises(ModelFormatError, match="appears twice"):
-            deserialize_model(_blob(payload))
-
-    @pytest.mark.parametrize("order", [3, 10**12], ids=["one-over", "huge"])
-    def test_no_gram_of_the_order(self, payload, order):
-        payload["order"] = order
-        with pytest.raises(ModelFormatError, match=f"no gram has the model's order {order}"):
-            deserialize_model(_blob(payload))
-
-    def test_order_not_integer(self, payload):
-        payload["order"] = 2.0
-        with pytest.raises(ModelFormatError, match="order must be an integer"):
-            deserialize_model(_blob(payload))
-
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"discounts": {"mode": "constant", "constant_d": 0.75, "bins": {"x": 1}}}, "no discount bins"),
-            ({"discounts": {"mode": "constant", "constant_d": 0.75, "bins": [0.1, 0.2, 0.3]}}, "no discount bins"),
-            ({"discounts": {"mode": "modified", "constant_d": "zz", "bins": [0.1, 0.2, 0.3]}}, "lie in"),
-            ({"discounts": {"mode": "modified", "constant_d": 7.0, "bins": [0.1, 0.2, 0.3]}}, "lie in"),
-            ({"sentence_count": True}, "sentence count must be an integer"),
-            ({"sentence_count": 2.5}, "sentence count must be an integer"),
-        ],
-        ids=[
-            "constant-bins-object", "constant-bins-list", "modified-discount-string",
-            "modified-discount-out-of-range", "sentence-count-bool", "sentence-count-fraction",
-        ],
-    )
-    def test_field_no_model_has(self, payload, fields, message):
-        payload.update(fields)
-        with pytest.raises(ModelFormatError, match=message):
-            deserialize_model(_blob(payload))
-
-
-schedules = st.one_of(
-    st.floats(0.05, 0.95).map(DiscountSchedule.constant),
-    st.tuples(*[st.floats(0.05, 0.95)] * 3).map(lambda b: DiscountSchedule.modified(*b)),
-)
-training_sets = st.lists(
-    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6).map(tuple),
-    min_size=1,
-    max_size=5,
-)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-class TestSerializationProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(sentences=training_sets, order=st.integers(1, 4), schedule=schedules)
-    def test_round_trip(self, sentences, order, schedule):
-        model = train(sentences, order, discounts=schedule)
-        clone = deserialize_model(serialize_model(model))
-        assert clone == model
-        # Every counted position: each gram's last token after the rest.
-        for gram in clone.raw_counts:
-            if gram[-1] != BOS:
-                assert clone.prob(gram[-1], gram[:-1]) == model.prob(gram[-1], gram[:-1])
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_corruption_raises_only_model_format_error(self, data):
-        model = train([("a", "b", "a"), ("c",)], order=3)
-        blob = serialize_model(model)
-        if data.draw(st.booleans(), label="edit bytes"):
-            at = data.draw(st.integers(0, len(blob) - 1), label="at")
-            cut = data.draw(st.integers(0, 3), label="cut")
-            corrupt = blob[:at] + bytes([blob[at] ^ 0x5A]) + blob[at + 1 + cut :]
-        else:
-            # A payload whose checksum is valid but one field is replaced.
-            payload = _payload(model)
-            path = data.draw(
-                st.sampled_from(
-                    [("order",), ("sentence_count",), ("vocab",), ("discounts",),
-                     ("discounts", "mode"), ("discounts", "bins"), ("raw_counts",),
-                     ("raw_counts", 0), ("raw_counts", 0, 0), ("raw_counts", 0, 1)]
-                ),
-                label="path",
-            )
-            target = payload
-            for key in path[:-1]:
-                target = target[key]
-            target[path[-1]] = data.draw(json_values, label="value")
-            corrupt = _blob(payload)
-        try:
-            deserialize_model(corrupt)
-        except ModelFormatError:
-            pass

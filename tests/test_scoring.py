@@ -24,8 +24,6 @@ from grammarlr.ngram import (
     CountTable,
     DiscountSchedule,
     Vocabulary,
-    deserialize_model,
-    serialize_model,
     token_codes,
     train,
     train_with_estimated_discounts,
@@ -819,6 +817,29 @@ class TestScoreCorpus:
                 score_corpus(corpus, cfg, parallel=parallel)
         assert score_corpus(replace(corpus, problems=()), cfg) == []
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_mismatched_configs_fail_before_any_problem_or_worker(self, monkeypatch, parallel):
+        """Configs scored together that differ in more than refs and order
+        raise once, before any problem is scored or any worker starts."""
+        entered = []
+
+        def spy(*args, **kwargs):
+            entered.append(args)
+            raise AssertionError("a problem was scored")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a worker started")
+
+        corpus = self._corpus(random.Random(131))
+        pool = scoring._Pool.of(corpus.reference_docs)
+        cfg = LambdaConfig(order=2, refs=2, seed=1)
+        monkeypatch.setattr(scoring, "_score_problem", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        for other in (replace(cfg, seed=2), replace(cfg, order=3, discount_mode="modified")):
+            with pytest.raises(ValueError, match="may differ only in refs and order"):
+                scoring._score_problems(corpus.problems, pool, [cfg, other], parallel)
+        assert entered == []
+
     def test_parallel_matches_serial(self):
         rng = random.Random(109)
         corpus = self._corpus(rng)
@@ -1048,42 +1069,6 @@ class TestGatheredStream:
         for got_flat, got_lengths in queried:
             assert np.array_equal(got_flat, query_flat)
             assert np.array_equal(got_lengths, query_lengths)
-
-
-small_corpora = st.lists(
-    st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6).map(tuple),
-    min_size=1,
-    max_size=5,
-)
-
-
-class TestTrainedAndLoadedModelsAgree:
-    """A trained model scores on the count table it was counted with, a
-    loaded one on a table of its raw counts; ``lambda_document`` gives the
-    same trace, byte for byte, either way."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        known=small_corpora,
-        ref_sets=st.lists(small_corpora, min_size=1, max_size=4),
-        unknown=small_corpora,
-        order=st.integers(1, 5),
-        discount_mode=st.sampled_from(["constant", "modified"]),
-    )
-    def test_trace_json_identical(self, known, ref_sets, unknown, order, discount_mode):
-        vocab = Vocabulary.from_sentences([*known, *(s for rs in ref_sets for s in rs)])
-
-        def fit(sentences):
-            if discount_mode == "modified":
-                return train_with_estimated_discounts(sentences, order, vocab=vocab)
-            return train(sentences, order, discounts=DiscountSchedule.constant(0.6), vocab=vocab)
-
-        trained = [fit(s) for s in (known, *ref_sets)]
-        loaded = [deserialize_model(serialize_model(m)) for m in trained]
-        assert (
-            lambda_document(unknown, trained[0], trained[1:]).to_json()
-            == lambda_document(unknown, loaded[0], loaded[1:]).to_json()
-        )
 
 
 def renamed(doc, rename):
