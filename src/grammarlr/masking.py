@@ -81,9 +81,20 @@ class MaskingLexicon:
         return frozenset(self.placeholders.values())
 
     @cached_property
-    def _masked(self) -> dict[TaggedToken, str]:
-        """``mask_token`` of each token this lexicon has masked."""
-        return {}
+    def _masked(self) -> "_Memo":
+        return _Memo(self)
+
+
+class _Memo(dict):
+    """A lexicon's memo: token -> ``mask_token(token, lexicon)``, of each
+    token looked up, masked when it is first looked up."""
+
+    def __init__(self, lexicon: MaskingLexicon) -> None:
+        self.lexicon = lexicon
+
+    def __missing__(self, token: TaggedToken) -> str:
+        masked = self[token] = mask_token(token, self.lexicon)
+        return masked
 
 
 def load_lexicon(path: Union[str, Path]) -> MaskingLexicon:
@@ -160,14 +171,7 @@ def mask_sentence(
     # Tuples here are built from lists, at their final size. One built from
     # an iterator is allocated at a guess and resized, and over repeated calls
     # the freed tuples pile up in the interpreter's free lists of other sizes.
-    memo = lexicon._masked
-    try:
-        return tuple([*map(memo.__getitem__, sentence)])
-    except KeyError:
-        for tok in sentence:
-            if tok not in memo:
-                memo[tok] = mask_token(tok, lexicon)
-        return tuple([*map(memo.__getitem__, sentence)])
+    return tuple([*map(lexicon._masked.__getitem__, sentence)])
 
 
 def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
@@ -187,46 +191,26 @@ def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
 
 
 def mask_problems(
-    pairs: Sequence[tuple[Sequence[VerificationProblem], Sequence[Document]]],
-    lexicon: Optional[MaskingLexicon] = None,
-) -> list[tuple[tuple[VerificationProblem, ...], tuple[Document, ...]]]:
-    """Mask (problems, reference pool) pairs before they are scored, with
-    the bundled lexicon unless another is given: each tagged document once,
-    and a pool once for all pairs whose pools are equal. Already-masked
-    documents are kept as they are. A pool may repeat ids or share
-    documents with the problems."""
+    problems: Sequence[VerificationProblem], lexicon: Optional[MaskingLexicon] = None
+) -> tuple[VerificationProblem, ...]:
+    """Mask problems before they are scored, with the bundled lexicon
+    unless another is given: each tagged document of each problem once.
+    Already-masked documents are kept as they are."""
     lexicon = lexicon if lexicon is not None else default_lexicon()
 
     def mask(docs: Sequence[Document]) -> tuple[Document, ...]:
         return tuple([mask_document(d, lexicon) if d.is_tagged else d for d in docs])
 
-    pools: list[tuple[tuple[Document, ...], tuple[Document, ...]]] = []
-    masked = []
-    for problems, refs in pairs:
-        pool = next((m for r, m in pools if r == refs), None)
-        if pool is None:
-            pool = mask(refs)
-            pools.append((refs, pool))
-        problems = tuple([
-            replace(p, unknown_docs=mask(p.unknown_docs), known_docs=mask(p.known_docs))
-            for p in problems
-        ])
-        masked.append((problems, pool))
-    return masked
-
-
-def mask_corpora(
-    corpora: Sequence[Corpus], lexicon: Optional[MaskingLexicon] = None
-) -> list[Corpus]:
-    """``mask_corpus`` of each corpus, with a reference pool masked once for
-    all corpora whose pools are equal."""
-    masked = mask_problems([(c.problems, c.reference_docs) for c in corpora], lexicon)
-    return [replace(c, problems=p, reference_docs=pool) for c, (p, pool) in zip(corpora, masked)]
+    return tuple([
+        replace(p, unknown_docs=mask(p.unknown_docs), known_docs=mask(p.known_docs))
+        for p in problems
+    ])
 
 
 def mask_corpus(corpus: Corpus, lexicon: Optional[MaskingLexicon] = None) -> Corpus:
     """Mask every tagged document in a corpus, problems and references
     alike, with the bundled lexicon unless another is given;
     already-masked documents are kept as they are."""
-    (masked,) = mask_corpora([corpus], lexicon)
-    return masked
+    lexicon = lexicon if lexicon is not None else default_lexicon()
+    refs = tuple([mask_document(d, lexicon) for d in corpus.reference_docs])
+    return replace(corpus, problems=mask_problems(corpus.problems, lexicon), reference_docs=refs)

@@ -57,8 +57,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -217,10 +218,16 @@ def code_sentences(
     ``markers`` is set: then they keep their codes, as in a gram.
     """
     unk = codes[UNK]
-    lookup = codes if markers else {**codes, BOS: unk, EOS: unk}
-    flat = map(lookup.get, chain.from_iterable(sentences), repeat(unk))
+    lookup = defaultdict(lambda: unk, codes if markers else {**codes, BOS: unk, EOS: unk})
+    return _code_with(lookup, sentences, np.min_scalar_type(len(codes) - 1))
+
+
+def _code_with(codes: dict, sentences: Sequence, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The one token -> code loop: ``codes[token]`` of every token of every
+    sentence, end to end, in ``dtype``, and each sentence's length. A token
+    ``codes`` lacks is coded by its ``__missing__``."""
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    return np.fromiter(flat, np.min_scalar_type(len(codes) - 1)), lengths
+    return np.fromiter(map(codes.__getitem__, chain.from_iterable(sentences)), dtype), lengths
 
 
 def token_stream(
@@ -421,7 +428,8 @@ class CountTable:
     ``keys`` is sorted and holds ``gram id * n_models + model`` for every
     gram a model counts, with the count at the same place in ``counts``, so
     the entries of one gram are adjacent. Each model also holds the root,
-    with count 0.
+    with count 0, and every entry past the roots counts at least 1 (the
+    kernel and the model's count queries assume both).
     """
 
     def __init__(
@@ -610,7 +618,7 @@ def kneser_ney_probs(
         """Per entry lo, lo + 1, ... of ``ckn``, under its model's schedule:
         as a gram, the alpha numerator max(c - D(c), 0) of ``ckn``; as a
         context, the total and gamma of its ``counted`` children, or inf and
-        1 where it is not usable (total 0, or no count and not the root).
+        1 where it is not usable (total 0).
         The children of these entries' contexts must be among them. Also
         the unigrams' three as models x codes tables, the last column for
         "no unigram", where the entries hold the unigrams."""
@@ -627,7 +635,7 @@ def kneser_ney_probs(
         schedules = schedule_of[part]
         numerator = np.maximum(ckn - discount[schedules, np.clip(ckn, 0, 3)], 0.0)
         # Gamma at the usable entries, one schedule at a time.
-        usable = (total > 0) & ((counts[part] > 0) | (gram == 0))
+        usable = total > 0
         at = np.flatnonzero(usable)
         gamma = np.ones(len(ckn))
         for schedule, i in schedule_ids.items():
@@ -644,7 +652,7 @@ def kneser_ney_probs(
     # Continuation counts: raw at the top order, distinct left extensions
     # (entries whose suffix is the gram) below. Totals and count-of-count
     # bins of the asked contexts over the same counts.
-    extends = (counts > 0) & extension[gram_id]
+    extends = extension[gram_id]
     ckn = np.bincount(locate(index.suffix[gram_id[extends]], model[extends]), minlength=len(keys))
     top = level_at[index.order]
     ckn[top:] = counts[top:]
@@ -770,8 +778,7 @@ class GrammarModel:
             raise ValueError(f"gram length must be in 1..{self.order}: {len(gram)}")
         if len(gram) == self.order:
             return self.count(gram)
-        counts, _ = self._extensions(gram, left=True)
-        return len(counts) - counts.count(0)
+        return len(self._extensions(gram, left=True)[0])
 
     def prefix_type_count(self, gram: Sequence[str], r: int, at_least: bool = False) -> int:
         """Number of token types t with raw count of t,gram equal to r.

@@ -6,8 +6,8 @@ calibrated log LRs, decisions, and metric summaries. Train and test must be
 author-disjoint when author metadata is available; silently evaluating on
 seen authors would inflate every number.
 
-Each protocol checks its splits, then masks all its corpora with one call
-into ``masking`` before the first problem is scored.
+Each protocol checks its splits, then masks and codes each distinct pool
+once and masks every problem, before the first problem is scored.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .calibration import (
     decide,
     fit_calibration,
 )
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import CorpusError
-from .masking import MaskingLexicon, mask_corpora
+from .masking import MaskingLexicon, mask_problems
 from .scoring import LambdaConfig, _Pool, _score_problems
 
 logger = logging.getLogger("grammarlr")
@@ -110,16 +110,24 @@ def check_author_disjoint(train: Corpus, test: Corpus) -> None:
         )
 
 
-def _masked_splits(
-    splits: Sequence[tuple[Corpus, Corpus]], lexicon: Optional[MaskingLexicon]
-) -> list[Corpus]:
-    """Check every (train, test) split, then mask all their corpora with
-    one call into ``masking``: the masked train and test of each split."""
+def _prepared(
+    splits: Sequence[tuple[Corpus, Corpus]],
+    pools: list[Sequence[Document]],
+    lexicon: Optional[MaskingLexicon],
+) -> tuple[list[tuple[Corpus, Corpus]], list[_Pool]]:
+    """Check every (train, test) split, then prepare each distinct pool of
+    ``pools`` once and mask every problem: the masked splits, and the pools."""
     for train, test in splits:
         check_author_disjoint(train, test)
         _require_labels(train, "train")
         _require_labels(test, "test")
-    return mask_corpora([c for split in splits for c in split], lexicon)
+    first = [pools.index(refs) for refs in pools]  # the first pool equal to each
+    prepared = {i: _Pool.of(pools[i], lexicon) for i in dict.fromkeys(first)}
+    masked = [
+        tuple([replace(c, problems=mask_problems(c.problems, lexicon)) for c in split])
+        for split in splits
+    ]
+    return masked, [prepared[i] for i in first]
 
 
 def _calibrate(
@@ -179,10 +187,12 @@ def evaluate_corpus(
 ) -> EvaluationResult:
     """Run the full protocol: score train, calibrate, score test, report.
 
-    Both splits are masked before any scoring, the shared reference pool
-    once.
+    Both splits are masked before any scoring, and the reference pool they
+    share is masked and coded once.
     """
-    (result,) = _evaluate_cells(*_masked_splits([(train, test)], lexicon), [config], parallel)
+    refs = [train.reference_docs, test.reference_docs]
+    [split], pools = _prepared([(train, test)], refs, lexicon)
+    (result,) = _evaluate_cells(*split, pools, [config], parallel)
     return result
 
 
@@ -199,15 +209,17 @@ def sweep_grid(
 
     Each row equals the metrics of ``evaluate_corpus`` on the cell's config,
     but the work is shared: every cell's config is checked first, both
-    splits are masked once, and each split is scored once for the whole
-    grid (one process pool per split with ``parallel`` > 1). Each problem
-    is counted once, at the grid's largest order and reference count, and
-    each cell keeps only its document scores. Each cell is then calibrated
-    and reported as ``evaluate_corpus`` does.
+    splits and their pool are masked once, and each split is scored once
+    for the whole grid (one process pool per split with ``parallel`` > 1).
+    Each problem is counted once, at the grid's largest order and reference
+    count, and each cell keeps only its document scores. Each cell is then
+    calibrated and reported as ``evaluate_corpus`` does.
     """
     if not ref_counts or not orders:
         raise ValueError("sweep grids must be non-empty")
     cells = [replace(base_config, refs=r, order=n) for r in ref_counts for n in orders]
+    refs = [train.reference_docs, test.reference_docs]
+    [split], pools = _prepared([(train, test)], refs, lexicon)
     return [
         {
             "refs": result.config.refs,
@@ -218,27 +230,23 @@ def sweep_grid(
             "cllr_min": result.report.cllr_min,
             "cllr_cal": result.report.cllr_cal,
         }
-        for result in _evaluate_cells(
-            *_masked_splits([(train, test)], lexicon), cells, parallel
-        )
+        for result in _evaluate_cells(*split, pools, cells, parallel)
     ]
 
 
 def _evaluate_cells(
-    train: Corpus, test: Corpus, cells: Sequence[LambdaConfig], parallel: int
+    train: Corpus, test: Corpus, pools: Sequence[_Pool], cells: Sequence[LambdaConfig],
+    parallel: int,
 ) -> list[EvaluationResult]:
-    """The protocol on a checked, masked split for configs that differ only
-    in ``refs`` and ``order``: score each corpus once for all cells, then
-    calibrate and report each cell. A pool the two corpora share is
-    prepared once for both."""
-    pool = _Pool.of(train.reference_docs)
+    """The protocol on a checked split with masked problems, scored against
+    the prepared (train, test) ``pools``, for configs that differ only in
+    ``refs`` and ``order``: score each corpus once for all cells, then
+    calibrate and report each cell."""
     logger.info("scoring %d train problems for %d cells", len(train.problems), len(cells))
-    train_scores = _cell_totals(train, pool, cells, parallel)
+    train_scores = _cell_totals(train, pools[0], cells, parallel)
     calibrations = [_calibrate(s, train.labels, c) for s, c in zip(train_scores, cells)]
-    if test.reference_docs != train.reference_docs:
-        pool = _Pool.of(test.reference_docs)
     logger.info("scoring %d test problems for %d cells", len(test.problems), len(cells))
-    test_scores = _cell_totals(test, pool, cells, parallel)
+    test_scores = _cell_totals(test, pools[1], cells, parallel)
     return [
         _report(cfg, calibration, train, train_cell, test, test_cell)
         for cfg, calibration, train_cell, test_cell in zip(
@@ -301,24 +309,22 @@ def cross_genre(
     Cell (i, j) swaps domain j's reference documents into domain i's train
     and test corpora and reruns the protocol of ``evaluate_corpus`` on them,
     calibration included. The diagonal therefore reproduces the plain
-    within-domain evaluation. Every domain is checked, then every corpus
-    masked once, before the first cell.
+    within-domain evaluation. Every domain is checked, then each domain's
+    pool and every problem are masked once, before the first cell.
     """
     if len(corpora) < 2:
         raise ValueError("cross-domain runs need at least two corpora")
     names = tuple([name for name, _, _ in corpora])
-    masked = _masked_splits([(train, test) for _, train, test in corpora], lexicon)
-    domains = list(zip(names, masked[::2], masked[1::2]))
+    pairs = [(train, test) for _, train, test in corpora]
+    splits, pools = _prepared(pairs, [train.reference_docs for train, _ in pairs], lexicon)
     acc_rows = []
     cllr_rows = []
-    for name_i, train_i, test_i in domains:
+    for name_i, (train_i, test_i) in zip(names, splits):
         acc_row = []
         cllr_row = []
-        for name_j, train_j, _test_j in domains:
-            train_swapped = replace(train_i, reference_docs=train_j.reference_docs)
-            test_swapped = replace(test_i, reference_docs=train_j.reference_docs)
+        for name_j, pool in zip(names, pools):
             logger.info("cross cell problems=%s refs=%s", name_i, name_j)
-            (result,) = _evaluate_cells(train_swapped, test_swapped, [config], parallel)
+            (result,) = _evaluate_cells(train_i, test_i, (pool, pool), [config], parallel)
             acc_row.append(result.report.accuracy)
             cllr_row.append(result.report.cllr)
         acc_rows.append(tuple(acc_row))

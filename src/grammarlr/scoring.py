@@ -22,14 +22,14 @@ models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
 ``ngram``; models trained apart are each scored on their own count table
 and their rows stacked into the same matrix. Scoring hands ``ngram`` only
-coded sentences: a reference pool is coded once, and each problem gathers
-its samples' codes from it, codes its two sides, counts them with
-``CountTable.from_sentences`` and queries ``sentence_probs``. A problem
-scored for several reference counts and orders is counted once, at the
-largest of each, and scored by one kernel call per discount list.
+coded sentences: a reference pool is masked and coded once, and each
+problem gathers its samples' codes from it, codes its two sides, counts
+them with ``CountTable.from_sentences`` and queries ``sentence_probs``. A
+problem scored for several reference counts and orders is counted once,
+at the largest of each, and scored by one kernel call per discount list.
 
-The scoring core reads masked documents only: every caller masks through
-``masking`` first and enters the core through ``_score_problems``.
+The scoring core reads masked problems and pools prepared by ``_Pool.of``
+only: every caller enters it through ``_score_problems``.
 """
 
 from __future__ import annotations
@@ -46,15 +46,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, Sentence, VerificationProblem
+from .corpus import RESERVED_SURFACES, Corpus, Document, Sentence, VerificationProblem
 from .errors import ContractError, DataError, WorkerError
-from .masking import MaskingLexicon, mask_corpus, mask_problems
+from .masking import MaskingLexicon, default_lexicon, mask_document, mask_problems
 from .ngram import (
     EOS,
+    UNK,
     CountTable,
     DiscountSchedule,
     GrammarModel,
     Vocabulary,
+    _code_with,
     code_sentences,
     ranges,
     sentence_probs,
@@ -479,11 +481,25 @@ def _doc_sentences(docs: Sequence[Document]) -> list[Sentence]:
     return [sent for doc in docs for sent in doc.sentences]
 
 
+class _FirstSeen(dict):
+    """Each pool token, a ``TaggedToken`` or a masked string, -> the
+    first-seen code of its masked form, which ``forms`` maps to that code."""
+
+    def __init__(self, lexicon: MaskingLexicon) -> None:
+        self.masked = lexicon._masked
+        self.forms: dict[str, int] = {}
+
+    def __missing__(self, token) -> int:
+        form = token if isinstance(token, str) else self.masked[token]
+        code = self[token] = self.forms.setdefault(form, len(self.forms))
+        return code
+
+
 @dataclass(frozen=True)
 class _Pool:
     """What every problem scored against one reference pool shares: its
-    vocabulary and token codes, and its sentences' codes end to end, from
-    ``ngram.code_sentences``, with each sentence's offset (plus the end)."""
+    masked vocabulary and token codes, and its masked sentences' codes end
+    to end, with each sentence's offset (plus the end)."""
 
     vocab: Vocabulary
     codes: dict[str, int]
@@ -491,12 +507,22 @@ class _Pool:
     offsets: np.ndarray
 
     @classmethod
-    def of(cls, reference_docs: Sequence[Document]) -> "_Pool":
-        sentences = _doc_sentences(reference_docs)
-        vocab = Vocabulary.from_sentences(sentences)
+    def of(
+        cls, reference_docs: Sequence[Document], lexicon: Optional[MaskingLexicon] = None
+    ) -> "_Pool":
+        """Mask (with the bundled lexicon unless another is given) and code
+        a pool in one pass, one lookup per token. A pool document whose
+        masked form holds a reserved token raises ``mask_document``'s error."""
+        lexicon = lexicon if lexicon is not None else default_lexicon()
+        lookup = _FirstSeen(lexicon)
+        first, lengths = _code_with(lookup, _doc_sentences(reference_docs), np.dtype(np.intp))
+        if not RESERVED_SURFACES.isdisjoint(lookup.forms):
+            for doc in reference_docs:
+                mask_document(doc, lexicon)
+        vocab = Vocabulary(frozenset([*lookup.forms, UNK]))
         codes = token_codes(vocab)
-        flat, lengths = code_sentences(sentences, codes)
-        return cls(vocab, codes, flat, np.append(0, np.cumsum(lengths)))
+        table = code_sentences([[*lookup.forms]], codes)[0]
+        return cls(vocab, codes, table[first], np.append(0, np.cumsum(lengths)))
 
 
 def _score_problem(
@@ -571,21 +597,20 @@ def verify_problem(
 ) -> LambdaTrace:
     """Run the full scoring pipeline for one verification problem.
 
-    The problem and the reference pool, which may repeat ids or hold the
-    problem's own documents, are masked by ``masking.mask_problems`` on
-    every call (with the bundled lexicon unless another is given). The
-    pool's vocabulary, its token codes and its coded sentences are built on
-    every call too. ``score_corpus`` masks a whole corpus and builds these
-    once, then scores each problem, so prefer it for many problems. One
-    vocabulary, the pool's tokens plus the known side's, is shared by every
-    model; unknown-document tokens outside it fall to the unknown token at
-    scoring time. The sampling seed is derived from the config seed and the
-    problem id. The models are counted once, over one index of the known
-    side and the distinct sampled reference sentences; the trace equals
-    that of ``lambda_document`` on the same models trained apart.
+    The reference pool, which may repeat ids or hold the problem's own
+    documents, is masked and coded in one pass, and the problem masked, on
+    every call (with the bundled lexicon unless another is given).
+    ``score_corpus`` prepares the pool once, then scores each problem, so
+    prefer it for many problems. One vocabulary, the pool's tokens plus the
+    known side's, is shared by every model; unknown-document tokens outside
+    it fall to the unknown token at scoring time. The sampling seed is
+    derived from the config seed and the problem id. The models are counted
+    once, over one index of the known side and the distinct sampled
+    reference sentences; the trace equals that of ``lambda_document`` on
+    the same models trained apart.
     """
-    [(problems, pool)] = mask_problems([((problem,), reference_docs)], lexicon)
-    [(trace,)] = _score_problems(problems, _Pool.of(pool), [config], 1)
+    pool = _Pool.of(reference_docs, lexicon)
+    [(trace,)] = _score_problems(mask_problems([problem], lexicon), pool, [config], 1)
     return trace
 
 
@@ -597,12 +622,10 @@ def score_corpus(
 ) -> list[LambdaTrace]:
     """Score every problem in a corpus, preserving problem order.
 
-    The corpus, reference pool included, is masked by ``masking.mask_corpus``
-    before any problem is scored (with the bundled lexicon unless another
-    is given), so each tagged document is masked once per call, not once
-    per problem. A malformed tagged document therefore fails before the
-    first problem is scored. The pool's vocabulary, its token codes and its
-    coded sentences are likewise built once per call, in this process. Each
+    Before any problem is scored, the reference pool is masked and coded in
+    one pass, in this process, and each tagged problem document masked (with
+    the bundled lexicon unless another is given), once per call, not once per
+    problem. A malformed tagged document therefore fails first. Each
     trace equals that of ``verify_problem`` on the same problem. To score
     many problems against one pool, call this (or ``evaluate_corpus``)
     rather than ``verify_problem`` in a loop.
@@ -614,8 +637,8 @@ def score_corpus(
     serial ones. A worker that dies raises ``WorkerError`` naming the first
     problem, in submission order, whose result was lost.
     """
-    masked = mask_corpus(corpus, lexicon)
-    traces = _score_problems(masked.problems, _Pool.of(masked.reference_docs), [config], parallel)
+    pool = _Pool.of(corpus.reference_docs, lexicon)
+    traces = _score_problems(mask_problems(corpus.problems, lexicon), pool, [config], parallel)
     return [cells[0] for cells in traces]
 
 

@@ -9,11 +9,13 @@ earlier dataclass-token parser transcribed whole, the counter by its
 earlier every-window form, the array kernel by its earlier whole-table
 form, the reference sampler by its earlier sample-by-sample form, and the
 PAV fit, ROC AUC, confusion counts and Cllr_min by their earlier index-loop
-forms, each also transcribed whole. Nothing is shared with the package
+forms, each also transcribed whole, and a prepared reference pool by its
+earlier mask-then-code composition. Nothing is shared with the package
 internals beyond the pseudo-token spellings, the tagged format's labels,
 the count table (its index and table classes) and discount schedules
-that the whole-table kernel reads as its inputs, and the Cllr that the
-Cllr_min oracle reads off its recalibrated log LRs.
+that the whole-table kernel reads as its inputs, the Cllr that the
+Cllr_min oracle reads off its recalibrated log LRs, and the document
+masking, vocabulary and token codes that the pool composition is made of.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -710,3 +712,24 @@ def oracle_parse_tagged(text, doc_id):
     if not saw_token:
         raise OracleParseError(f"{doc_id}: empty document")
     return [[(t.surface, t.pos) for t in sent] for sent in oracle_segment(stream)]
+
+
+def oracle_masked_pool(docs, lexicon):
+    """A reference pool prepared by masking, then coding: ``mask_document``
+    of each pool document, the vocabulary of the masked sentences and its
+    token codes, and the masked sentences coded end to end by the earlier
+    ``code_sentences``, with each sentence's offset (plus the end)."""
+    from grammarlr.masking import mask_document
+    from grammarlr.ngram import Vocabulary, token_codes
+
+    sentences = [s for d in docs for s in mask_document(d, lexicon).sentences]
+    vocab = Vocabulary.from_sentences(sentences)
+    codes = token_codes(vocab)
+    unk = codes[UNK]
+    lookup = {**codes, BOS: unk, EOS: unk}
+    flat = np.fromiter(
+        map(lookup.get, chain.from_iterable(sentences), repeat(unk)),
+        np.min_scalar_type(len(codes) - 1),
+    )
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    return vocab, codes, flat, np.append(0, np.cumsum(lengths))

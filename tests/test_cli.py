@@ -237,6 +237,55 @@ class TestVerify:
         assert "cannot load calibration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_reserved_glyph_in_pool_exits_3(tmp_path, monkeypatch, capsys, command, reserved):
+    """A lexicon glyph spelled like a reserved token, used by the reference
+    pool alone, exits 3 with one line naming the first pool document that
+    uses it, before any problem is scored."""
+    plain = "The\tDET\ncat\tNOUN\nruns\tVERB\n.\tPUNCT\n"
+    proper = "Paris\tPROPN\n.\tPUNCT\n"
+    for name, text in (("plain", plain), ("proper", plain + proper)):
+        (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+    for split in ("train", "test"):
+        rows = [
+            {
+                "id": f"{split}{i}", "label": "YN"[i],
+                "known": [{"id": f"{split}{i}-k", "tagged": "plain.tsv"}],
+                "unknown": [{"id": f"{split}{i}-u", "tagged": "plain.tsv"}],
+            }
+            for i in range(2)
+        ]
+        (tmp_path / f"{split}.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
+        )
+    refs = [{"id": f"r{i}", "tagged": f"{name}.tsv"} for i, name in enumerate(
+        ("plain", "proper", "proper")
+    )]
+    (tmp_path / "refs.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in refs), encoding="utf-8"
+    )
+    glyphs = {"NOUN": "N", "PROPN": reserved, "VERB": "V", "ADJ": "J", "ADV": "B",
+              "NUM": "D", "SYM": "S"}
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(
+        "[retain]\ncat\n[placeholders]\n" + "".join(f"{k}\t{v}\n" for k, v in glyphs.items()),
+        encoding="utf-8",
+    )
+
+    def scored(*args, **kwargs):
+        raise AssertionError("a problem was scored")
+
+    monkeypatch.setattr(scoring, "_score_problem", scored)
+    argv = (
+        ["verify", tmp_path / "test.jsonl", "--problem", "test0"]
+        if command == "verify" else ["evaluate", tmp_path]
+    )
+    capsys.readouterr()
+    assert run(argv + ["--lexicon", lexicon] + FAST_MODEL) == 3
+    assert capsys.readouterr().err == f"error: document 'r1' contains reserved token {reserved!r}\n"
+
+
 class TestEvaluate:
     def test_json_out_reproducible(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -19,7 +19,6 @@ from grammarlr.masking import (
     MaskingLexicon,
     default_lexicon,
     load_lexicon,
-    mask_corpora,
     mask_corpus,
     mask_document,
     mask_sentence,
@@ -391,10 +390,10 @@ class TestRepeatedMasking:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            mask_corpora([corpus], lex)  # fills the lexicon's memo
+            mask_corpus(corpus, lex)  # fills the lexicon's memo
             start = sys.getallocatedblocks()
             for _ in range(10):
-                mask_corpora([corpus], lex)
+                mask_corpus(corpus, lex)
             grown = sys.getallocatedblocks() - start
         finally:
             if enabled:

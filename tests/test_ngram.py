@@ -912,6 +912,29 @@ class TestQueryFilteredCounting:
         assert np.array_equal(got.keys, want.keys)
         assert np.array_equal(got.counts, want.counts)
 
+    @pytest.mark.parametrize("filtered", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counted=counted_models(),
+        queries=st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=1, max_size=3),
+        order=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_every_entry_past_the_roots_counts_at_least_one(
+        self, filtered, counted, queries, order, data
+    ):
+        """Each model's root is its entry with count 0, and every other
+        entry of a counted table, cut to any order, counts at least 1."""
+        sentences, models = counted
+        queries = queries if filtered else []
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries]), models, order, 6, queries=len(queries)
+        ).truncated(data.draw(st.integers(1, order)))
+        n = table.n_models
+        assert table.keys[:n].tolist() == list(range(n))
+        assert table.counts[:n].tolist() == [0] * n
+        assert table.counts[n:].min(initial=1) >= 1
+
     @settings(max_examples=200, deadline=None)
     @given(
         counted=counted_models(),

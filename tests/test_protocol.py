@@ -369,19 +369,19 @@ class TestCrossGenre:
 
 
 class TestPoolPreparedOnce:
-    """Train and test of one protocol call share one masked reference pool,
-    and it is coded once for both: once per ``evaluate_corpus`` and
-    ``sweep_grid`` call and once per cross-genre cell, also when workers
-    score the problems."""
+    """Train and test of one protocol call share one reference pool, and
+    it is masked and coded once for both: once per ``evaluate_corpus`` and
+    ``sweep_grid`` call and once per domain of a ``cross_genre`` call, also
+    when workers score the problems."""
 
     @pytest.fixture()
     def prepared(self, monkeypatch):
         calls = []
         real = scoring._Pool.of.__func__
 
-        def counting(cls, reference_docs):
+        def counting(cls, reference_docs, lexicon=None):
             calls.append(len(reference_docs))
-            return real(cls, reference_docs)
+            return real(cls, reference_docs, lexicon)
 
         monkeypatch.setattr(scoring._Pool, "of", classmethod(counting))
         return calls
@@ -432,4 +432,4 @@ class TestPoolPreparedOnce:
         plain_train, plain_test = split()
         sfx_train, sfx_test = split(seed=1, alphabet=suffixed_alphabet("_q"))
         cross_genre([("plain", plain_train, plain_test), ("sfx", sfx_train, sfx_test)], config)
-        assert len(prepared) == 4
+        assert len(prepared) == 2

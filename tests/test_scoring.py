@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import oracle_lambda_document, oracle_sample_reference_sets, oracle_trace_json
+from oracles import (
+    oracle_lambda_document,
+    oracle_masked_pool,
+    oracle_sample_reference_sets,
+    oracle_trace_json,
+)
 
 from grammarlr import masking, scoring
-from grammarlr.corpus import Corpus, Document, TaggedToken, VerificationProblem
-from grammarlr.errors import ContractError, DataError
+from grammarlr.corpus import POS_LABELS, Corpus, Document, TaggedToken, VerificationProblem
+from grammarlr.errors import ContractError, CorpusError, DataError
 from grammarlr.masking import MaskingLexicon, default_lexicon, mask_corpus
 from grammarlr.ngram import (
     EOS,
@@ -1144,6 +1149,53 @@ def tagged_doc(rng, doc_id, n_sents=4, max_len=6):
     )
 
 
+class PreparationSpy:
+    """Counts, while installed, the tagged documents ``mask_document``
+    masks (by id), the tokens that reach ``mask_token`` (by lexicon and
+    token), and the pools ``_Pool.of`` prepares."""
+
+    def __init__(self, monkeypatch):
+        self.docs, self.tokens, self.pools = Counter(), Counter(), []
+        mask_doc, mask_tok = masking.mask_document, masking.mask_token
+        prepare = scoring._Pool.of.__func__
+
+        def doc(d, lexicon):
+            if d.is_tagged:
+                self.docs[d.id] += 1
+            return mask_doc(d, lexicon)
+
+        def token(t, lexicon):
+            self.tokens[id(lexicon), t] += 1
+            return mask_tok(t, lexicon)
+
+        def of(cls, reference_docs, lexicon=None):
+            self.pools.append(reference_docs)
+            return prepare(cls, reference_docs, lexicon)
+
+        monkeypatch.setattr(masking, "mask_document", doc)
+        monkeypatch.setattr(masking, "mask_token", token)
+        monkeypatch.setattr(scoring._Pool, "of", classmethod(of))
+
+    def check(self, lexicon, problem_docs, pools):
+        """Each problem document was masked once and no pool document was;
+        each distinct token, pool tokens included, reached ``mask_token``
+        once under the cold ``lexicon`` and under no other; and each of the
+        distinct ``pools`` was prepared once."""
+        assert self.docs == Counter(d.id for d in problem_docs)
+        pool_tokens = {t for pool in pools for d in pool for sent in d.sentences for t in sent}
+        problem_tokens = {t for d in problem_docs for sent in d.sentences for t in sent}
+        assert self.tokens == Counter(
+            {(id(lexicon), t): 1 for t in pool_tokens | problem_tokens}
+        )
+        assert len(self.pools) == len(pools)
+        assert all(any(p == q for q in self.pools) for p in pools)
+
+
+def cold(lexicon):
+    """An equal lexicon whose memo has masked nothing yet."""
+    return replace(lexicon)
+
+
 def tagged_corpus(rng, n_problems=3, n_refs=5):
     problems = tuple(
         VerificationProblem(
@@ -1158,25 +1210,117 @@ def tagged_corpus(rng, n_problems=3, n_refs=5):
     return Corpus(problems=problems, reference_docs=refs)
 
 
+# Surfaces that mask in every way: kept as a function word or a retained
+# word (casefolded), replaced by a placeholder, or passed through as a glyph.
+POOL_SURFACES = ("The", "the", "cat", "Cat", "runs", "N", "P", "V", ".", "Paris")
+# Masked tokens, some equal to a masked form of a tagged token above.
+MASKED_TOKENS = ("the", "cat", "N", "P", "J", ".", "x", "Paris")
+
+
+@st.composite
+def mixed_pools(draw):
+    """A pool of tagged documents, of masked ones, or of both."""
+    kind = draw(st.sampled_from(["tagged", "masked", "mixed"]))
+    tagged_token = st.builds(
+        TaggedToken, st.sampled_from(POOL_SURFACES), st.sampled_from(sorted(POS_LABELS))
+    )
+    docs = []
+    for i in range(draw(st.integers(0, 4))):
+        tagged = kind == "tagged" or (kind == "mixed" and draw(st.booleans()))
+        token = tagged_token if tagged else st.sampled_from(MASKED_TOKENS)
+        sentences = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=4))
+        docs.append(Document(id=f"r{i}", sentences=tuple(map(tuple, sentences))))
+    return tuple(docs)
+
+
+class TestPoolOfMatchesMaskThenCode:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=mixed_pools(),
+        lexicon=st.sampled_from([default_lexicon(), RETAIN_CAT]),
+        warm=st.booleans(),
+    )
+    def test_equals_oracle(self, docs, lexicon, warm):
+        """``_Pool.of`` equals masking each pool document, then building
+        the vocabulary and coding the masked sentences: vocabulary, codes,
+        ``flat`` values and dtype, and offsets. Under a warm memo the
+        oracle has masked every pool token first; under a cold one nothing
+        has."""
+        lexicon = cold(lexicon)
+        if warm:
+            expected = oracle_masked_pool(docs, lexicon)
+        pool = scoring._Pool.of(docs, lexicon)
+        if not warm:
+            expected = oracle_masked_pool(docs, lexicon)
+        vocab, codes, flat, offsets = expected
+        assert pool.vocab == vocab
+        assert pool.codes == codes
+        assert pool.flat.dtype == flat.dtype
+        assert pool.flat.tolist() == flat.tolist()
+        assert pool.offsets.dtype == offsets.dtype
+        assert pool.offsets.tolist() == offsets.tolist()
+
+
+class TestReservedGlyphInPool:
+    """A lexicon glyph spelled like a reserved token, used by the pool
+    alone, fails naming the first pool document that uses it, before any
+    problem is scored."""
+
+    CFG = LambdaConfig(order=2, refs=2, seed=5)
+
+    @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
+    @pytest.mark.parametrize("entry", ["verify_problem", "score_corpus", "evaluate_corpus"])
+    def test_raises_naming_the_document(self, monkeypatch, entry, reserved):
+        lexicon = replace(RETAIN_CAT, placeholders={**RETAIN_CAT.placeholders, "PROPN": reserved})
+        plain = (("The", "DET"), ("cat", "NOUN"), ("runs", "VERB"), (".", "PUNCT"))
+
+        def doc(doc_id, *tokens):
+            return Document(id=doc_id, sentences=(tuple(TaggedToken(*t) for t in tokens),))
+
+        def split(prefix):
+            return Corpus(
+                tuple(
+                    VerificationProblem(
+                        f"{prefix}{i}", (doc(f"{prefix}{i}-u", *plain),),
+                        (doc(f"{prefix}{i}-k", *plain),), label="YN"[i],
+                    )
+                    for i in range(2)
+                ),
+                pool,
+            )
+
+        proper = ("Paris", "PROPN")
+        pool = (doc("r0", *plain), doc("r1", *plain, proper), doc("r2", proper))
+
+        def scored(*args, **kwargs):
+            raise AssertionError("a problem was scored")
+
+        monkeypatch.setattr(scoring, "_score_problem", scored)
+        train_split, test_split = split("tr"), split("te")
+        calls = {
+            "verify_problem": lambda: verify_problem(
+                train_split.problems[0], pool, self.CFG, lexicon
+            ),
+            "score_corpus": lambda: score_corpus(train_split, self.CFG, lexicon),
+            "evaluate_corpus": lambda: evaluate_corpus(
+                train_split, test_split, self.CFG, lexicon
+            ),
+        }
+        with pytest.raises(CorpusError) as caught:
+            calls[entry]()
+        assert str(caught.value) == f"document 'r1' contains reserved token {reserved!r}"
+
+
 class TestScoreCorpusTagged:
     CFG = LambdaConfig(order=2, refs=2, seed=5)
 
     def test_each_document_masked_once(self, monkeypatch):
         corpus = tagged_corpus(random.Random(127))
-        masked = Counter()
-        real = masking.mask_document
-
-        def counting(doc, lexicon):
-            if doc.is_tagged:
-                masked[doc.id] += 1
-            return real(doc, lexicon)
-
-        monkeypatch.setattr(masking, "mask_document", counting)
-        score_corpus(corpus, self.CFG)
-        doc_ids = [
-            d.id for p in corpus.problems for d in (*p.unknown_docs, *p.known_docs)
-        ] + [d.id for d in corpus.reference_docs]
-        assert masked == Counter(doc_ids)
+        spy = PreparationSpy(monkeypatch)
+        lexicon = cold(default_lexicon())
+        score_corpus(corpus, self.CFG, lexicon)
+        problem_docs = [d for p in corpus.problems for d in (*p.unknown_docs, *p.known_docs)]
+        spy.check(lexicon, problem_docs, [corpus.reference_docs])
 
     @pytest.mark.parametrize("parallel", [1, 2])
     @pytest.mark.parametrize("lexicon", [None, RETAIN_CAT], ids=["default", "retain-cat"])
@@ -1219,23 +1363,16 @@ class TestEvaluateTagged:
         pool = tuple(tagged_doc(rng, f"ref{i}") for i in range(5))
         train_split = labelled_tagged_split(rng, "tr", pool)
         test_split = labelled_tagged_split(rng, "te", tuple(pool))
-        masked = Counter()
-        real = masking.mask_document
-
-        def counting(doc, lexicon):
-            if doc.is_tagged:
-                masked[doc.id] += 1
-            return real(doc, lexicon)
-
-        monkeypatch.setattr(masking, "mask_document", counting)
-        evaluate_corpus(train_split, test_split, LambdaConfig(order=2, refs=2, seed=5))
-        doc_ids = [
-            d.id
+        spy = PreparationSpy(monkeypatch)
+        lexicon = cold(default_lexicon())
+        evaluate_corpus(train_split, test_split, LambdaConfig(order=2, refs=2, seed=5), lexicon)
+        problem_docs = [
+            d
             for split in (train_split, test_split)
             for p in split.problems
             for d in (*p.unknown_docs, *p.known_docs)
-        ] + [d.id for d in pool]
-        assert masked == Counter(doc_ids)
+        ]
+        spy.check(lexicon, problem_docs, [pool])
 
 
 class TestCrossGenreTagged:
@@ -1248,25 +1385,18 @@ class TestCrossGenreTagged:
             pool = tuple(tagged_doc(rng, f"{name}-ref{i}") for i in range(5))
             train_split = labelled_tagged_split(rng, f"{name}tr", pool)
             domains.append((name, train_split, labelled_tagged_split(rng, f"{name}te", pool)))
-        masked = Counter()
-        real = masking.mask_document
-
-        def counting(doc, lexicon):
-            if doc.is_tagged:
-                masked[doc.id] += 1
-            return real(doc, lexicon)
-
-        monkeypatch.setattr(masking, "mask_document", counting)
-        result = cross_genre(domains, self.CFG, RETAIN_CAT)
+        spy = PreparationSpy(monkeypatch)
+        lexicon = cold(RETAIN_CAT)
+        result = cross_genre(domains, self.CFG, lexicon)
         monkeypatch.undo()
-        doc_ids = [
-            d.id
+        problem_docs = [
+            d
             for _, train_split, test_split in domains
             for split in (train_split, test_split)
             for p in split.problems
             for d in (*p.unknown_docs, *p.known_docs)
-        ] + [d.id for _, train_split, _ in domains for d in train_split.reference_docs]
-        assert masked == Counter(doc_ids)
+        ]
+        spy.check(lexicon, problem_docs, [train.reference_docs for _, train, _ in domains])
 
         for i, (_, train_i, test_i) in enumerate(domains):
             for j, (_, train_j, _) in enumerate(domains):
