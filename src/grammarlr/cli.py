@@ -221,8 +221,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_mask(args: argparse.Namespace) -> int:
     _check_output(args.out)
-    corpus = load_corpus(args.corpus, refs_path=args.reference or None)
-    masked = mask_corpus(corpus, _lexicon_from_args(args))
+    lexicon = _lexicon_from_args(args)
+    masked = mask_corpus(load_corpus(args.corpus, refs_path=args.reference or None), lexicon)
     with _writing(args.out):
         serialize_corpus(masked, args.out)
     n_docs = sum(
@@ -244,11 +244,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
                 CalibrationError) as exc:
             raise DataError(f"cannot load calibration {args.calibration!r}: {exc}") from exc
+    lexicon = _lexicon_from_args(args)
     corpus = load_corpus(args.corpus, refs_path=args.reference or None)
     problem = next((p for p in corpus.problems if p.id == args.problem), None)
     if problem is None:
         raise DataError(f"problem id {args.problem!r} not found in {args.corpus}")
-    trace = verify_problem(problem, corpus.reference_docs, config, _lexicon_from_args(args))
+    trace = verify_problem(problem, corpus.reference_docs, config, lexicon)
 
     result = {
         "problem_id": problem.id,
@@ -288,8 +289,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise UsageError(f"--out and --calibration-out name one file: {args.out!r}")
     _check_output(args.out)
     _check_output(args.calibration_out)
-    train, test = _load_split(args)
     lexicon = _lexicon_from_args(args)
+    train, test = _load_split(args)
     result = evaluate_corpus(train, test, config, lexicon, parallel=args.parallel)
     if args.calibration_out:
         with _writing(args.calibration_out):
@@ -324,8 +325,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if min(ref_counts + orders) < 1:
         raise UsageError("grid values must be >= 1")
     _check_output(args.out)
-    train, test = _load_split(args)
     lexicon = _lexicon_from_args(args)
+    train, test = _load_split(args)
     rows = sweep_grid(
         train, test, config, ref_counts, orders, lexicon, parallel=args.parallel
     )
@@ -363,13 +364,14 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     if len(names) != len(args.corpus_dirs):
         raise UsageError("--names must match the number of corpus directories")
     _check_output(args.out, directory=True)
+    lexicon = _lexicon_from_args(args)
     corpora = []
     for name, d in zip(names, args.corpus_dirs):
         base = Path(d)
         train = load_corpus(base / "train.jsonl", partition="train")
         test = load_corpus(base / "test.jsonl", partition="test")
         corpora.append((name, train, test))
-    result = cross_genre(corpora, config, _lexicon_from_args(args), parallel=args.parallel)
+    result = cross_genre(corpora, config, lexicon, parallel=args.parallel)
     if args.out:
         out = Path(args.out)
         with _writing(args.out):

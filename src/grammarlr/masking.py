@@ -44,7 +44,10 @@ class MaskingLexicon:
 
     ``retain`` holds casefolded surfaces. ``placeholders`` maps every content
     POS label to a distinct glyph; glyphs must not collide with the retain
-    set, or masked output would be ambiguous.
+    set, or masked output would be ambiguous, nor be a reserved token
+    (``<UNK>``, ``<BOS>``, ``<EOS>``). So no masked token is reserved: each
+    is a glyph or a casefolded surface, and the reserved tokens hold
+    capitals.
     """
 
     retain: frozenset[str]
@@ -66,6 +69,8 @@ class MaskingLexicon:
         for pos, glyph in self.placeholders.items():
             if not glyph or any(ch.isspace() for ch in glyph):
                 raise LexiconError(f"invalid placeholder glyph for {pos}: {glyph!r}")
+            if glyph in RESERVED_SURFACES:
+                raise LexiconError(f"placeholder glyph {glyph!r} for {pos} is a reserved token")
             if glyph.casefold() in self.retain:
                 raise LexiconError(
                     f"placeholder glyph {glyph!r} collides with the retain set"
@@ -143,7 +148,10 @@ def parse_lexicon(text: str, name: str = "<lexicon>") -> MaskingLexicon:
             raise LexiconError(
                 f"{name}: line {lineno}: content before any section header"
             )
-    return MaskingLexicon(retain=frozenset(retain), placeholders=placeholders)
+    try:
+        return MaskingLexicon(retain=frozenset(retain), placeholders=placeholders)
+    except LexiconError as exc:
+        raise LexiconError(f"{name}: {exc}") from None
 
 
 @lru_cache(maxsize=1)
@@ -178,16 +186,12 @@ def mask_document(doc: Document, lexicon: MaskingLexicon) -> Document:
     """Mask a tagged document; already-masked documents pass through.
 
     Each masked token is a lexicon glyph or a casefolded surface, never
-    empty, and a casefolded surface is never reserved: the reserved tokens
-    hold capitals. So the masked document is checked again only when a
-    glyph is spelled like a reserved token.
+    empty and never reserved (see :class:`MaskingLexicon`), so the masked
+    document needs no check of its own.
     """
-    if not doc.is_tagged:
-        return doc
-    sentences = tuple([mask_sentence(s, lexicon) for s in doc.sentences])
-    if lexicon.glyphs.isdisjoint(RESERVED_SURFACES):
-        return Document._trusted(doc.id, sentences)
-    return Document(id=doc.id, sentences=sentences)
+    if doc.is_tagged:
+        doc = Document._trusted(doc.id, tuple([mask_sentence(s, lexicon) for s in doc.sentences]))
+    return doc
 
 
 def mask_problems(

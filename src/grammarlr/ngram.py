@@ -19,6 +19,8 @@ Sentences reach it coded (their codes end to end and their lengths, the
 packed ids of KenLM, Heafield 2011) by one coder, :func:`code_sentences`,
 one layout, :func:`token_stream`, one counter,
 :meth:`CountTable.from_sentences`, and one query, :func:`sentence_probs`.
+Codes number a vocabulary's forms in any order, the markers last: a model
+numbers its sorted vocabulary, scoring its forms as first seen.
 A :class:`GramIndex`, built by :meth:`GramIndex.from_stream`, gives each
 gram an integer id keyed by (id of its first n - 1 tokens, code of its
 last), one sorted key array per length, so each gram's context
@@ -138,6 +140,7 @@ class DiscountSchedule:
         else:
             if self.bins is None or len(self.bins) != 3:
                 raise ValueError("modified mode requires three discount bins")
+            object.__setattr__(self, "bins", tuple(self.bins))  # hashable, as schedules are keyed
             for d in self.bins:
                 _check_discount(d)
 
@@ -196,11 +199,11 @@ def _check_discount(d: float) -> None:
 # ----------------------------------------------------------------------
 # the array kernel
 
-def token_codes(vocab: Vocabulary) -> dict[str, int]:
-    """Integer codes of a model's tokens: the sorted vocabulary, then the
-    begin marker, then the end marker. A gram index over this vocabulary
-    has ``len(vocab) + 2`` codes."""
-    codes = {tok: i for i, tok in enumerate(vocab.sorted_items())}
+def token_codes(forms: Sequence[str]) -> dict[str, int]:
+    """Integer codes of a vocabulary's forms, the unknown token among them:
+    the forms in the order given (no probability depends on it), then the
+    begin and end markers. A gram index over them has ``len(forms) + 2``."""
+    codes = {tok: i for i, tok in enumerate(forms)}
     codes[BOS] = len(codes)
     codes[EOS] = len(codes)
     return codes
@@ -729,12 +732,14 @@ class GrammarModel:
             raise ValueError(f"sentence count must be an integer: {sentence_count!r}")
         if sentence_count < 1:
             raise ValueError("model requires at least one training sentence")
+        if (table.n_models, table.index.order, table.index.width) != (1, order, len(vocab) + 2):
+            raise ValueError(f"count table does not fit an order-{order} model of {len(vocab)} tokens")
         self.order = order
         self.vocab = vocab
         self.discounts = discounts
         self.sentence_count = sentence_count
         self.table = table
-        self._codes = token_codes(vocab)
+        self._codes = token_codes(vocab.sorted_items())
         self._distributions: dict[tuple[int, ...], list[float]] = {}
 
     @property
@@ -914,7 +919,7 @@ def train(
             raise ValueError("training sentences must be non-empty")
     if vocab is None:
         vocab = Vocabulary.from_sentences(sents)
-    codes = token_codes(vocab)
+    codes = token_codes(vocab.sorted_items())
     table = CountTable.from_sentences(
         *code_sentences(sents, codes), [range(len(sents))], order, len(codes)
     )

@@ -22,11 +22,13 @@ models of a problem are counted over one shared gram index and scored
 together as one models x positions matrix by the array kernel in
 ``ngram``; models trained apart are each scored on their own count table
 and their rows stacked into the same matrix. Scoring hands ``ngram`` only
-coded sentences: a reference pool is masked and coded once, and each
-problem gathers its samples' codes from it, codes its two sides, counts
-them with ``CountTable.from_sentences`` and queries ``sentence_probs``. A
-problem scored for several reference counts and orders is counted once,
-at the largest of each, and scored by one kernel call per discount list.
+coded sentences: a reference pool is masked and coded once, its forms
+numbered as first seen, and each problem gathers its samples' codes from
+it as they are, codes its two sides (the known side's new forms numbered
+next), counts them with ``CountTable.from_sentences`` and queries
+``sentence_probs``. A problem scored for several reference counts and
+orders is counted once, at the largest of each, and scored by one kernel
+call per discount list.
 
 The scoring core reads masked problems and pools prepared by ``_Pool.of``
 only: every caller enters it through ``_score_problems``.
@@ -46,16 +48,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import RESERVED_SURFACES, Corpus, Document, Sentence, VerificationProblem
+from .corpus import Corpus, Document, Sentence, VerificationProblem
 from .errors import ContractError, DataError, WorkerError
-from .masking import MaskingLexicon, default_lexicon, mask_document, mask_problems
+from .masking import MaskingLexicon, default_lexicon, mask_problems
 from .ngram import (
     EOS,
     UNK,
     CountTable,
     DiscountSchedule,
     GrammarModel,
-    Vocabulary,
     _code_with,
     code_sentences,
     ranges,
@@ -483,7 +484,7 @@ def _doc_sentences(docs: Sequence[Document]) -> list[Sentence]:
 
 class _FirstSeen(dict):
     """Each pool token, a ``TaggedToken`` or a masked string, -> the
-    first-seen code of its masked form, which ``forms`` maps to that code."""
+    first-seen index of its masked form, which ``forms`` maps to that index."""
 
     def __init__(self, lexicon: MaskingLexicon) -> None:
         self.masked = lexicon._masked
@@ -498,11 +499,11 @@ class _FirstSeen(dict):
 @dataclass(frozen=True)
 class _Pool:
     """What every problem scored against one reference pool shares: its
-    masked vocabulary and token codes, and its masked sentences' codes end
-    to end, with each sentence's offset (plus the end)."""
+    masked forms, each mapped to its index in the order first seen, and its
+    masked sentences' indices end to end (in the dtype ``code_sentences``
+    would give), with each sentence's offset (plus the end)."""
 
-    vocab: Vocabulary
-    codes: dict[str, int]
+    forms: dict[str, int]
     flat: np.ndarray
     offsets: np.ndarray
 
@@ -511,18 +512,11 @@ class _Pool:
         cls, reference_docs: Sequence[Document], lexicon: Optional[MaskingLexicon] = None
     ) -> "_Pool":
         """Mask (with the bundled lexicon unless another is given) and code
-        a pool in one pass, one lookup per token. A pool document whose
-        masked form holds a reserved token raises ``mask_document``'s error."""
-        lexicon = lexicon if lexicon is not None else default_lexicon()
-        lookup = _FirstSeen(lexicon)
-        first, lengths = _code_with(lookup, _doc_sentences(reference_docs), np.dtype(np.intp))
-        if not RESERVED_SURFACES.isdisjoint(lookup.forms):
-            for doc in reference_docs:
-                mask_document(doc, lexicon)
-        vocab = Vocabulary(frozenset([*lookup.forms, UNK]))
-        codes = token_codes(vocab)
-        table = code_sentences([[*lookup.forms]], codes)[0]
-        return cls(vocab, codes, table[first], np.append(0, np.cumsum(lengths)))
+        a pool in one pass, one lookup per token."""
+        lookup = _FirstSeen(lexicon if lexicon is not None else default_lexicon())
+        flat, lengths = _code_with(lookup, _doc_sentences(reference_docs), np.dtype(np.intp))
+        dtype = np.min_scalar_type(len(lookup.forms) + 2)
+        return cls(lookup.forms, flat.astype(dtype), np.append(0, np.cumsum(lengths)))
 
 
 def _score_problem(
@@ -552,15 +546,13 @@ def _score_problem(
     samples = _sample_indices(
         pool_size, len(known), max(c.refs for c in configs), seed, first.sampling
     )
-    # The models train on the known side and each distinct drawn pool
-    # sentence, gathered from the pool's codes (re-coded where the known side
-    # adds tokens: the pool's codes number its sorted vocabulary).
+    # The codes number the pool's forms as the pool does, then the forms
+    # only the known side holds, as first seen, so the models train on the
+    # known side and each distinct drawn pool sentence, gathered as coded.
+    codes = token_codes([*dict.fromkeys(chain(pool.forms, *known)), UNK])
     drawn = np.unique(samples)
-    codes, lengths = pool.codes, np.diff(pool.offsets)[drawn]
+    lengths = np.diff(pool.offsets)[drawn]
     drawn_flat = pool.flat[ranges(pool.offsets[drawn], lengths)]
-    if extra := set(chain.from_iterable(known)).difference(codes):
-        codes = token_codes(Vocabulary(pool.vocab.items | extra))
-        drawn_flat = code_sentences([pool.vocab.sorted_items()], codes)[0][drawn_flat]
     query = code_sentences(unknown, codes)
     # Only the grams the unknown document can read are counted, except in
     # modified mode: its discounts need every top-order window, so the

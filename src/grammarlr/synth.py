@@ -31,7 +31,6 @@ DEFAULT_ALPHABET = (
     "this", "but", "not", "they", "she", "N", "V", "J", "B", "P",
     ",", ".",
 )
-DEFAULT_TERMINAL = "."
 
 _MAX_SENTENCE_LEN = 50
 
@@ -97,7 +96,6 @@ def synth_corpus(
     divergence: float = 0.5,
     partition: str = "test",
     alphabet: Optional[Sequence[str]] = None,
-    terminal: Optional[str] = None,
     sentences_per_doc: int = 30,
     known_docs_per_problem: int = 2,
     ref_authors: Optional[int] = None,
@@ -110,7 +108,8 @@ def synth_corpus(
     two author-disjoint halves of one underlying population, sharing one
     reference pool. Problems alternate Y and N labels per author; N-problem
     unknown documents are written by the author's neighbour within the same
-    partition, so no author crosses the split.
+    partition, so no author crosses the split. Every sentence ends at the
+    alphabet's last symbol.
     """
     if authors < 5:
         raise ValueError(f"need at least 5 authors for a two-sided split: {authors}")
@@ -127,10 +126,7 @@ def synth_corpus(
     alphabet = tuple(alphabet) if alphabet is not None else DEFAULT_ALPHABET
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 3:
         raise ValueError("alphabet must hold at least 3 distinct symbols")
-    terminal = terminal if terminal is not None else alphabet[-1]
-    if terminal not in alphabet:
-        raise ValueError(f"terminal symbol {terminal!r} not in alphabet")
-    term_idx = alphabet.index(terminal)
+    term_idx = len(alphabet) - 1  # the last symbol ends every sentence
     if ref_authors is None:
         ref_authors = max(4, authors // 2)
     if ref_authors < 1:

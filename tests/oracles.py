@@ -716,15 +716,16 @@ def oracle_parse_tagged(text, doc_id):
 
 def oracle_masked_pool(docs, lexicon):
     """A reference pool prepared by masking, then coding: ``mask_document``
-    of each pool document, the vocabulary of the masked sentences and its
-    token codes, and the masked sentences coded end to end by the earlier
-    ``code_sentences``, with each sentence's offset (plus the end)."""
+    of each pool document, the vocabulary of the masked sentences and the
+    token codes of its sorted items, and the masked sentences coded end to
+    end by the earlier ``code_sentences``, with each sentence's offset (plus
+    the end)."""
     from grammarlr.masking import mask_document
     from grammarlr.ngram import Vocabulary, token_codes
 
     sentences = [s for d in docs for s in mask_document(d, lexicon).sentences]
     vocab = Vocabulary.from_sentences(sentences)
-    codes = token_codes(vocab)
+    codes = token_codes(vocab.sorted_items())
     unk = codes[UNK]
     lookup = {**codes, BOS: unk, EOS: unk}
     flat = np.fromiter(

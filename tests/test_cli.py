@@ -240,9 +240,9 @@ class TestVerify:
 @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
 def test_reserved_glyph_in_pool_exits_3(tmp_path, monkeypatch, capsys, command, reserved):
-    """A lexicon glyph spelled like a reserved token, used by the reference
-    pool alone, exits 3 with one line naming the first pool document that
-    uses it, before any problem is scored."""
+    """A lexicon glyph spelled like a reserved token, which only the
+    reference pool would use, exits 3 with one line naming the lexicon file,
+    before any problem is scored."""
     plain = "The\tDET\ncat\tNOUN\nruns\tVERB\n.\tPUNCT\n"
     proper = "Paris\tPROPN\n.\tPUNCT\n"
     for name, text in (("plain", plain), ("proper", plain + proper)):
@@ -273,17 +273,47 @@ def test_reserved_glyph_in_pool_exits_3(tmp_path, monkeypatch, capsys, command, 
         encoding="utf-8",
     )
 
-    def scored(*args, **kwargs):
-        raise AssertionError("a problem was scored")
-
-    monkeypatch.setattr(scoring, "_score_problem", scored)
+    scored = []
+    monkeypatch.setattr(scoring, "_score_problem", lambda *args: scored.append(args))
     argv = (
         ["verify", tmp_path / "test.jsonl", "--problem", "test0"]
         if command == "verify" else ["evaluate", tmp_path]
     )
     capsys.readouterr()
     assert run(argv + ["--lexicon", lexicon] + FAST_MODEL) == 3
-    assert capsys.readouterr().err == f"error: document 'r1' contains reserved token {reserved!r}\n"
+    assert capsys.readouterr().err == (
+        f"error: {lexicon}: placeholder glyph {reserved!r} for PROPN is a reserved token\n"
+    )
+    assert scored == []
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate", "sweep", "crossgenre", "mask"])
+def test_lexicon_is_loaded_before_the_corpus(tmp_path, monkeypatch, capsys, command):
+    """Every command that takes ``--lexicon`` reads it before the corpus:
+    with a lexicon whose glyph is reserved and a corpus that does not
+    exist, the one error line names the lexicon, and no corpus is read."""
+    lexicon = tmp_path / "lexicon.txt"
+    glyphs = {"NOUN": "<UNK>", "PROPN": "P", "VERB": "V", "ADJ": "J", "ADV": "B",
+              "NUM": "D", "SYM": "S"}
+    lexicon.write_text(
+        "[placeholders]\n" + "".join(f"{k}\t{v}\n" for k, v in glyphs.items()), encoding="utf-8"
+    )
+    loaded = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *args, **kwargs: loaded.append(args))
+    missing = tmp_path / "missing"
+    argv = {
+        "verify": ["verify", missing / "test.jsonl", "--problem", "p0", *FAST_MODEL],
+        "evaluate": ["evaluate", missing, *FAST_MODEL],
+        "sweep": ["sweep", missing, *FAST_MODEL],
+        "crossgenre": ["crossgenre", missing, tmp_path / "other", *FAST_MODEL],
+        "mask": ["mask", missing / "test.jsonl", "--out", tmp_path / "masked.jsonl"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--lexicon", lexicon]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {lexicon}: placeholder glyph '<UNK>' for NOUN is a reserved token\n"
+    )
+    assert loaded == []
 
 
 class TestEvaluate:

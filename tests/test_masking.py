@@ -14,7 +14,7 @@ from grammarlr.corpus import (
     TaggedToken,
     VerificationProblem,
 )
-from grammarlr.errors import CorpusError, LexiconError
+from grammarlr.errors import LexiconError
 from grammarlr.masking import (
     MaskingLexicon,
     default_lexicon,
@@ -315,17 +315,28 @@ class TestDocumentAndCorpus:
 
     @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
     def test_reserved_glyph_still_fails_naming_the_document(self, reserved):
-        lex = MaskingLexicon(
-            retain=frozenset({"the"}), placeholders={**PLACEHOLDERS, "NOUN": reserved}
+        """A glyph spelled like a reserved token fails where the lexicon is
+        built, before any document is masked with it, and a lexicon file's
+        error names the file. Surfaces spelled like reserved tokens still
+        mask, and never to a reserved token."""
+        placeholders = {**PLACEHOLDERS, "NOUN": reserved}
+        with pytest.raises(LexiconError) as caught:
+            MaskingLexicon(retain=frozenset({"the"}), placeholders=placeholders)
+        assert str(caught.value) == f"placeholder glyph {reserved!r} for NOUN is a reserved token"
+        text = "[retain]\nthe\n[placeholders]\n" + "".join(
+            f"{pos}\t{glyph}\n" for pos, glyph in placeholders.items()
         )
-        tagged = Document(
-            id="d1", sentences=((TaggedToken("The", "DET"), TaggedToken("cat", "NOUN")),)
+        with pytest.raises(LexiconError) as caught:
+            parse_lexicon(text, name="lex.txt")
+        assert str(caught.value) == (
+            f"lex.txt: placeholder glyph {reserved!r} for NOUN is a reserved token"
         )
-        with pytest.raises(CorpusError) as caught:
-            mask_document(tagged, lex)
-        assert str(caught.value) == f"document 'd1' contains reserved token {reserved!r}"
-        untouched = Document(id="d2", sentences=((TaggedToken("The", "DET"),),))
-        assert mask_document(untouched, lex).sentences == (("the",),)
+        spelled = Document(
+            id="d1", sentences=((TaggedToken(reserved, "PUNCT"), TaggedToken(reserved, "NOUN")),)
+        )
+        masked = mask_document(spelled, small_lexicon())
+        assert masked.sentences == ((reserved.casefold(), "N"),)
+        assert Document(id=masked.id, sentences=masked.sentences) == masked
 
     def test_mask_corpus_preserves_structure(self):
         lex = small_lexicon()

@@ -109,6 +109,18 @@ class TestDiscountSchedule:
         with pytest.raises(ValueError, match="unknown discount mode"):
             DiscountSchedule(mode="turbo")
 
+    def test_bins_are_kept_as_a_tuple(self):
+        """Bins given as a list are stored as a tuple: the schedule equals
+        and hashes as its tuple twin, and a model scores with it."""
+        listed = DiscountSchedule(mode="modified", bins=[0.4, 0.5, 0.6])
+        twin = DiscountSchedule.modified(0.4, 0.5, 0.6)
+        assert listed.bins == (0.4, 0.5, 0.6)
+        assert listed == twin and hash(listed) == hash(twin)
+        model = train([("a", "b"), ("a", "c")], order=2, discounts=listed)
+        assert model.prob("b", ("a",)) == train(
+            [("a", "b"), ("a", "c")], order=2, discounts=twin
+        ).prob("b", ("a",))
+
     def test_discount_for(self):
         const = DiscountSchedule.constant(0.75)
         assert const.discount_for(0) == 0.0
@@ -484,6 +496,24 @@ class TestTraining:
         with pytest.raises(ValueError):
             GrammarModel(1, vocab, sched, 0, {})
 
+    def test_table_that_does_not_fit_is_rejected(self):
+        """A model takes only a one-model table counted at its order over
+        its vocabulary and the two markers."""
+        sentences = [("a", "b", "a"), ("b", "a")]
+        model = train(sentences, order=2)
+        vocab, sched = model.vocab, model.discounts
+        wider = Vocabulary(vocab.items | {"c"})
+        shared = CountTable.from_sentences(*coded([[0, 1], [1, 0]]), [[0], [1]], 2, 5)
+        for order, vocab_, table in (
+            (3, vocab, model.table),  # an order-2 table under an order-3 model
+            (1, vocab, model.table),
+            (2, wider, model.table),
+            (2, vocab, shared),  # two models' counts
+        ):
+            with pytest.raises(ValueError, match="does not fit"):
+                GrammarModel(order, vocab_, sched, len(sentences), table)
+        assert GrammarModel(2, vocab, sched, len(sentences), model.table) == model
+
     @pytest.mark.parametrize(
         "build, message",
         [
@@ -817,7 +847,7 @@ class TestDemandDrivenKernel:
         schedule = random_schedule(rng)
         model = train(sentences, order=4, discounts=schedule)
         assert len(model.table.index.keys[2]) > 0  # some entries are not reached
-        training = [[token_codes(model.vocab)[t] for t in s] for s in sentences]
+        training = [[token_codes(model.vocab.sorted_items())[t] for t in s] for s in sentences]
         token = rng.randrange(len(model.vocab))
         tokens, prev, positions = np.array([token]), np.array([-1]), np.array([0])
         want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
@@ -888,7 +918,7 @@ class TestKernelOrders:
         tables = scalar_kn_tables(model.raw_counts, order)
         for t in items:
             got = model.prob(t, ())
-            assert got == want[token_codes(model.vocab)[t]]
+            assert got == want[token_codes(model.vocab.sorted_items())[t]]
             assert got == scalar_kn_prob(
                 model.raw_counts, tables, order, schedule, len(items) - 1, t, ()
             )
@@ -971,3 +1001,56 @@ class TestQueryFilteredCounting:
 
         kept, every = entries(table), entries(full)
         assert kept.items() <= every.items()
+
+
+class TestCodeNumbering:
+    """Codes only name tokens: numbering a table's vocabulary in another
+    order, the markers kept last, leaves every probability bit-identical,
+    whether the table was counted for the queries or over every window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(2, 5),
+        order=st.integers(1, 5),
+        mode=st.sampled_from(["constant", "modified"]),
+        filtered=st.booleans(),
+        data=st.data(),
+    )
+    def test_permuted_codes_give_identical_probabilities(
+        self, size, order, mode, filtered, data
+    ):
+        token = st.integers(0, size - 1)
+        sentences = data.draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1,
+                                       max_size=5))
+        models = data.draw(st.lists(st.lists(st.integers(0, len(sentences) - 1), min_size=1,
+                                             max_size=5), min_size=1, max_size=3))
+        queries = data.draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1,
+                                     max_size=3))
+        bins = st.floats(0.05, 0.95)
+        schedule = (
+            bins.map(DiscountSchedule.constant) if mode == "constant"
+            else st.tuples(bins, bins, bins).map(lambda ds: DiscountSchedule.modified(*ds))
+        )
+        discounts = [data.draw(schedule) for _ in models]
+        orders = data.draw(st.lists(st.integers(1, order), min_size=1, max_size=order,
+                                    unique=True))
+        # A permutation of the vocabulary's codes; the markers keep theirs.
+        width = size + 2
+        perm = np.array([*data.draw(st.permutations(range(size))), size, size + 1])
+        counted = [*sentences, *queries] if filtered else sentences
+        flat, lengths = coded(counted)
+        query_flat, query_lengths = coded(queries)
+        n_queries = len(queries) if filtered else 0
+
+        def probs(codes):
+            table = CountTable.from_sentences(codes[flat], lengths, models, order, width, n_queries)
+            tokens, prev, starts = token_stream(codes[query_flat], query_lengths, width)
+            positions = np.setdiff1d(np.arange(len(tokens)), starts)
+            return table, kneser_ney_probs(table, discounts, tokens, prev, positions, orders)
+
+        table, want = probs(np.arange(width))
+        permuted, got = probs(perm)
+        assert got.shape == (len(orders), len(models), int(query_lengths.sum() + len(queries)))
+        assert np.array_equal(got, want)
+        if not filtered:
+            assert permuted.count_of_counts() == table.count_of_counts()

@@ -107,8 +107,6 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             synth_corpus(seed=0, authors=6, alphabet=("a", "a", "."))
         with pytest.raises(ValueError):
-            synth_corpus(seed=0, authors=6, terminal="zz")
-        with pytest.raises(ValueError):
             synth_corpus(seed=0, authors=6, train_fraction=1.0)
 
 

@@ -21,15 +21,15 @@ from oracles import (
 
 from grammarlr import masking, scoring
 from grammarlr.corpus import POS_LABELS, Corpus, Document, TaggedToken, VerificationProblem
-from grammarlr.errors import ContractError, CorpusError, DataError
+from grammarlr.errors import ContractError, DataError, LexiconError
 from grammarlr.masking import MaskingLexicon, default_lexicon, mask_corpus
 from grammarlr.ngram import (
+    BOS,
     EOS,
     UNK,
     CountTable,
     DiscountSchedule,
     Vocabulary,
-    token_codes,
     train,
     train_with_estimated_discounts,
 )
@@ -954,7 +954,8 @@ class TestCountOncePath:
             problem = replace(problem, known_docs=(known,))
         if "known_only" in shape:
             # A token only the known side holds, sorting inside the pool's
-            # tokens, shifts the codes of the pool tokens after it.
+            # tokens: scoring numbers it after the pool's forms, the models
+            # trained apart number it inside their sorted vocabulary.
             known = Document(id="p1-k3", sentences=(("a", shape["known_only"], "c"),))
             problem = replace(problem, known_docs=(*problem.known_docs, known))
         pool = make_refs(rng, n=shape.get("pool_docs", 4))
@@ -981,21 +982,12 @@ class TestCountOncePath:
             assert expected.total == pytest.approx(total, abs=1e-9)
 
 
-def coded_sentences(sentences, codes):
-    """The codes of token sentences end to end, a token outside ``codes``
-    coded as the unknown token, and the sentences' lengths."""
-    return (
-        np.array([codes.get(t, codes[UNK]) for sent in sentences for t in sent]),
-        np.array([len(sent) for sent in sentences]),
-    )
-
-
 class TestGatheredStream:
-    """A problem's counted sentences, gathered from the pool's codes, are
-    the coded sentences the counter is handed: the distinct drawn pool
-    sentences, the known side and, where constant mode counts for it, the
-    unknown document as the queries; and the document is queried as its
-    coded sentences."""
+    """A problem numbers its tokens once, and its counted sentences,
+    gathered from the pool's codes and decoded with that numbering, are the
+    sentences the counter is handed: the distinct drawn pool sentences, the
+    known side and, where constant mode counts for it, the unknown document
+    as the queries; and the document is queried as its sentences."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -1033,8 +1025,9 @@ class TestGatheredStream:
         cfg = LambdaConfig(
             order=order, refs=refs, seed=seed, discount_mode=discount_mode, sampling=sampling
         )
-        counted, queried = [], []
+        counted, queried, numbered = [], [], []
         count, query = CountTable.from_sentences.__func__, scoring.sentence_probs
+        number = scoring.token_codes
 
         def counting(cls, *args, **kwargs):
             counted.append((args, kwargs))
@@ -1044,13 +1037,25 @@ class TestGatheredStream:
             queried.append(coded)
             return query(table, discounts, *coded, **kwargs)
 
+        def numbering(forms):
+            numbered.append(number(forms))
+            return numbered[-1]
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CountTable, "from_sentences", classmethod(counting))
             patch.setattr(scoring, "sentence_probs", querying)
+            patch.setattr(scoring, "token_codes", numbering)
             scoring._score_problem(problem, scoring._Pool.of(pool_docs), [cfg])
 
         pool_sents = [s for d in pool for s in d]
-        codes = token_codes(Vocabulary.from_sentences([*pool_sents, *known]))
+        vocab = Vocabulary.from_sentences([*pool_sents, *known])
+        # One numbering: the pool's forms, then the known side's new ones,
+        # each as first seen, then the unknown token and the markers.
+        [codes] = numbered
+        first_seen = dict.fromkeys(t for s in [*pool_sents, *known] for t in s)
+        assert list(codes) == [*first_seen, UNK, BOS, EOS]
+        assert set(codes) == vocab.items | {BOS, EOS}
+        names = {code: token for token, code in codes.items()}
         samples = oracle_sample_reference_sets(
             range(len(pool_sents)), len(known), refs, derive_seed(seed, "p"), sampling
         )
@@ -1060,20 +1065,22 @@ class TestGatheredStream:
         # the counted ones; modified mode counts every window of the
         # training side.
         queries = len(unknown) if discount_mode == "constant" else 0
-        want_flat, want_lengths = coded_sentences([*training, *unknown[:queries]], codes)
+
+        def tokens(sentences):
+            return [vocab.map(t) for sent in sentences for t in sent]
+
         [((flat, lengths, models, got_order, width, got_queries), kwargs)] = counted
         assert (got_order, width, got_queries, kwargs) == (order, len(codes), queries, {})
         assert flat.dtype == np.min_scalar_type(len(codes) - 1)
-        assert np.array_equal(flat, want_flat)
-        assert np.array_equal(lengths, want_lengths)
+        assert [names[c] for c in flat.tolist()] == tokens([*training, *unknown[:queries]])
+        assert lengths.tolist() == [len(sent) for sent in [*training, *unknown[:queries]]]
         assert list(models[0]) == list(range(len(drawn), len(training)))
         assert [[drawn[i] for i in rows] for rows in models[1:]] == samples
 
-        query_flat, query_lengths = coded_sentences(unknown, codes)
         assert queried
         for got_flat, got_lengths in queried:
-            assert np.array_equal(got_flat, query_flat)
-            assert np.array_equal(got_lengths, query_lengths)
+            assert [names[c] for c in got_flat.tolist()] == tokens(unknown)
+            assert got_lengths.tolist() == [len(sent) for sent in unknown]
 
 
 def renamed(doc, rename):
@@ -1242,10 +1249,11 @@ class TestPoolOfMatchesMaskThenCode:
     )
     def test_equals_oracle(self, docs, lexicon, warm):
         """``_Pool.of`` equals masking each pool document, then building
-        the vocabulary and coding the masked sentences: vocabulary, codes,
-        ``flat`` values and dtype, and offsets. Under a warm memo the
-        oracle has masked every pool token first; under a cold one nothing
-        has."""
+        the vocabulary and coding the masked sentences, up to how the forms
+        are numbered: the same forms, the same stream decoded to tokens,
+        ``flat``'s dtype, and offsets. The pool numbers its forms in the
+        order first seen. Under a warm memo the oracle has masked every pool
+        token first; under a cold one nothing has."""
         lexicon = cold(lexicon)
         if warm:
             expected = oracle_masked_pool(docs, lexicon)
@@ -1253,25 +1261,30 @@ class TestPoolOfMatchesMaskThenCode:
         if not warm:
             expected = oracle_masked_pool(docs, lexicon)
         vocab, codes, flat, offsets = expected
-        assert pool.vocab == vocab
-        assert pool.codes == codes
+        names = {code: token for token, code in codes.items()}
+        forms = list(pool.forms)
+        decoded = [forms[i] for i in pool.flat.tolist()]
+        assert decoded == [names[c] for c in flat.tolist()]
+        assert set(forms) == vocab.items - {UNK}
+        assert pool.forms == {form: i for i, form in enumerate(dict.fromkeys(decoded))}
         assert pool.flat.dtype == flat.dtype
-        assert pool.flat.tolist() == flat.tolist()
         assert pool.offsets.dtype == offsets.dtype
         assert pool.offsets.tolist() == offsets.tolist()
 
 
 class TestReservedGlyphInPool:
-    """A lexicon glyph spelled like a reserved token, used by the pool
-    alone, fails naming the first pool document that uses it, before any
-    problem is scored."""
+    """A lexicon glyph spelled like a reserved token, which only the pool
+    would use, fails where the lexicon is built, so no entry point masks a
+    pool or scores a problem with it."""
 
     CFG = LambdaConfig(order=2, refs=2, seed=5)
 
     @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
     @pytest.mark.parametrize("entry", ["verify_problem", "score_corpus", "evaluate_corpus"])
     def test_raises_naming_the_document(self, monkeypatch, entry, reserved):
-        lexicon = replace(RETAIN_CAT, placeholders={**RETAIN_CAT.placeholders, "PROPN": reserved})
+        def lexicon():
+            return replace(RETAIN_CAT, placeholders={**RETAIN_CAT.placeholders, "PROPN": reserved})
+
         plain = (("The", "DET"), ("cat", "NOUN"), ("runs", "VERB"), (".", "PUNCT"))
 
         def doc(doc_id, *tokens):
@@ -1291,24 +1304,23 @@ class TestReservedGlyphInPool:
 
         proper = ("Paris", "PROPN")
         pool = (doc("r0", *plain), doc("r1", *plain, proper), doc("r2", proper))
-
-        def scored(*args, **kwargs):
-            raise AssertionError("a problem was scored")
-
-        monkeypatch.setattr(scoring, "_score_problem", scored)
+        spy = PreparationSpy(monkeypatch)
+        scored = []
+        monkeypatch.setattr(scoring, "_score_problem", lambda *args: scored.append(args))
         train_split, test_split = split("tr"), split("te")
         calls = {
             "verify_problem": lambda: verify_problem(
-                train_split.problems[0], pool, self.CFG, lexicon
+                train_split.problems[0], pool, self.CFG, lexicon()
             ),
-            "score_corpus": lambda: score_corpus(train_split, self.CFG, lexicon),
+            "score_corpus": lambda: score_corpus(train_split, self.CFG, lexicon()),
             "evaluate_corpus": lambda: evaluate_corpus(
-                train_split, test_split, self.CFG, lexicon
+                train_split, test_split, self.CFG, lexicon()
             ),
         }
-        with pytest.raises(CorpusError) as caught:
+        with pytest.raises(LexiconError) as caught:
             calls[entry]()
-        assert str(caught.value) == f"document 'r1' contains reserved token {reserved!r}"
+        assert str(caught.value) == f"placeholder glyph {reserved!r} for PROPN is a reserved token"
+        assert (spy.docs, spy.tokens, spy.pools, scored) == (Counter(), Counter(), [], [])
 
 
 class TestScoreCorpusTagged:
