@@ -19,6 +19,10 @@ Sentences reach it coded (their codes end to end and their lengths, the
 packed ids of KenLM, Heafield 2011) by one coder, :func:`code_sentences`,
 one layout, :func:`token_stream`, one counter,
 :meth:`CountTable.from_sentences`, and one query, :func:`sentence_probs`.
+The kernel reads its queries as gram ids, whoever builds them: a counter
+that counted for them hands over the ids it windowed
+(:attr:`CountTable.queried`), and other callers encode their stream with
+:meth:`GramIndex.encode`.
 Codes number a vocabulary's forms in any order, the markers last: a model
 numbers its sorted vocabulary, scoring its forms as first seen.
 A :class:`GramIndex`, built by :meth:`GramIndex.from_stream`, gives each
@@ -33,7 +37,9 @@ order up to N: a lower order differs only in its top level's counts. The
 statistics are built only for the entries of the grams the queries reach:
 their contexts, the grams they read as numerators or as children of those
 contexts, and the extensions that make up those children's continuation
-counts. No other entry is read or computed.
+counts. No other entry is read or computed. When every model has the same
+constant schedule, as at the paper's defaults, its discount is one number:
+no entry looks up a schedule.
 
 The scoring pipeline counts once per problem: it windows the known side and
 each distinct sampled reference sentence once, and each of the 1 + r models
@@ -43,9 +49,11 @@ counter keeps only the grams the kernel reads for them (see
 :meth:`GramIndex.from_stream`), each with every window of it, so kept counts
 are full counts and the probabilities are those of the full table bit for
 bit; at the paper's defaults (order 10, 100 references) that is about a
-third of the entries. Modified discounts and :func:`train` count every
-window, as count-of-count statistics need: they count the training
-sentences alone. Ids are sorted by gram length, so
+third of the entries. The counter keeps the ids of the scored sentences'
+windows, so they are windowed once. Modified discounts and :func:`train`
+count every window, as count-of-count statistics need: they count the
+training sentences alone, and the scored sentences are encoded on the
+counted index. Ids are sorted by gram length, so
 a table counted at order N holds the table of every lower order as a prefix
 (:meth:`CountTable.truncated`), and one kept for queries at order N holds
 what they read at any lower order. :func:`train` counts with one model, and
@@ -319,8 +327,9 @@ class GramIndex:
         The kept set is closed under prefixes and suffixes, so a level only
         windows the positions whose context was kept one level down, and a
         gram is kept or dropped with every window of it. Also returns the
-        ids :meth:`encode` would give the positions before
-        ``queried_from``, ``missing`` where a gram is dropped.
+        ids :meth:`encode` would give every position, ``missing`` where a
+        gram is dropped: the queried stream is windowed below the top
+        level, and its top-level grams are looked up in that level's keys.
         """
         n_pos = len(tokens)
         # -1 marks a gram that does not exist or is dropped, until
@@ -344,9 +353,13 @@ class GramIndex:
                 # gram[1:] of the gram ending at a position is the gram one
                 # shorter ending there.
                 shorter = ids[n - 2, at]
-            if queried_from is not None and n == order:
-                # No longer gram asks for the top-level queried windows.
+            looked_up = queried_from is not None and n == order
+            if looked_up:
+                # No longer gram asks for the top-level queried windows: they
+                # are looked up, not indexed.
                 counted = np.searchsorted(at, queried_from)
+                queried_at = at[counted:]
+                queried_keys = context[counted:] * width + tokens[queried_at]
                 at, context, shorter = at[:counted], context[:counted], shorter[:counted]
             level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
             inverse = inverse.reshape(-1)
@@ -367,6 +380,8 @@ class GramIndex:
                 read[start : start + len(level_keys)] = child
                 read[mine] = True
             ids[n - 1, at] = start + inverse
+            if looked_up:
+                ids[n - 1, queried_at] = _look_up(level_keys, queried_keys, start, -1)
             keys.append(level_keys)
             suffixes.append(suffix)
             start += len(level_keys)
@@ -417,12 +432,18 @@ class GramIndex:
         for n, keys in enumerate(self.keys, start=1):
             if n > 1:
                 context = ids[n - 2, prev]
-            if len(keys) == 0:
-                continue
             query = context * self.width + tokens
-            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-            ids[n - 1, :-1] = np.where(keys[at] == query, self.starts[n] + at, self.missing)
+            ids[n - 1, :-1] = _look_up(keys, query, self.starts[n], self.missing)
         return ids
+
+
+def _look_up(keys: np.ndarray, query: np.ndarray, first: int, missing: int) -> np.ndarray:
+    """The ids of the grams keyed ``query`` in one level's sorted ``keys``,
+    whose first id is ``first``; ``missing`` where a key is absent."""
+    if len(keys) == 0:
+        return np.full(len(query), missing, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, first + at, missing)
 
 
 class CountTable:
@@ -432,16 +453,21 @@ class CountTable:
     gram a model counts, with the count at the same place in ``counts``, so
     the entries of one gram are adjacent. Each model also holds the root,
     with count 0, and every entry past the roots counts at least 1 (the
-    kernel and the model's count queries assume both).
+    kernel and the model's count queries assume both). A table counted for
+    queries holds their gram ids in ``queried`` (None otherwise), as
+    :meth:`GramIndex.encode` gives them for the queries' stream: the
+    counter has windowed them, so no caller encodes them again.
     """
 
     def __init__(
-        self, index: GramIndex, n_models: int, keys: np.ndarray, counts: np.ndarray
+        self, index: GramIndex, n_models: int, keys: np.ndarray, counts: np.ndarray,
+        queried: Optional[np.ndarray] = None,
     ) -> None:
         self.index = index
         self.n_models = n_models
         self.keys = keys
         self.counts = counts
+        self.queried = queried
 
     @classmethod
     def from_sentences(
@@ -464,12 +490,15 @@ class CountTable:
         :func:`kneser_ney_probs` reads for them are indexed and counted (see
         :meth:`GramIndex.from_stream`), each with its full count, so their
         probabilities at this order or any lower one are exactly those of
-        the full table, but count-of-count statistics are not.
+        the full table, but count-of-count statistics are not. The table
+        keeps the ids of their stream alone, as ``queried``.
         """
         tokens, prev, starts = token_stream(flat, lengths, width)
         bounds = np.append(starts, len(tokens))
         queried_from = int(bounds[len(lengths) - queries]) if queries else None
         index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
+        # A copy, so that the ids of the counted windows are not kept.
+        queried = ids[:, queried_from:].copy() if queries else None
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
         spans = np.diff(bounds)[rows]
         positions = ranges(bounds[rows], spans)
@@ -482,17 +511,18 @@ class CountTable:
             np.concatenate([np.arange(n_models), windows]), return_counts=True
         )
         counts[:n_models] = 0  # the roots
-        return cls(index, n_models, keys, counts)
+        return cls(index, n_models, keys, counts, queried)
 
     def truncated(self, order: int) -> "CountTable":
         """The counts of the grams up to length ``order``, as if counted at
         that order: a prefix of the sorted entries, over the truncated
-        index."""
+        index. ``queried`` is kept as it is: the kernel reads its rows up to
+        ``order``, and an id at or past the cut index's size as missing."""
         index = self.index.truncated(order)
         if index is self.index:
             return self
         end = np.searchsorted(self.keys, index.size * self.n_models)
-        return CountTable(index, self.n_models, self.keys[:end], self.counts[:end])
+        return CountTable(index, self.n_models, self.keys[:end], self.counts[:end], self.queried)
 
     def count_of_counts(self) -> list[dict[int, int]]:
         """Per model, how many top-order grams have each count 1..4. Only a
@@ -509,7 +539,7 @@ class CountTable:
 def kneser_ney_probs(
     table: CountTable,
     discounts: Sequence[DiscountSchedule],
-    tokens: np.ndarray,
+    ids: np.ndarray,
     prev: np.ndarray,
     positions: np.ndarray,
     orders: Optional[Sequence[int]] = None,
@@ -517,11 +547,14 @@ def kneser_ney_probs(
     """Interpolated Kneser-Ney probabilities of every model at every query.
 
     The queries are the tokens at ``positions`` of a coded stream, each
-    after the tokens before it: ``tokens`` and ``prev`` as
-    :meth:`GramIndex.encode` takes them. ``discounts[m]`` is model m's
-    schedule. ``orders`` lists orders in 1..N, N the table's order, by
-    default N alone; order o's rows are those of the table truncated to o.
-    Returns an array of shape (orders, models, queries).
+    after the tokens before it: ``ids`` as :meth:`GramIndex.encode` gives
+    them (or :attr:`CountTable.queried`), ``prev`` as it takes them. Rows
+    past the table's order are not read and an id at or past its index's
+    size is missing, so ids counted at a higher order serve a truncated
+    table. ``discounts[m]`` is model m's schedule. ``orders`` lists
+    orders in 1..N, N the table's order, by default N alone; order o's rows
+    are those of the table truncated to o. Returns an array of shape
+    (orders, models, queries).
 
     Each model's continuation counts (raw at the top order, distinct left
     extensions below), context totals and count-of-count bins are
@@ -534,12 +567,17 @@ def kneser_ney_probs(
     the (model, query) pairs whose model holds the query's context: a
     closed table that lacks a context lacks every gram under it, so there
     the recursion passes p_lower through, and leaving p as it is gives the
-    same value. Levels 0 and 1 are computed per token code: every model
-    holds the root, and level-1 contexts are unigrams. A lower order o
-    differs from N only in taking raw counts at level o, as numerators and
-    summed into the totals of level o - 1, so every order comes from one
-    walk: at level o - 1 a copy of p is stepped with raw statistics, built
-    only at the levels that some lower order needs.
+    same value. Levels 0 and 1 are computed per token code, read off the
+    query's unigram (a code the index lacks reads as "no unigram", the same
+    values): every model holds the root, and level-1 contexts are unigrams.
+    When every model has the same constant schedule, its discount d is one
+    number: the numerator is max(c - d, 0), equal to max(c - D(c), 0) since
+    D(0) = 0, and the removed mass d times the number of counted children,
+    one ``bincount``, equal to d (n1 + n2 + n3) since the n are integers.
+    A lower order o differs from N only in taking raw counts at level o, as
+    numerators and summed into the totals of level o - 1, so every order
+    comes from one walk: at level o - 1 a copy of p is stepped with raw
+    statistics, built only at the levels that some lower order needs.
 
     The statistics are built only where the queries reach. The queries'
     contexts and the root are *asked*: a query reads their total, gamma
@@ -573,10 +611,9 @@ def kneser_ney_probs(
     keys, counts, n_models = table.keys, table.counts, table.n_models
     gram_id = keys // n_models
 
-    ids = index.encode(tokens, prev)
-    grams = ids[:, positions]
+    grams = np.minimum(ids[: index.order, positions], index.missing)
     contexts = np.zeros_like(grams)
-    contexts[1:] = ids[:-1, prev[positions]]
+    contexts[1:] = np.minimum(ids[: index.order - 1, prev[positions]], index.missing)
 
     # What the queries reach, marked per gram id; the extra last slot is
     # ``missing``. The root is always asked: the level-0 table reads it.
@@ -612,8 +649,11 @@ def kneser_ney_probs(
         return first[grams] + rank[row[grams] * n_models + models]
 
     schedule_ids = {s: i for i, s in enumerate(dict.fromkeys(discounts))}
-    schedule_of = np.array([schedule_ids[s] for s in discounts], dtype=small)[model]
-    discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
+    only, *others = schedule_ids
+    constant = only.constant_d if not others and only.mode == "constant" else None
+    if constant is None:
+        schedule_of = np.array([schedule_ids[s] for s in discounts], dtype=small)[model]
+        discount = np.array([[s.discount_for(c) for c in range(4)] for s in schedule_ids])
     unigrams = slice(level_at[1], level_at[2])
     per_code_at = (slice(None), model[unigrams], index.last[gram_id[unigrams]])
 
@@ -631,19 +671,24 @@ def kneser_ney_probs(
         context_at = locate(index.context[gram[counted]], model[part][counted]) - lo
         c_counted = ckn[counted]
         total = np.bincount(context_at, weights=c_counted, minlength=len(ckn))
-        n1, n2, n3 = (
-            np.bincount(context_at[sel], minlength=len(ckn))
-            for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
-        )
-        schedules = schedule_of[part]
-        numerator = np.maximum(ckn - discount[schedules, np.clip(ckn, 0, 3)], 0.0)
-        # Gamma at the usable entries, one schedule at a time.
         usable = total > 0
-        at = np.flatnonzero(usable)
         gamma = np.ones(len(ckn))
-        for schedule, i in schedule_ids.items():
-            mine = at[schedules[at] == i]
-            gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
+        if constant is not None:
+            numerator = np.maximum(ckn - constant, 0.0)
+            removed = constant * np.bincount(context_at, minlength=len(ckn))
+            np.divide(removed, total, out=gamma, where=usable)
+        else:
+            n1, n2, n3 = (
+                np.bincount(context_at[sel], minlength=len(ckn))
+                for sel in (c_counted == 1, c_counted == 2, c_counted >= 3)
+            )
+            schedules = schedule_of[part]
+            numerator = np.maximum(ckn - discount[schedules, np.clip(ckn, 0, 3)], 0.0)
+            # Gamma at the usable entries, one schedule at a time.
+            at = np.flatnonzero(usable)
+            for schedule, i in schedule_ids.items():
+                mine = at[schedules[at] == i]
+                gamma[mine] = schedule.removed_mass(n1[mine], n2[mine], n3[mine]) / total[mine]
         total = np.where(usable, total, np.inf)
         per_code = np.empty((3, n_models, index.width + 1))
         per_code[0], per_code[1], per_code[2] = 0.0, np.inf, 1.0
@@ -679,18 +724,19 @@ def kneser_ney_probs(
     # not hold leaves p as it is (see the docstring).
     n_queries = len(positions)
     alpha = np.empty((n_models, n_queries))
+    unigram_code = np.append(index.last, index.width)  # of a unigram id; "no unigram" for missing
 
     def step(p, n: int, lo: int, numerator, total, gamma, per_code) -> np.ndarray:
         """p after level n: in place from level 2 on, a new array below."""
         if n == 0:
             root = np.s_[:n_models, None]  # model m's root is entry m
-            return (per_code[0] / total[root] + gamma[root] * p)[:, tokens[positions]]
+            return (per_code[0] / total[root] + gamma[root] * p)[:, unigram_code[grams[0]]]
         entry, at = held(grams[n], lo)
         alpha.fill(0.0)
         flat_alpha, flat_p = alpha.reshape(-1), p.reshape(-1)
         flat_alpha[at] = numerator[entry]
         if n == 1:
-            column = np.append(index.last, index.width)[contexts[1]]  # unigram codes
+            column = unigram_code[contexts[1]]
             return alpha / per_code[1][:, column] + per_code[2][:, column] * p
         entry, at = held(contexts[n], lo)
         flat_p[at] = flat_alpha[at] / total[entry] + gamma[entry] * flat_p[at]
@@ -833,8 +879,9 @@ class GrammarModel:
             width, n = len(self._codes), len(ctx)
             tokens = np.array([*ctx, *range(width)], dtype=np.int64)
             prev = np.append(np.arange(-1, n - 1), np.full(width, n - 1)).astype(np.int64)
+            ids = self.table.index.encode(tokens, prev)
             dist = kneser_ney_probs(
-                self.table, [self.discounts], tokens, prev, np.arange(n, n + width)
+                self.table, [self.discounts], ids, prev, np.arange(n, n + width)
             )[0, 0].tolist()
             if len(self._distributions) >= _KEPT_DISTRIBUTIONS:
                 self._distributions.clear()
@@ -847,8 +894,9 @@ class GrammarModel:
     def token_probs(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
         """Probabilities of every token and end marker of sentences, in order,
         with tokens outside the vocabulary mapped to the unknown token."""
-        coded = code_sentences(sentences, self._codes)
-        return sentence_probs(self.table, [self.discounts], *coded)[0]
+        flat, lengths = code_sentences(sentences, self._codes)
+        ids = self.table.index.encode(*token_stream(flat, lengths, len(self._codes))[:2])
+        return sentence_probs(self.table, [self.discounts], ids, lengths)[0]
 
     def sentence_logprob(self, sentence: Sequence[str]) -> float:
         """Log probability of a sentence including its end-marker transition."""
@@ -880,18 +928,22 @@ class GrammarModel:
 def sentence_probs(
     table: CountTable,
     discounts: Sequence[DiscountSchedule],
-    flat: np.ndarray,
+    ids: np.ndarray,
     lengths: np.ndarray,
     orders: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Probabilities of every token and end marker of coded sentences (see
-    :func:`code_sentences`), in order, under every model of a table: shape
+    """Probabilities of every token and end marker of sentences of
+    ``lengths`` tokens, in order, under every model of a table: shape
     (models, positions), or (orders, models, positions) for a list of
-    ``orders``, as :func:`kneser_ney_probs` takes them."""
-    tokens, prev, starts = token_stream(flat, lengths, table.index.width)
-    scored = np.ones(len(tokens), dtype=bool)
-    scored[starts] = False
-    probs = kneser_ney_probs(table, discounts, tokens, prev, np.flatnonzero(scored), orders)
+    ``orders``, as :func:`kneser_ney_probs` takes them. ``ids`` are the gram
+    ids of the sentences' stream (see :func:`token_stream`), as
+    :meth:`GramIndex.encode` gives them or :attr:`CountTable.queried` holds
+    them."""
+    scored = np.ones(ids.shape[1] - 1, dtype=bool)
+    scored[np.cumsum(lengths + 2) - lengths - 2] = False  # the begin markers
+    # A scored position follows the position before it.
+    prev = np.arange(-1, len(scored) - 1)
+    probs = kneser_ney_probs(table, discounts, ids, prev, np.flatnonzero(scored), orders)
     return probs[0] if orders is None else probs
 
 

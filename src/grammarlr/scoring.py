@@ -26,9 +26,10 @@ coded sentences: a reference pool is masked and coded once, its forms
 numbered as first seen, and each problem gathers its samples' codes from
 it as they are, codes its two sides (the known side's new forms numbered
 next), counts them with ``CountTable.from_sentences`` and queries
-``sentence_probs``. A problem scored for several reference counts and
-orders is counted once, at the largest of each, and scored by one kernel
-call per discount list.
+``sentence_probs`` with the unknown document's gram ids: the counter hands
+them over in constant mode, and modified mode encodes the document. A
+problem scored for several reference counts and orders is counted once, at
+the largest of each, and scored by one kernel call per discount list.
 
 The scoring core reads masked problems and pools prepared by ``_Pool.of``
 only: every caller enters it through ``_score_problems``.
@@ -62,6 +63,7 @@ from .ngram import (
     ranges,
     sentence_probs,
     token_codes,
+    token_stream,
 )
 
 SAMPLING_MODES = ("without_replacement", "with_replacement")
@@ -550,20 +552,22 @@ def _score_problem(
     # only the known side holds, as first seen, so the models train on the
     # known side and each distinct drawn pool sentence, gathered as coded.
     codes = token_codes([*dict.fromkeys(chain(pool.forms, *known)), UNK])
-    drawn = np.unique(samples)
+    drawn, rows = np.unique(samples, return_inverse=True)
     lengths = np.diff(pool.offsets)[drawn]
     drawn_flat = pool.flat[ranges(pool.offsets[drawn], lengths)]
     query = code_sentences(unknown, codes)
-    # Only the grams the unknown document can read are counted, except in
-    # modified mode: its discounts need every top-order window, so the
-    # counter does not see the document.
+    # Only the grams the unknown document can read are counted, and the
+    # counter hands over its gram ids, except in modified mode: its
+    # discounts need every top-order window, so the counter does not see
+    # the document, and it is encoded on the counted index.
     queries = len(unknown) if first.discount_mode == "constant" else 0
     sides = [(drawn_flat, lengths), code_sentences(known, codes), query][: 3 if queries else 2]
-    models = [range(len(drawn), len(drawn) + len(known)), *np.searchsorted(drawn, samples)]
+    models = [range(len(drawn), len(drawn) + len(known)), *rows.reshape(samples.shape)]
     top = max(c.order for c in configs)
     table = CountTable.from_sentences(
         *map(np.concatenate, zip(*sides)), models, top, len(codes), queries
     )
+    ids = table.queried if queries else table.index.encode(*token_stream(*query, len(codes))[:2])
     logs, groups = {}, {}  # groups: the orders of each discount list
     for order in sorted({c.order for c in configs}):
         if first.discount_mode == "modified":
@@ -575,7 +579,7 @@ def _score_problem(
             discounts = (DiscountSchedule.constant(first.discount),) * table.n_models
         groups.setdefault(discounts, []).append(order)
     for discounts, orders in groups.items():
-        probs = sentence_probs(table.truncated(orders[-1]), discounts, *query, orders=orders)
+        probs = sentence_probs(table.truncated(orders[-1]), discounts, ids, query[1], orders=orders)
         logs.update(zip(orders, map(_log_probs, probs)))
     layout = _layout(unknown)
     return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]

@@ -5,7 +5,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     oracle_continuation_count,
@@ -734,7 +734,7 @@ class TestDemandDrivenKernel:
         tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
-        got = sentence_probs(table, discounts, *coded(queries))
+        got = sentence_probs(table, discounts, table.index.encode(tokens, prev), coded(queries)[1])
         assert got.shape == (table.n_models, len(positions))
         assert np.array_equal(got, want)
 
@@ -750,7 +750,8 @@ class TestDemandDrivenKernel:
         prev = np.append(np.arange(-1, n - 1), np.full(6, n - 1)).astype(np.int64)
         positions = np.arange(n, n + 6)
         want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
-        assert np.array_equal(kneser_ney_probs(table, discounts, tokens, prev, positions)[0], want)
+        ids = table.index.encode(tokens, prev)
+        assert np.array_equal(kneser_ney_probs(table, discounts, ids, prev, positions)[0], want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -769,7 +770,8 @@ class TestDemandDrivenKernel:
         )
         positions = np.flatnonzero([queried for _, _, queried in stream]).astype(np.int64)
         want = whole_table_kneser_ney_probs(table, discounts, tokens, prev, positions)
-        got = kneser_ney_probs(table, discounts, tokens, prev, positions)[0]
+        ids = table.index.encode(tokens, prev)
+        got = kneser_ney_probs(table, discounts, ids, prev, positions)[0]
         assert got.shape == (table.n_models, len(positions))
         assert np.array_equal(got, want)
 
@@ -779,23 +781,39 @@ class TestDemandDrivenKernel:
         defaults (order 10, 100 references), where the questioned
         document's queries reach only part of the table, against the
         whole-table kernel on the table that counts every window. In
-        constant mode the counter keeps only what those queries read."""
+        constant mode the counter sees the document, keeps only what its
+        queries read and hands over its gram ids, and nothing encodes it; in
+        modified mode the counter does not see it, and it is encoded."""
         corpus = synth_corpus(seed=3, authors=5, sentences_per_doc=12)
         count, query = CountTable.from_sentences.__func__, scoring.sentence_probs
-        counted, same = [], []
+        encode = GramIndex.encode
+        counted, encoded, same = [], [], []
+        scored_after = []  # what was encoded when each query came, before the oracle encodes
 
         def counting(cls, flat, lengths, models, order, width, queries=0):
             table = count(cls, flat, lengths, models, order, width, queries)
-            # The training sentences: all but the last ``queries``.
-            ends = np.cumsum(lengths).tolist()[: len(lengths) - queries]
+            ends = np.cumsum(lengths).tolist()
             sentences = [flat[a:b].tolist() for a, b in pairwise([0, *ends])]
-            counted.append((table, oracle_count_table(sentences, models, order, width)))
+            # The training sentences: all but the last ``queries``, the document.
+            training = sentences[: len(sentences) - queries]
+            full = oracle_count_table(training, models, order, width)
+            counted.append((table, full, sentences[len(training) :]))
             return table
 
-        def checked(table, discounts, flat, lengths, orders=None):
-            got = query(table, discounts, flat, lengths, orders=orders)
-            tokens, prev, starts = token_stream(flat, lengths, table.index.width)
-            positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        def encoding(index, tokens, prev):
+            encoded.append((tokens, prev))
+            return encode(index, tokens, prev)
+
+        def checked(table, discounts, ids, lengths, orders=None):
+            got = query(table, discounts, ids, lengths, orders=orders)
+            scored_after.append(list(encoded))
+            if mode == "constant":  # the document the counter saw
+                assert lengths.tolist() == list(map(len, counted[-1][2]))
+                tokens, prev, _ = token_stream(*coded(counted[-1][2]), table.index.width)
+            else:  # the stream scoring encoded
+                tokens, prev = scored_after[-1][-1]
+            assert len(tokens) == int(np.sum(lengths + 2)) == ids.shape[1] - 1
+            positions = np.setdiff1d(np.arange(len(tokens)), np.cumsum(lengths + 2) - lengths - 2)
             for order, probs in zip(orders or [table.index.order], got, strict=True):
                 full = counted[-1][1].truncated(order)
                 want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
@@ -803,14 +821,17 @@ class TestDemandDrivenKernel:
             return got
 
         monkeypatch.setattr(CountTable, "from_sentences", classmethod(counting))
+        monkeypatch.setattr(GramIndex, "encode", encoding)
         monkeypatch.setattr(scoring, "sentence_probs", checked)
         config = LambdaConfig(order=10, refs=100, discount_mode=mode)
         verify_problem(corpus.problems[0], corpus.reference_docs, config)
         assert same and all(same)
-        ((table, full),) = counted
+        ((table, full, document),) = counted
         if mode == "constant":
+            assert document and scored_after == [[]]
             assert len(table.keys) <= 0.6 * len(full.keys)
         else:
+            assert not document and [len(e) for e in scored_after] == [1]
             assert np.array_equal(table.keys, full.keys)
             assert np.array_equal(table.counts, full.counts)
 
@@ -828,7 +849,8 @@ class TestDemandDrivenKernel:
         queries = [rng.integers(0, 4, 9).tolist() for _ in range(3)]
         tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
-        got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=[2, 4])
+        ids = table.index.encode(tokens, prev)
+        got = kneser_ney_probs(table, discounts, ids, prev, positions, orders=[2, 4])
         for order, probs in zip([2, 4], got, strict=True):
             cut = table.truncated(order)
             want = whole_table_kneser_ney_probs(cut, discounts, tokens, prev, positions)
@@ -851,7 +873,8 @@ class TestDemandDrivenKernel:
         token = rng.randrange(len(model.vocab))
         tokens, prev, positions = np.array([token]), np.array([-1]), np.array([0])
         want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
-        got = kneser_ney_probs(model.table, [schedule], tokens, prev, positions)[0]
+        ids = model.table.index.encode(tokens, prev)
+        got = kneser_ney_probs(model.table, [schedule], ids, prev, positions)[0]
         assert np.array_equal(got, want)
 
         width = model.table.index.width
@@ -861,7 +884,8 @@ class TestDemandDrivenKernel:
         tokens, prev, starts = token_stream(*coded([[token]]), width)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
         want = whole_table_kneser_ney_probs(model.table, [schedule], tokens, prev, positions)
-        got = kneser_ney_probs(kept, [schedule], tokens, prev, positions)[0]
+        ids = kept.index.encode(tokens, prev)
+        got = kneser_ney_probs(kept, [schedule], ids, prev, positions)[0]
         assert np.array_equal(got, want)
 
 
@@ -881,7 +905,8 @@ class TestKernelOrders:
         orders = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=top, unique=True))
         tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
-        got = kneser_ney_probs(table, discounts, tokens, prev, positions, orders=orders)
+        ids = table.index.encode(tokens, prev)
+        got = kneser_ney_probs(table, discounts, ids, prev, positions, orders=orders)
         assert got.shape == (len(orders), table.n_models, len(positions))
         for order, probs in zip(orders, got):
             cut = table.truncated(order)
@@ -988,7 +1013,8 @@ class TestQueryFilteredCounting:
 
         tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
-        got = kneser_ney_probs(table, discounts, tokens, prev, positions)[0]
+        ids = table.index.encode(tokens, prev)
+        got = kneser_ney_probs(table, discounts, ids, prev, positions)[0]
         want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
         assert np.array_equal(got, want)
 
@@ -1001,6 +1027,92 @@ class TestQueryFilteredCounting:
 
         kept, every = entries(table), entries(full)
         assert kept.items() <= every.items()
+
+
+class TestQueriedIds:
+    """A table counted for queries holds the gram ids of their stream, as
+    :meth:`GramIndex.encode` gives them on its index, the top level
+    included, and only those: the kernel reads them in place of encoding
+    the queries again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counted=counted_models(),
+        # Code 4 is a form no counted sentence holds.
+        queries=st.lists(st.lists(st.integers(0, 4), max_size=7), min_size=1, max_size=3),
+        order=st.integers(1, 6),
+    )
+    @example(counted=([[0, 1]], [[0]]), queries=[[4]], order=1)  # a unigram no model holds
+    @example(counted=([[0, 1, 2]], [[0]]), queries=[[0, 1, 2], [3, 1, 2]], order=3)
+    @example(counted=([[0, 1]], [[0]]), queries=[[0, 1, 0, 1, 0, 1, 0]], order=6)
+    def test_equal_encode_of_the_queries_stream(self, counted, queries, order):
+        sentences, models = counted
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries]), models, order, 7, queries=len(queries)
+        )
+        tokens, prev, _ = token_stream(*coded(queries), 7)
+        assert table.queried.shape == (order, len(tokens) + 1)
+        assert table.queried.base is None  # not a view of every counted window's ids
+        assert np.array_equal(table.queried, table.index.encode(tokens, prev))
+        for low in range(1, order):
+            cut = table.truncated(low)
+            assert cut.queried is table.queried
+            # At or past the cut index's size, an id is missing.
+            ids = np.minimum(cut.queried[:low], cut.index.missing)
+            assert np.array_equal(ids, cut.index.encode(tokens, prev))
+
+    def test_a_table_counted_without_queries_holds_none(self):
+        table = CountTable.from_sentences(*coded([[0, 1, 2]]), [[0]], 3, 6)
+        assert table.queried is None and table.truncated(2).queried is None
+
+
+class TestConstantDiscount:
+    """When every model has one constant schedule, the kernel takes its
+    discount as one number. Its probabilities equal the whole-table
+    kernel's bit for bit, whether the models share one schedule object or
+    hold equal ones, on the queried ids of a table counted for the queries,
+    cut to any order, or on encoded ids; a model whose schedule differs
+    sends the call down the general path, which equals it too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counted=counted_models(),
+        queries=st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=1, max_size=3),
+        order=st.integers(1, 6),
+        d=st.floats(0.05, 0.95),
+        sharing=st.sampled_from(["one object", "equal objects", "one differs"]),
+        filtered=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_the_whole_table_kernel(
+        self, counted, queries, order, d, sharing, filtered, data
+    ):
+        sentences, models = counted
+        assume(sharing != "one differs" or len(models) > 1)
+        n_queries = len(queries) if filtered else 0
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries[:n_queries]]), models, order, 6, queries=n_queries
+        )
+        full = oracle_count_table(sentences, models, order, 6)
+        low = data.draw(st.integers(1, order))
+        orders = data.draw(st.lists(st.integers(1, low), min_size=1, max_size=low, unique=True))
+        cut = table.truncated(low)
+        schedule = DiscountSchedule.constant(d)
+        if sharing == "one object":
+            discounts = [schedule] * len(models)
+        else:
+            discounts = [DiscountSchedule.constant(d) for _ in models]
+            if sharing == "one differs":
+                other = data.draw(discount_schedules.filter(lambda s: s != schedule))
+                discounts[data.draw(st.integers(0, len(models) - 1))] = other
+
+        tokens, prev, starts = token_stream(*coded(queries), 6)
+        positions = np.setdiff1d(np.arange(len(tokens)), starts)
+        ids = table.queried if filtered else cut.index.encode(tokens, prev)
+        got = sentence_probs(cut, discounts, ids, coded(queries)[1], orders)
+        for o, probs in zip(orders, got, strict=True):
+            want = whole_table_kneser_ney_probs(full.truncated(o), discounts, tokens, prev, positions)
+            assert np.array_equal(probs, want), o
 
 
 class TestCodeNumbering:
@@ -1046,7 +1158,8 @@ class TestCodeNumbering:
             table = CountTable.from_sentences(codes[flat], lengths, models, order, width, n_queries)
             tokens, prev, starts = token_stream(codes[query_flat], query_lengths, width)
             positions = np.setdiff1d(np.arange(len(tokens)), starts)
-            return table, kneser_ney_probs(table, discounts, tokens, prev, positions, orders)
+            ids = table.index.encode(tokens, prev)
+            return table, kneser_ney_probs(table, discounts, ids, prev, positions, orders)
 
         table, want = probs(np.arange(width))
         permuted, got = probs(perm)

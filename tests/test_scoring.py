@@ -29,7 +29,9 @@ from grammarlr.ngram import (
     UNK,
     CountTable,
     DiscountSchedule,
+    GramIndex,
     Vocabulary,
+    token_stream,
     train,
     train_with_estimated_discounts,
 )
@@ -987,7 +989,10 @@ class TestGatheredStream:
     gathered from the pool's codes and decoded with that numbering, are the
     sentences the counter is handed: the distinct drawn pool sentences, the
     known side and, where constant mode counts for it, the unknown document
-    as the queries; and the document is queried as its sentences."""
+    as the queries; and the document is queried as its sentences, by the
+    gram ids of its stream on the counted index. Constant mode takes them
+    from the counter and encodes nothing; modified mode encodes the
+    document."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -1025,17 +1030,21 @@ class TestGatheredStream:
         cfg = LambdaConfig(
             order=order, refs=refs, seed=seed, discount_mode=discount_mode, sampling=sampling
         )
-        counted, queried, numbered = [], [], []
+        counted, queried, numbered, encoded = [], [], [], []
         count, query = CountTable.from_sentences.__func__, scoring.sentence_probs
-        number = scoring.token_codes
+        number, encode = scoring.token_codes, GramIndex.encode
 
         def counting(cls, *args, **kwargs):
             counted.append((args, kwargs))
             return count(cls, *args, **kwargs)
 
-        def querying(table, discounts, *coded, **kwargs):
-            queried.append(coded)
-            return query(table, discounts, *coded, **kwargs)
+        def querying(table, discounts, *stream, **kwargs):
+            queried.append((table, *stream))
+            return query(table, discounts, *stream, **kwargs)
+
+        def encoding(index, tokens, prev):
+            encoded.append((tokens, prev))
+            return encode(index, tokens, prev)
 
         def numbering(forms):
             numbered.append(number(forms))
@@ -1045,6 +1054,7 @@ class TestGatheredStream:
             patch.setattr(CountTable, "from_sentences", classmethod(counting))
             patch.setattr(scoring, "sentence_probs", querying)
             patch.setattr(scoring, "token_codes", numbering)
+            patch.setattr(GramIndex, "encode", encoding)
             scoring._score_problem(problem, scoring._Pool.of(pool_docs), [cfg])
 
         pool_sents = [s for d in pool for s in d]
@@ -1077,10 +1087,17 @@ class TestGatheredStream:
         assert list(models[0]) == list(range(len(drawn), len(training)))
         assert [[drawn[i] for i in rows] for rows in models[1:]] == samples
 
+        document = np.array([codes[t] for t in tokens(unknown)])
+        stream = token_stream(document, np.array([len(sent) for sent in unknown]), len(codes))
         assert queried
-        for got_flat, got_lengths in queried:
-            assert [names[c] for c in got_flat.tolist()] == tokens(unknown)
+        for table, ids, got_lengths in queried:
             assert got_lengths.tolist() == [len(sent) for sent in unknown]
+            assert np.array_equal(ids, table.index.encode(*stream[:2]))
+        if queries:
+            assert encoded == []
+        else:
+            [(got_tokens, got_prev)] = encoded
+            assert np.array_equal(got_tokens, stream[0]) and np.array_equal(got_prev, stream[1])
 
 
 def renamed(doc, rename):
