@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .calibration import CalibrationModel, decide, log10_lr
-from .corpus import Corpus, load_corpus, serialize_corpus
+from .corpus import Corpus, _resolve_refs_path, _stem_sidecar, load_corpus, serialize_corpus
 from .errors import CalibrationError, ContractError, DataError, GrammarLRError, WorkerError
 from .masking import MaskingLexicon, load_lexicon, mask_corpus
 from .protocol import cross_genre, evaluate_corpus, sweep_grid
@@ -221,6 +221,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_mask(args: argparse.Namespace) -> int:
     _check_output(args.out)
+    if args.reference or _resolve_refs_path(Path(args.corpus)):
+        # serialize_corpus writes the masked pool beside --out.
+        _check_output(str(_stem_sidecar(Path(args.out))))
     lexicon = _lexicon_from_args(args)
     masked = mask_corpus(load_corpus(args.corpus, refs_path=args.reference or None), lexicon)
     with _writing(args.out):
@@ -363,6 +366,9 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     )
     if len(names) != len(args.corpus_dirs):
         raise UsageError("--names must match the number of corpus directories")
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise UsageError(f"two domains are named {repeated!r}: give distinct names with --names")
     _check_output(args.out, directory=True)
     lexicon = _lexicon_from_args(args)
     corpora = []

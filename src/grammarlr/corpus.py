@@ -364,9 +364,14 @@ def _iter_jsonl(path: Path, data: bytes) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def _stem_sidecar(problems_path: Path) -> Path:
+    """The per-file reference sidecar of a problems file: ``<stem>.refs.jsonl``."""
+    return problems_path.with_name(problems_path.stem + ".refs.jsonl")
+
+
 def _resolve_refs_path(problems_path: Path) -> Optional[Path]:
     # Prefer a per-file sidecar, fall back to a directory-wide refs.jsonl.
-    stem_sidecar = problems_path.with_name(problems_path.stem + ".refs.jsonl")
+    stem_sidecar = _stem_sidecar(problems_path)
     if stem_sidecar.exists():
         return stem_sidecar
     shared = problems_path.with_name("refs.jsonl")
@@ -522,7 +527,7 @@ def serialize_corpus(
 
     if corpus.reference_docs or refs_path is not None:
         if refs_path is None:
-            refs_path = problems_path.with_name(problems_path.stem + ".refs.jsonl")
+            refs_path = _stem_sidecar(problems_path)
         ref_lines = [
             json.dumps(_doc_to_json(d), sort_keys=True, separators=(",", ":"))
             for d in corpus.reference_docs

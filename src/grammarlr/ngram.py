@@ -49,24 +49,23 @@ counter keeps only the grams the kernel reads for them (see
 :meth:`GramIndex.from_stream`), each with every window of it, so kept counts
 are full counts and the probabilities are those of the full table bit for
 bit; at the paper's defaults (order 10, 100 references) that is about a
-third of the entries. The counter keeps the ids of the scored sentences'
-windows, so they are windowed once. Modified discounts and :func:`train`
-count every window, as count-of-count statistics need: they count the
-training sentences alone, and the scored sentences are encoded on the
-counted index. Ids are sorted by gram length, so
-a table counted at order N holds the table of every lower order as a prefix
-(:meth:`CountTable.truncated`), and one kept for queries at order N holds
-what they read at any lower order. :func:`train` counts with one model, and
-that one-model table is the whole count store of the :class:`GrammarModel` it
-makes: count queries (through :meth:`GramIndex.find`) and equality read it,
-and only :attr:`GrammarModel.raw_counts` spells it as a gram -> count
-mapping.
+third of the entries. The counter indexes the scored sentences' windows at
+every level, as it does the counted ones, and keeps their ids, so they are
+windowed once. Modified discounts and :func:`train` count every window, as
+count-of-count statistics need: they count the training sentences alone,
+and the scored sentences are encoded on the counted index. Ids are sorted
+by gram length, so a table counted at order N holds the table of every
+lower order as a prefix (:meth:`CountTable.truncated`), and one kept for
+queries at order N holds what they read at any lower order. :func:`train`
+counts with one model, and that one-model table is the whole count store of
+the :class:`GrammarModel` it makes: count queries (through :meth:`GramIndex.encode` of the gram) and
+equality read it, and only :attr:`GrammarModel.raw_counts` spells it as a
+gram -> count mapping.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -328,8 +327,7 @@ class GramIndex:
         windows the positions whose context was kept one level down, and a
         gram is kept or dropped with every window of it. Also returns the
         ids :meth:`encode` would give every position, ``missing`` where a
-        gram is dropped: the queried stream is windowed below the top
-        level, and its top-level grams are looked up in that level's keys.
+        gram is dropped.
         """
         n_pos = len(tokens)
         # -1 marks a gram that does not exist or is dropped, until
@@ -353,14 +351,6 @@ class GramIndex:
                 # gram[1:] of the gram ending at a position is the gram one
                 # shorter ending there.
                 shorter = ids[n - 2, at]
-            looked_up = queried_from is not None and n == order
-            if looked_up:
-                # No longer gram asks for the top-level queried windows: they
-                # are looked up, not indexed.
-                counted = np.searchsorted(at, queried_from)
-                queried_at = at[counted:]
-                queried_keys = context[counted:] * width + tokens[queried_at]
-                at, context, shorter = at[:counted], context[:counted], shorter[:counted]
             level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
             inverse = inverse.reshape(-1)
             suffix = np.empty(len(level_keys), dtype=np.int64)
@@ -380,8 +370,6 @@ class GramIndex:
                 read[start : start + len(level_keys)] = child
                 read[mine] = True
             ids[n - 1, at] = start + inverse
-            if looked_up:
-                ids[n - 1, queried_at] = _look_up(level_keys, queried_keys, start, -1)
             keys.append(level_keys)
             suffixes.append(suffix)
             start += len(level_keys)
@@ -407,18 +395,6 @@ class GramIndex:
             grams.append(grams[context] + (names[last],))
         return grams
 
-    def find(self, codes: Sequence[int]) -> int:
-        """The id of one coded gram of at most ``order`` tokens, walked up
-        through its prefixes; ``missing`` where the index lacks it."""
-        gram_id = 0
-        for n, code in enumerate(codes):
-            keys, key = self.keys[n], gram_id * self.width + code
-            at = bisect_left(keys, key)
-            if at == len(keys) or keys[at] != key:
-                return self.missing
-            gram_id = int(self.starts[n + 1]) + at
-        return gram_id
-
     def encode(self, tokens: np.ndarray, prev: np.ndarray) -> np.ndarray:
         """Ids of the grams ending at each position of a token stream.
 
@@ -432,18 +408,12 @@ class GramIndex:
         for n, keys in enumerate(self.keys, start=1):
             if n > 1:
                 context = ids[n - 2, prev]
+            if len(keys) == 0:
+                continue
             query = context * self.width + tokens
-            ids[n - 1, :-1] = _look_up(keys, query, self.starts[n], self.missing)
+            at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            ids[n - 1, :-1] = np.where(keys[at] == query, self.starts[n] + at, self.missing)
         return ids
-
-
-def _look_up(keys: np.ndarray, query: np.ndarray, first: int, missing: int) -> np.ndarray:
-    """The ids of the grams keyed ``query`` in one level's sorted ``keys``,
-    whose first id is ``first``; ``missing`` where a key is absent."""
-    if len(keys) == 0:
-        return np.full(len(query), missing, dtype=np.int64)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[at] == query, first + at, missing)
 
 
 class CountTable:
@@ -456,7 +426,8 @@ class CountTable:
     kernel and the model's count queries assume both). A table counted for
     queries holds their gram ids in ``queried`` (None otherwise), as
     :meth:`GramIndex.encode` gives them for the queries' stream: the
-    counter has windowed them, so no caller encodes them again.
+    counter has indexed them, so no caller encodes them again. A query gram
+    that no model counts has an id and no entries.
     """
 
     def __init__(
@@ -802,25 +773,35 @@ class GrammarModel:
         """Token codes; a token outside the vocabulary is the unknown token."""
         return code_sentences([gram], self._codes, markers=True)[0].tolist()
 
+    def _id(self, gram: Sequence[str]) -> int:
+        """The gram's id, ``missing`` where the model lacks it: the id
+        :meth:`GramIndex.encode` gives its last token. The empty gram is
+        the root, id 0."""
+        if not gram:
+            return 0
+        n = len(gram)
+        ids = self.table.index.encode(np.array(self._coded(gram)), np.arange(-1, n - 1))
+        return int(ids[n - 1, n - 1])
+
     def count(self, gram: Sequence[str]) -> int:
         """Raw count of a gram (1 <= length <= order) under padded counting."""
         if not 1 <= len(gram) <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}: {len(gram)}")
-        gram_id = self.table.index.find(self._coded(gram))
+        gram_id = self._id(gram)
         return int(self.table.counts[gram_id]) if gram_id < self.table.index.missing else 0
 
     def _extensions(self, gram: Sequence[str], left: bool) -> tuple[list[int], list[int]]:
         """The counts of the grams t,gram (``left``) or gram,t the table holds,
         with the code of each one's t. ``gram`` is shorter than the order."""
         index, n = self.table.index, len(gram)
-        gram_id, lo = index.find(self._coded(gram)), int(index.starts[n + 1])
+        gram_id, lo = self._id(gram), int(index.starts[n + 1])
         if left:  # the grams one longer whose suffix is the gram
             ids = outer = lo + (index.suffix[lo : index.starts[n + 2]] == gram_id).nonzero()[0]
             for _ in range(n):  # up to each one's first token
                 outer = index.context[outer]
         else:  # the gram's children share its context: one run of ids
-            keys, span = index.keys[n], (gram_id * index.width, (gram_id + 1) * index.width)
-            ids = outer = slice(*(lo + bisect_left(keys, key) for key in span))
+            span = np.searchsorted(index.keys[n], [gram_id * index.width, (gram_id + 1) * index.width])
+            ids = outer = slice(*(lo + span).tolist())
         return self.table.counts[ids].tolist(), index.last[outer].tolist()
 
     def continuation_count(self, gram: Sequence[str]) -> int:
@@ -853,7 +834,7 @@ class GrammarModel:
             raise ValueError(f"gram length must be <= {self.order - 1}")
         counts, tokens = self._extensions(gram, left)
         # t is never the end marker on the left or the begin marker on the right.
-        (excluded,) = self._coded([EOS if left else BOS])
+        excluded = self._codes[EOS if left else BOS]
         return sum(c >= r if at_least else c == r for c, t in zip(counts, tokens) if t != excluded)
 
     # ------------------------------------------------------------------

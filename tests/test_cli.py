@@ -112,6 +112,15 @@ class TestMask:
     def test_missing_file_exit_3(self, tmp_path):
         assert run(["mask", tmp_path / "nope.jsonl", "--out", tmp_path / "o"]) == 3
 
+    def test_a_corpus_without_a_pool_writes_no_sidecar(self, corpus_dir, tmp_path):
+        """With no pool to mask, the sidecar path is neither written nor
+        checked."""
+        problems = shutil.copy(corpus_dir / "train.jsonl", tmp_path / "problems.jsonl")
+        sidecar = tmp_path / "masked.refs.jsonl"
+        sidecar.mkdir()
+        assert run(["mask", problems, "--out", tmp_path / "masked.jsonl"]) == 0
+        assert (tmp_path / "masked.jsonl").is_file() and not any(sidecar.iterdir())
+
     @pytest.mark.parametrize("command", ["mask", "evaluate"])
     def test_lexicon_not_utf8_exit_3(self, corpus_dir, tmp_path, capsys, command):
         lexicon = tmp_path / "bad-lexicon.txt"
@@ -468,6 +477,25 @@ class TestCrossGenre:
     def test_single_dir_exit_2(self, corpus_dir):
         assert run(["crossgenre", corpus_dir] + FAST_MODEL) == 2
 
+    @pytest.mark.parametrize(
+        "dirs, names",
+        [(["g1/data", "g2/data"], None), (["a", "b", "c"], "x,y,x")],
+        ids=["basenames", "--names"],
+    )
+    def test_repeated_domain_name_exit_2(self, tmp_path, capsys, dirs, names):
+        """Two domains of one name would give matrices whose rows and
+        columns cannot be told apart: a usage error that names it, before
+        any corpus is read (the directories are missing)."""
+        argv = ["crossgenre", *(tmp_path / d for d in dirs), *FAST_MODEL]
+        if names:
+            argv += ["--names", names]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        repeated = "x" if names else "data"
+        assert err.startswith(f"usage error: two domains are named {repeated!r}")
+        assert "--names" in err and err.count("\n") == 1
+
 
 
 class TestUnwritableOutput:
@@ -504,6 +532,7 @@ class TestUnwritableOutput:
             assert run(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"usage error: cannot write {str(path)!r}: ")
+            assert err.count("\n") == 1
 
         return check
 
@@ -514,6 +543,21 @@ class TestUnwritableOutput:
     def test_mask(self, corpus_dir, blocker, assert_cannot_write):
         out = blocker / "masked.jsonl"
         assert_cannot_write(["mask", corpus_dir / "train.jsonl", "--out", out], out)
+
+    @pytest.mark.parametrize("pool", ["beside", "--reference"])
+    def test_mask_reference_sidecar(self, corpus_dir, tmp_path, assert_cannot_write, pool):
+        """A corpus with a reference pool, found beside the problems file or
+        given by ``--reference``, masks it into ``<out stem>.refs.jsonl``
+        beside ``--out``: that path is checked too, and nothing is written."""
+        out, sidecar = tmp_path / "masked.jsonl", tmp_path / "masked.refs.jsonl"
+        sidecar.mkdir()
+        if pool == "beside":
+            argv = ["mask", corpus_dir / "train.jsonl", "--out", out]
+        else:
+            problems = shutil.copy(corpus_dir / "train.jsonl", tmp_path / "problems.jsonl")
+            argv = ["mask", problems, "--reference", corpus_dir / "refs.jsonl", "--out", out]
+        assert_cannot_write(argv, sidecar)
+        assert not out.exists()
 
     def test_verify(self, corpus_dir, blocker, assert_cannot_write):
         pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id

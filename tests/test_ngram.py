@@ -1013,10 +1013,13 @@ class TestQueryFilteredCounting:
 
         tokens, prev, starts = token_stream(*coded(queries), 6)
         positions = np.setdiff1d(np.arange(len(tokens)), starts)
-        ids = table.index.encode(tokens, prev)
-        got = kneser_ney_probs(table, discounts, ids, prev, positions)[0]
         want = whole_table_kneser_ney_probs(full, discounts, tokens, prev, positions)
-        assert np.array_equal(got, want)
+        encoded = table.index.encode(tokens, prev)
+        # A table counted for queries also answers on the ids it holds, the
+        # ones scoring hands the kernel.
+        for ids in [encoded, table.queried] if queries else [encoded]:
+            got = kneser_ney_probs(table, discounts, ids, prev, positions)[0]
+            assert np.array_equal(got, want)
 
         def entries(t):
             grams = t.index.spell(range(6))
