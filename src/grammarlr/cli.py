@@ -366,6 +366,10 @@ def cmd_crossgenre(args: argparse.Namespace) -> int:
     )
     if len(names) != len(args.corpus_dirs):
         raise UsageError("--names must match the number of corpus directories")
+    for name in names:
+        if name != name.strip() or not name:
+            raise UsageError(f"--names holds the domain name {name!r}: give names that are "
+                             "not empty and have no surrounding spaces")
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise UsageError(f"two domains are named {repeated!r}: give distinct names with --names")

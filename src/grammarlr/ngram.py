@@ -269,6 +269,28 @@ def ranges(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(begin - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
+def _unique_inverse(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of int64 values in
+    [0, ``bound``), by one plain sort: each value is packed above its place,
+    so the sorted packed values give the sorted values and, below them, where
+    each came from. Where the packed values would not fit in 63 bits, it is
+    ``np.unique`` itself."""
+    shift = max(len(values) - 1, 0).bit_length()
+    if max(bound - 1, 0).bit_length() + shift > 63:
+        unique, inverse = np.unique(values, return_inverse=True)
+        return unique, inverse.reshape(-1)
+    packed = values << shift
+    packed |= np.arange(len(values))
+    packed.sort()
+    ordered = packed >> shift
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    packed &= (1 << shift) - 1  # each sorted value's place
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[packed] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 class GramIndex:
     """Integer ids for a gram set closed under prefixes and suffixes.
 
@@ -325,57 +347,60 @@ class GramIndex:
         These are the grams :func:`kneser_ney_probs` reads for the queries.
         The kept set is closed under prefixes and suffixes, so a level only
         windows the positions whose context was kept one level down, and a
-        gram is kept or dropped with every window of it. Also returns the
-        ids :meth:`encode` would give every position, ``missing`` where a
-        gram is dropped.
+        gram is kept or dropped with every window of it. A window's context
+        and suffix fix whether its gram is kept, so each level drops its
+        windows before they are sorted into keys. Also returns the ids
+        :meth:`encode` would give every position, except that a gram the
+        index lacks has an id at or past ``missing``, not ``missing``
+        itself: read them clipped to ``missing``, as the kernel does.
         """
         n_pos = len(tokens)
-        # -1 marks a gram that does not exist or is dropped, until
-        # ``missing`` is known; the extra last column answers predecessor -1.
-        ids = np.full((order, n_pos + 1), -1, dtype=np.int64)
+        # Past every id: a gram that does not exist or is dropped. The
+        # extra last column answers predecessor -1.
+        absent = order * n_pos + 1
+        ids = np.full((order, n_pos + 1), absent, dtype=np.int64)
         keys, suffixes = [], [np.zeros(1, dtype=np.int64)]
+        low = 0  # the first id one level down
         start = 1
         at = np.arange(n_pos)  # the positions a gram of length n ends at
         context = shorter = np.zeros(n_pos, dtype=np.int64)
         # Per id: whether the queried stream holds the gram, and whether it
-        # is read (held, or a child of a held gram). The root is both; the
-        # last slot, never an id, answers a dropped suffix (-1).
-        held = np.zeros(order * n_pos + 2, dtype=bool)
+        # is read (held, or a child of a held gram). The root is both.
+        held = np.zeros(absent, dtype=bool)
         read = held.copy()
         held[0] = read[0] = True
         for n in range(1, order + 1):
             if n > 1:
                 context = ids[n - 2, prev[at]]
-                reaches = context >= 0
+                reaches = context != absent
                 at, context = at[reaches], context[reaches]
                 # gram[1:] of the gram ending at a position is the gram one
                 # shorter ending there.
                 shorter = ids[n - 2, at]
-            level_keys, inverse = np.unique(context * width + tokens[at], return_inverse=True)
-            inverse = inverse.reshape(-1)
+                if queried_from is not None:
+                    # A held gram is a child of its context, which is held
+                    # too, so the second and third rules keep all the first
+                    # does.
+                    keep = held[context] | read[shorter]
+                    if not keep.all():
+                        at, context, shorter = at[keep], context[keep], shorter[keep]
+            level_keys, inverse = _unique_inverse(
+                (context - low) * width + tokens[at], (start - low) * width
+            )
+            level_keys += low * width
             suffix = np.empty(len(level_keys), dtype=np.int64)
             suffix[inverse] = shorter
             if queried_from is not None:
-                # A held gram is a child of its context, which is held too,
-                # so the second and third rules keep all the first does.
-                child = held[level_keys // width]
-                keep = child | read[suffix]
-                if not keep.all():
-                    windows = keep[inverse]
-                    at, inverse = at[windows], (np.cumsum(keep) - 1)[inverse[windows]]
-                    level_keys, suffix, child = level_keys[keep], suffix[keep], child[keep]
                 # ``at`` ascends, so the queried windows come last.
                 mine = start + inverse[np.searchsorted(at, queried_from) :]
                 held[mine] = True
-                read[start : start + len(level_keys)] = child
+                read[start : start + len(level_keys)] = held[level_keys // width]
                 read[mine] = True
             ids[n - 1, at] = start + inverse
             keys.append(level_keys)
             suffixes.append(suffix)
-            start += len(level_keys)
-        index = cls(order, width, keys, np.concatenate(suffixes))
-        ids[ids < 0] = index.missing
-        return index, ids
+            low, start = start, start + len(level_keys)
+        return cls(order, width, keys, np.concatenate(suffixes)), ids
 
     def truncated(self, order: int) -> "GramIndex":
         """The index of the grams up to length ``order``: ids are sorted by
@@ -463,26 +488,34 @@ class CountTable:
         probabilities at this order or any lower one are exactly those of
         the full table, but count-of-count statistics are not. The table
         keeps the ids of their stream alone, as ``queried``.
+
+        Counts are tabulated one level at a time: each level's windows are
+        gathered, the dropped ones left out, and the rest counted, and the
+        levels' blocks follow the roots in order of length, as ids do.
         """
         tokens, prev, starts = token_stream(flat, lengths, width)
         bounds = np.append(starts, len(tokens))
         queried_from = int(bounds[len(lengths) - queries]) if queries else None
         index, ids = GramIndex.from_stream(tokens, prev, order, width, queried_from)
-        # A copy, so that the ids of the counted windows are not kept.
-        queried = ids[:, queried_from:].copy() if queries else None
+        # Clipped to ``missing``, as encode gives them, into a new array, so
+        # that the ids of the counted windows are not kept.
+        queried = np.minimum(ids[:, queried_from:], index.missing) if queries else None
         rows = np.concatenate([np.asarray(m, dtype=np.int64) for m in models])
         spans = np.diff(bounds)[rows]
         positions = ranges(bounds[rows], spans)
         model_of = np.repeat(np.repeat(np.arange(len(models)), [len(m) for m in models]), spans)
         n_models = len(models)
-        windows = (ids[:, positions] * n_models + model_of).reshape(-1)
-        if queries:
-            windows = windows[windows < index.missing * n_models]  # not dropped
-        keys, counts = np.unique(
-            np.concatenate([np.arange(n_models), windows]), return_counts=True
-        )
-        counts[:n_models] = 0  # the roots
-        return cls(index, n_models, keys, counts, queried)
+        # Ids ascend with gram length, so each level's entries are one block
+        # of the sorted keys, after the roots (count 0).
+        keys, counts = [np.arange(n_models)], [np.zeros(n_models, dtype=np.int64)]
+        for level_ids in ids:
+            windows = level_ids[positions] * n_models + model_of
+            if queries:
+                windows = windows[windows < index.missing * n_models]  # not dropped
+            level_keys, level_counts = np.unique(windows, return_counts=True)
+            keys.append(level_keys)
+            counts.append(level_counts)
+        return cls(index, n_models, np.concatenate(keys), np.concatenate(counts), queried)
 
     def truncated(self, order: int) -> "CountTable":
         """The counts of the grams up to length ``order``, as if counted at

@@ -233,6 +233,7 @@ class LambdaTrace:
         return LambdaTrace, tuple([getattr(self, f.name) for f in fields(self)])
 
     def to_json_dict(self) -> dict:
+        values, tokens = self.scores.tolist(), self.tokens
         return {
             "problem_id": self.problem_id,
             "config": self.config.to_json_dict(),
@@ -241,12 +242,13 @@ class LambdaTrace:
             "sentence_scores": list(self.sentence_scores),
             "token_scores": [
                 {
-                    "token": ts.token,
-                    "sentence_index": ts.sentence_index,
-                    "position": ts.position,
-                    "lambda": ts.score,
+                    "token": tokens[i],
+                    "sentence_index": si,
+                    "position": i - a + 1,
+                    "lambda": values[i],
                 }
-                for ts in self.token_scores
+                for si, (a, b) in enumerate(pairwise(self.bounds))
+                for i in range(a, b)
             ],
         }
 

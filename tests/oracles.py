@@ -6,7 +6,8 @@ whole candidate token set, smoothing by a direct transcription of the
 recursion, and isotonic regression by exhaustive search over contiguous
 partitions in exact rational arithmetic, tagged-text parsing by the
 earlier dataclass-token parser transcribed whole, the counter by its
-earlier every-window form, the array kernel by its earlier whole-table
+earlier every-window form, the grams it keeps for queries by its three
+rules over every window, the array kernel by its earlier whole-table
 form, the reference sampler by its earlier sample-by-sample form, and the
 PAV fit, ROC AUC, confusion counts and Cllr_min by their earlier index-loop
 forms, each also transcribed whole, and a prepared reference pool by its
@@ -243,6 +244,31 @@ def oracle_count_table(sentences, models, order, width):
     )
     counts[:n_models] = 0  # the roots
     return CountTable(index, n_models, table_keys, counts)
+
+
+def oracle_query_kept_grams(sentences, queries, order, width):
+    """The grams a counter of ``sentences`` for ``queries`` keeps, by its
+    three rules, as tuples of codes, the root ``()`` included: of every gram
+    of the sentences and the queries, each gram the queries hold, each child
+    of a gram they hold, and each gram whose suffix is one of those two.
+    Grams are read off each sentence padded with ``order`` begin markers
+    (code ``width - 2``) and one end marker (``width - 1``)."""
+    bos, eos = width - 2, width - 1
+
+    def grams(sents):
+        found = set()
+        for sent in sents:
+            padded = [bos] * order + list(sent) + [eos]
+            for end in range(order, len(padded) + 1):
+                found.update(tuple(padded[end - n : end]) for n in range(1, order + 1))
+        return found
+
+    held = grams(queries) | {()}
+
+    def read(gram):
+        return gram in held or gram[:-1] in held
+
+    return {()} | {g for g in grams(sentences) | held if read(g) or read(g[1:])}
 
 
 # The Kneser-Ney array kernel as it was when it built its statistics for

@@ -496,6 +496,20 @@ class TestCrossGenre:
         assert err.startswith(f"usage error: two domains are named {repeated!r}")
         assert "--names" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "names, bad", [("a,", ""), ("a, a", " a"), ("a ,b", "a ")], ids=["empty", "lead", "trail"]
+    )
+    def test_empty_or_spaced_domain_name_exit_2(self, tmp_path, capsys, names, bad):
+        """A name left empty or with spaces around it, as a comma-split
+        list gives them, is a usage error that quotes it, before any corpus
+        is read (the directories are missing)."""
+        argv = ["crossgenre", tmp_path / "a", tmp_path / "b", *FAST_MODEL, "--names", names]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --names holds the domain name {bad!r}")
+        assert err.count("\n") == 1
+
 
 
 class TestUnwritableOutput:

@@ -12,6 +12,7 @@ from oracles import (
     oracle_count_table,
     oracle_kn_prob,
     oracle_prefix_type_count,
+    oracle_query_kept_grams,
     oracle_raw_counts,
     oracle_sentence_logprob,
     oracle_suffix_type_count,
@@ -1030,6 +1031,77 @@ class TestQueryFilteredCounting:
 
         kept, every = entries(table), entries(full)
         assert kept.items() <= every.items()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counted=counted_models(),
+        # Code 4 is a form no counted sentence holds.
+        queries=st.lists(st.lists(st.integers(0, 4), max_size=7), min_size=1, max_size=3),
+        order=st.integers(1, 6),
+    )
+    @example(counted=([[0, 1]], [[0]]), queries=[[4]], order=1)
+    @example(counted=([[0, 1, 2]], [[0]]), queries=[[0, 1, 2], [3, 1, 2]], order=3)
+    @example(counted=([[0, 1]], [[0]]), queries=[[0, 1, 0, 1, 0, 1, 0]], order=6)
+    def test_keeps_exactly_the_grams_its_rules_name(self, counted, queries, order):
+        """The index holds each gram the three rules name once, and no
+        other; the table holds every model's entry of each, with its full
+        count, and no other entry."""
+        sentences, models = counted
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries]), models, order, 7, queries=len(queries)
+        )
+        kept = oracle_query_kept_grams(sentences, queries, order, 7)
+        grams = table.index.spell(range(7))
+        assert len(grams) == len(kept) and set(grams) == kept
+
+        def entries(t):
+            spelled, n = t.index.spell(range(7)), t.n_models
+            return {
+                (spelled[k // n], k % n): c for k, c in zip(t.keys.tolist(), t.counts.tolist())
+            }
+
+        full = entries(oracle_count_table(sentences, models, order, 7))
+        assert entries(table) == {key: c for key, c in full.items() if key[0] in kept}
+
+
+class TestUniqueInverse:
+    """The level keys' unique, one plain sort of values packed above their
+    places, is ``np.unique(values, return_inverse=True)``, and is that
+    call itself where the packed values would not fit in 63 bits."""
+
+    @staticmethod
+    def check(values, bound):
+        values = np.array(values, dtype=np.int64)
+        want_unique, want_inverse = np.unique(values, return_inverse=True)
+        got_unique, got_inverse = ngram._unique_inverse(values, bound)
+        assert got_unique.dtype == got_inverse.dtype == np.int64
+        assert np.array_equal(got_unique, want_unique)
+        assert np.array_equal(got_inverse, want_inverse.reshape(-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(0, 40), max_size=60),
+            st.lists(st.integers(0, 2**40), max_size=20),
+        ),
+        fits=st.booleans(),
+    )
+    @example(values=[], fits=True)
+    @example(values=[7], fits=True)
+    @example(values=[3] * 9, fits=True)
+    def test_equals_numpy_unique(self, values, fits):
+        bound = max(values, default=0) + 1 if fits else 2**63
+        self.check(values, bound)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 1024])
+    def test_keys_at_the_packing_bound(self, size):
+        """Values that fill every bit of the packed key beside their place,
+        the largest that fit, and one bit more, which falls back."""
+        shift = (size - 1).bit_length()
+        top = 2 ** (63 - shift) - 1
+        values = [top, 0, top, top - 1, 1][:size] + list(range(max(size - 5, 0)))
+        self.check(values, top + 1)  # packed
+        self.check(values, top + 2)  # falls back to np.unique
 
 
 class TestQueriedIds:
