@@ -316,17 +316,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _grid(flag: str, text: str) -> list[int]:
+    """The values of a comma-separated grid flag: integers >= 1, with no
+    entry empty and none repeated (a repeat would be a second row of one
+    cell)."""
+    entries = text.split(",")
+    if not all(v.strip() for v in entries):
+        raise UsageError(f"{flag} holds an empty entry: {text!r}")
     try:
-        ref_counts = [int(v) for v in args.r_grid.split(",") if v.strip()]
-        orders = [int(v) for v in args.n_grid.split(",") if v.strip()]
+        values = [int(v) for v in entries]
     except ValueError as exc:
         raise UsageError(f"grids must be comma-separated integers: {exc}") from exc
-    if not ref_counts or not orders:
-        raise UsageError("grids must be non-empty")
-    if min(ref_counts + orders) < 1:
+    if min(values) < 1:
         raise UsageError("grid values must be >= 1")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise UsageError(f"{flag} repeats the value {repeated}: give each value once")
+    return values
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    ref_counts, orders = _grid("--r-grid", args.r_grid), _grid("--n-grid", args.n_grid)
     _check_output(args.out)
     lexicon = _lexicon_from_args(args)
     train, test = _load_split(args)

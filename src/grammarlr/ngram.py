@@ -29,7 +29,12 @@ A :class:`GramIndex`, built by :meth:`GramIndex.from_stream`, gives each
 gram an integer id keyed by (id of its first n - 1 tokens, code of its
 last), one sorted key array per length, so each gram's context
 (``gram[:-1]``) and suffix (``gram[1:]``) are ids too. A :class:`CountTable`
-holds the counts of one or many models over one index. Continuation counts,
+holds the counts of one or many models over one index. Integer keys are
+grouped without a comparison sort where their range is dense, at most
+``_DENSE`` times their number: a level's gram keys are ranked over their
+range, and its (gram, model) keys counted by one ``bincount`` over it.
+Sparser keys are sorted once, packed above their places
+(:func:`_unique_inverse`), or counted by ``np.unique``. Continuation counts,
 context totals and count-of-count bins are ``bincount`` reductions over
 suffix and context ids, and all models are evaluated together as one models
 x positions array, in one walk up the levels that returns every requested
@@ -269,12 +274,27 @@ def ranges(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(begin - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
+# A key range at most this many times the number of keys is ranked, not
+# sorted: one pass over the range costs less than a sort of the keys.
+_DENSE = 8
+
+
 def _unique_inverse(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` of int64 values in
-    [0, ``bound``), by one plain sort: each value is packed above its place,
-    so the sorted packed values give the sorted values and, below them, where
-    each came from. Where the packed values would not fit in 63 bits, it is
+    [0, ``bound``). Where the range is dense (``bound`` at most ``_DENSE``
+    times the number of values), by rank: the values present, marked on the
+    range, are numbered in order, and each value reads its number. Otherwise
+    by one plain sort: each value is packed above its place, so the sorted
+    packed values give the sorted values and, below them, where each came
+    from. Where the packed values would not fit in 63 bits, it is
     ``np.unique`` itself."""
+    if bound <= _DENSE * len(values):
+        present = np.zeros(bound, dtype=bool)
+        present[values] = True
+        unique = np.flatnonzero(present)
+        rank = np.empty(bound, dtype=np.int64)
+        rank[unique] = np.arange(len(unique))
+        return unique, rank[values]
     shift = max(len(values) - 1, 0).bit_length()
     if max(bound - 1, 0).bit_length() + shift > 63:
         unique, inverse = np.unique(values, return_inverse=True)
@@ -282,13 +302,18 @@ def _unique_inverse(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndar
     packed = values << shift
     packed |= np.arange(len(values))
     packed.sort()
-    ordered = packed >> shift
+    place = packed & ((1 << shift) - 1)  # each sorted value's place
+    packed >>= shift
     new = np.ones(len(values), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    packed &= (1 << shift) - 1  # each sorted value's place
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    unique = packed[new]
+    # The packed array, spent, takes each sorted value's rank: fewer fresh
+    # pages than a new array per step.
+    np.cumsum(new, out=packed)
+    packed -= 1
     inverse = np.empty(len(values), dtype=np.int64)
-    inverse[packed] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    inverse[place] = packed
+    return unique, inverse
 
 
 class GramIndex:
@@ -491,7 +516,10 @@ class CountTable:
 
         Counts are tabulated one level at a time: each level's windows are
         gathered, the dropped ones left out, and the rest counted, and the
-        levels' blocks follow the roots in order of length, as ids do.
+        levels' blocks follow the roots in order of length, as ids do. A
+        level whose (gram, model) keys span at most ``_DENSE`` times its
+        windows is counted by one ``bincount`` over that span; a sparser one
+        by ``np.unique``.
         """
         tokens, prev, starts = token_stream(flat, lengths, width)
         bounds = np.append(starts, len(tokens))
@@ -508,11 +536,19 @@ class CountTable:
         # Ids ascend with gram length, so each level's entries are one block
         # of the sorted keys, after the roots (count 0).
         keys, counts = [np.arange(n_models)], [np.zeros(n_models, dtype=np.int64)]
-        for level_ids in ids:
+        for n, level_ids in enumerate(ids, start=1):
             windows = level_ids[positions] * n_models + model_of
             if queries:
                 windows = windows[windows < index.missing * n_models]  # not dropped
-            level_keys, level_counts = np.unique(windows, return_counts=True)
+            lo, hi = index.starts[n : n + 2] * n_models  # the level's keys
+            if hi - lo <= _DENSE * len(windows):
+                windows -= lo
+                dense = np.bincount(windows, minlength=hi - lo)
+                level_keys = np.flatnonzero(dense)
+                level_counts = dense[level_keys]
+                level_keys += lo
+            else:
+                level_keys, level_counts = np.unique(windows, return_counts=True)
             keys.append(level_keys)
             counts.append(level_counts)
         return cls(index, n_models, np.concatenate(keys), np.concatenate(counts), queried)

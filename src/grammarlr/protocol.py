@@ -208,15 +208,20 @@ def sweep_grid(
     """Evaluate every (refs, order) cell of a grid; long-form result rows.
 
     Each row equals the metrics of ``evaluate_corpus`` on the cell's config,
-    but the work is shared: every cell's config is checked first, both
-    splits and their pool are masked once, and each split is scored once
-    for the whole grid (one process pool per split with ``parallel`` > 1).
+    one row per cell (a grid that is empty or repeats a value raises
+    ``ValueError``), but the work is shared: every cell's config is checked
+    first, both splits and their pool are masked once, and each split is
+    scored once for the whole grid (one process pool per split with
+    ``parallel`` > 1).
     Each problem is counted once, at the grid's largest order and reference
     count, and each cell keeps only its document scores. Each cell is then
     calibrated and reported as ``evaluate_corpus`` does.
     """
     if not ref_counts or not orders:
         raise ValueError("sweep grids must be non-empty")
+    for name, grid in (("refs", ref_counts), ("order", orders)):
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"sweep grids must not repeat a value: {name} {list(grid)}")
     cells = [replace(base_config, refs=r, order=n) for r in ref_counts for n in orders]
     refs = [train.reference_docs, test.reference_docs]
     [split], pools = _prepared([(train, test)], refs, lexicon)

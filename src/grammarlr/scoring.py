@@ -11,9 +11,11 @@ log ratios over r, bit for bit. It is computed for all positions at once
 as an array sum with error-free transformations, and only a column whose
 compensated sum lies too near a rounding boundary is summed by
 ``math.fsum`` (see ``_exact_sums`` for the bound). Probabilities are logged
-with ``math.log`` once per distinct value. A ``LambdaTrace`` holds its
-positions as columns (scores, display tokens, sentence bounds) and builds
-``TokenScore`` objects only when they are asked for.
+with ``math.log`` once per distinct value, all orders of a kernel call in
+one pass: values are grouped by a multiplicative hash of their bits, and
+each group is checked bit for bit (see ``_log_probs``). A ``LambdaTrace``
+holds its positions as columns (scores, display tokens, sentence bounds)
+and builds ``TokenScore`` objects only when they are asked for.
 
 Reference models are trained on sentence samples drawn from a pool of
 documents by other authors; each sample has the same size as the
@@ -59,6 +61,7 @@ from .ngram import (
     DiscountSchedule,
     GrammarModel,
     _code_with,
+    _unique_inverse,
     code_sentences,
     ranges,
     sentence_probs,
@@ -378,10 +381,34 @@ def lambda_document(
     return _trace(_log_probs(probs), _layout(sentences), config, seed, problem_id)
 
 
+# Knuth's multiplicative hash: 2**64 over the golden ratio, odd.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# The most values grouped by hash (keys keep 63 - log2(values) bits, so a
+# larger array collides more often); more are grouped by ``np.unique``.
+_MAX_HASHED = 1 << 20
+
+
 def _log_probs(probs: np.ndarray) -> np.ndarray:
     """``math.log`` of every probability, taken once per distinct value.
-    (``np.log`` differs from ``math.log`` in the last bit on some inputs.)"""
-    values, where = np.unique(probs, return_inverse=True)
+    (``np.log`` differs from ``math.log`` in the last bit on some inputs.)
+    Values are grouped by a multiplicative hash of their bits (Knuth, TAOCP
+    vol. 3, 6.4): the top bits of bits * ``_GOLDEN`` mod 2**64, leaving room
+    for ``_unique_inverse``'s places. Each group is checked bit for bit; a
+    collision, or more than ``_MAX_HASHED`` values, falls back to ``np.unique``."""
+    bits = np.ascontiguousarray(probs, dtype=np.float64).view(np.uint64).reshape(-1)
+    values = None
+    if 0 < len(bits) <= _MAX_HASHED:
+        shift = (len(bits) - 1).bit_length()
+        keys = bits * _GOLDEN  # uint64 operands: numpy < 2 takes a Python int to float64
+        keys >>= np.uint64(shift + 1)
+        groups, where = _unique_inverse(keys.view(np.int64), 1 << (63 - shift))
+        del keys
+        first = np.empty(len(groups), dtype=np.uint64)
+        first[where] = bits  # each group's bits, if its values share them
+        if np.array_equal(first[where], bits):
+            values = first.view(np.float64)
+    if values is None:
+        values, where = np.unique(probs, return_inverse=True)
     logs = np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
     return logs[where.reshape(probs.shape)]
 
@@ -536,8 +563,9 @@ def _score_problem(
     draw are the samples of r, and a model's counts at a lower order are its
     counts of the grams up to that length, so one kernel call returns every
     order of one discount list (modified mode estimates a list per order),
-    and each order's probabilities are logged once; each config scores the
-    author's row and its first r reference rows of that log matrix.
+    and its probabilities, every order at once, are logged in one pass; each
+    config scores the author's row and its first r reference rows of its
+    order's log matrix.
     """
     first = configs[0]
     known = _doc_sentences(problem.known_docs)
@@ -554,7 +582,7 @@ def _score_problem(
     # only the known side holds, as first seen, so the models train on the
     # known side and each distinct drawn pool sentence, gathered as coded.
     codes = token_codes([*dict.fromkeys(chain(pool.forms, *known)), UNK])
-    drawn, rows = np.unique(samples, return_inverse=True)
+    drawn, rows = _unique_inverse(samples.reshape(-1), pool_size)
     lengths = np.diff(pool.offsets)[drawn]
     drawn_flat = pool.flat[ranges(pool.offsets[drawn], lengths)]
     query = code_sentences(unknown, codes)
@@ -582,7 +610,7 @@ def _score_problem(
         groups.setdefault(discounts, []).append(order)
     for discounts, orders in groups.items():
         probs = sentence_probs(table.truncated(orders[-1]), discounts, ids, query[1], orders=orders)
-        logs.update(zip(orders, map(_log_probs, probs)))
+        logs.update(zip(orders, _log_probs(probs)))
     layout = _layout(unknown)
     return [_trace(logs[c.order][: 1 + c.refs], layout, c, seed, problem.id) for c in configs]
 

@@ -10,8 +10,9 @@ earlier every-window form, the grams it keeps for queries by its three
 rules over every window, the array kernel by its earlier whole-table
 form, the reference sampler by its earlier sample-by-sample form, and the
 PAV fit, ROC AUC, confusion counts and Cllr_min by their earlier index-loop
-forms, each also transcribed whole, and a prepared reference pool by its
-earlier mask-then-code composition. Nothing is shared with the package
+forms, each also transcribed whole, a prepared reference pool by its
+earlier mask-then-code composition, and the logging of a probability array
+by its earlier ``np.unique`` form. Nothing is shared with the package
 internals beyond the pseudo-token spellings, the tagged format's labels,
 the count table (its index and table classes) and discount schedules
 that the whole-table kernel reads as its inputs, the Cllr that the
@@ -419,6 +420,15 @@ def oracle_lambda_document(
                 history = (history + [t])[-(order - 1) :]
         sentence_scores.append(sum(per_sent))
     return token_scores, sentence_scores, sum(sentence_scores)
+
+
+def oracle_log_probs(probs):
+    """``math.log`` of every probability, taken once per distinct value as
+    ``np.unique`` groups them: the scorer's logging as it was before it
+    grouped values by a hash of their bits."""
+    values, where = np.unique(probs, return_inverse=True)
+    logs = np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
+    return logs[where.reshape(probs.shape)]
 
 
 def oracle_trace_json(sentences, probs, config_dict, seed, problem_id):

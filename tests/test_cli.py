@@ -439,6 +439,28 @@ class TestSweep:
             argv = ["sweep", corpus_dir, "--r-grid", grid] + FAST_MODEL
             assert run(argv) == 2
 
+    @pytest.mark.parametrize(
+        "flag, grid, says",
+        [
+            ("--n-grid", "3,3", "--n-grid repeats the value 3"),
+            ("--r-grid", "10,1,10", "--r-grid repeats the value 10"),
+            ("--r-grid", "10,", "--r-grid holds an empty entry: '10,'"),
+            ("--r-grid", "10,,30", "--r-grid holds an empty entry: '10,,30'"),
+            ("--n-grid", ",3", "--n-grid holds an empty entry: ',3'"),
+            ("--n-grid", "2, ", "--n-grid holds an empty entry: '2, '"),
+        ],
+        ids=["repeated-order", "repeated-refs", "trailing", "inner", "leading", "blank"],
+    )
+    def test_repeated_or_empty_entry_exit_2(self, tmp_path, capsys, flag, grid, says):
+        """A repeated value would score and report one cell twice, and an
+        empty entry was dropped unseen: each is a usage error of one line,
+        before any corpus is read (the directory is missing)."""
+        capsys.readouterr()
+        assert run(["sweep", tmp_path / "missing", flag, grid] + FAST_MODEL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {says}")
+        assert err.count("\n") == 1
+
 
 class TestCrossGenre:
     def test_matrix_artifacts(self, corpus_dir, tmp_path):

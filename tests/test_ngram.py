@@ -1065,9 +1065,10 @@ class TestQueryFilteredCounting:
 
 
 class TestUniqueInverse:
-    """The level keys' unique, one plain sort of values packed above their
-    places, is ``np.unique(values, return_inverse=True)``, and is that
-    call itself where the packed values would not fit in 63 bits."""
+    """The level keys' unique, a rank over a dense range or one plain sort
+    of values packed above their places, is ``np.unique(values,
+    return_inverse=True)``, and is that call itself where the packed values
+    would not fit in 63 bits."""
 
     @staticmethod
     def check(values, bound):
@@ -1102,6 +1103,94 @@ class TestUniqueInverse:
         values = [top, 0, top, top - 1, 1][:size] + list(range(max(size - 5, 0)))
         self.check(values, top + 1)  # packed
         self.check(values, top + 2)  # falls back to np.unique
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100])
+    @pytest.mark.parametrize("slack", [-1, 0, 1], ids=["dense", "at-ratio", "sorted"])
+    def test_either_side_of_the_dense_ratio(self, size, slack, monkeypatch):
+        """A range of up to ``_DENSE`` values per value is ranked, a wider
+        one sorted; both hold the range's ends and repeats."""
+        bound = ngram._DENSE * size + slack
+        values = ([bound - 1, 0, bound - 1] + list(range(1, bound, 5)))[:size]
+        ranked = []
+        zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: ranked.append(a) or zeros(*a, **k))
+        self.check(values, bound)
+        assert bool(ranked) == (slack <= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(0, 100), min_size=1, max_size=40), data=st.data())
+    def test_any_bound_around_the_ratio(self, values, data):
+        low = max(values) + 1
+        self.check(values, data.draw(st.integers(low, max(low, ngram._DENSE * len(values)) + 9)))
+
+
+class TestDenseAndSparseLevels:
+    """The counter counts a level whose (gram, model) keys span at most
+    ``_DENSE`` times its windows by ``bincount``, and a sparser one by
+    ``np.unique``; tables whose levels fall on both sides equal the
+    every-window oracle, and their kept entries its entries."""
+
+    @staticmethod
+    def sides(table):
+        """Per level, whether the counter took its key span as dense: the
+        level's windows are its counts' sum."""
+        n = table.n_models
+        spans = np.diff(table.index.starts[1:]) * n
+        level = table.index.level[table.keys // n]
+        windows = np.bincount(level, weights=table.counts, minlength=len(spans) + 1)[1:]
+        return (spans <= ngram._DENSE * windows).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=8),
+                           min_size=9, max_size=14),
+        n_models=st.integers(2, 12),
+        order=st.integers(2, 6),
+        queried=st.booleans(),
+        data=st.data(),
+    )
+    def test_straddling_tables_equal_the_oracle(self, sentences, n_models, order, queried, data):
+        # Models of one sentence each, of many indexed: the short grams are
+        # dense, and the long ones, each in few sentences, sparse.
+        models = [[data.draw(st.integers(0, len(sentences) - 1))] for _ in range(n_models)]
+        queries = sentences[:1] if queried else []
+        table = CountTable.from_sentences(
+            *coded([*sentences, *queries]), models, order, 6, queries=len(queries)
+        )
+        full = oracle_count_table(sentences, models, order, 6)
+        n = table.n_models
+        sides = self.sides(full)
+        assume(any(sides) and not all(sides))
+        if not queried:
+            assert np.array_equal(table.keys, full.keys)
+            assert np.array_equal(table.counts, full.counts)
+
+        def entries(t):
+            grams = t.index.spell(range(6))
+            return {(grams[k // n], k % n): c for k, c in zip(t.keys.tolist(), t.counts.tolist())}
+
+        kept, every = entries(table), entries(full)
+        assert kept.items() <= every.items()
+        kept_grams = set(table.index.spell(range(6)))
+        assert kept == {key: c for key, c in every.items() if key[0] in kept_grams}
+
+    def test_one_table_counts_on_both_sides(self, monkeypatch):
+        rng = random.Random(5)
+        sentences = [[rng.randrange(4) for _ in range(6)] for _ in range(12)]
+        models = [[i] for i in range(0, 12, 3)]
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(
+            np, "bincount", lambda x, *a, **k: calls.append(len(x)) or bincount(x, *a, **k)
+        )
+        table = CountTable.from_sentences(*coded(sentences), models, 5, 6)
+        monkeypatch.undo()
+        sides = self.sides(table)
+        assert sides[0] and not sides[-1]
+        assert len(calls) == sum(sides)  # one bincount per dense level
+        full = oracle_count_table(sentences, models, 5, 6)
+        assert np.array_equal(table.keys, full.keys)
+        assert np.array_equal(table.counts, full.counts)
 
 
 class TestQueriedIds:

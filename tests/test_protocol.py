@@ -274,13 +274,13 @@ class TestSweep:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        ref_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        ref_counts=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
         discount_mode=st.sampled_from(("constant", "modified")),
         sampling=st.sampled_from(SAMPLING_MODES),
         seed=st.integers(0, 1000),
     )
-    @example(ref_counts=[5, 2, 5], orders=[3, 1, 3], discount_mode="modified",
+    @example(ref_counts=[5, 2, 6], orders=[3, 1, 4], discount_mode="modified",
              sampling="with_replacement", seed=3)
     @example(ref_counts=[3, 1], orders=[4, 1, 2], discount_mode="constant",
              sampling="without_replacement", seed=0)
@@ -312,6 +312,21 @@ class TestSweep:
         train, test = corpora
         with pytest.raises(ValueError, match="refs"):
             sweep_grid(train, test, config, ref_counts=[3, 0], orders=[2])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "ref_counts, orders, name",
+        [([3, 1, 3], [2], "refs"), ([1], [2, 2], "order"), ([2, 2], [1, 3, 1], "refs")],
+    )
+    def test_repeated_value_rejected_before_any_scoring(
+        self, corpora, config, monkeypatch, ref_counts, orders, name
+    ):
+        """A repeated value would score and report one cell twice."""
+        calls = []
+        monkeypatch.setattr(protocol, "_prepared", lambda *a: calls.append(a))
+        train, test = corpora
+        with pytest.raises(ValueError, match=f"must not repeat a value: {name}"):
+            sweep_grid(train, test, config, ref_counts, orders)
         assert calls == []
 
 

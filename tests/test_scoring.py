@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     oracle_lambda_document,
+    oracle_log_probs,
     oracle_masked_pool,
     oracle_sample_reference_sets,
     oracle_trace_json,
@@ -458,6 +459,77 @@ class TestTraceMatchesLoopOracle:
         assert trace.to_json() == oracle_trace_json(
             unknown, probs, trace.config.to_json_dict(), 3, "q"
         )
+
+
+def colliding_bits(size):
+    """Two bit patterns of positive finite floats whose hash keys agree in
+    an array of ``size`` values: their products with the hash constant
+    differ only in the low bits that the key drops."""
+    golden, mask = int(scoring._GOLDEN), 2**64 - 1
+    inverse = pow(golden, -1, 2**64)
+    dropped = (size - 1).bit_length() + 1
+    first = np.float64(0.25).view(np.uint64).item()
+    product = first * golden & mask
+    for low in range(1, 2**dropped):
+        other = (product ^ low) * inverse & mask
+        if 0 < np.uint64(other).view(np.float64) < math.inf:
+            return first, other
+    raise AssertionError("no colliding pattern")
+
+
+class TestLogProbs:
+    """``_log_probs`` groups values by a hash of their bits and must equal,
+    bit for bit, the ``np.unique`` form it replaced
+    (``oracles.oracle_log_probs``), collisions and large arrays included."""
+
+    @staticmethod
+    def check(probs):
+        got, want = scoring._log_probs(probs), oracle_log_probs(probs)
+        assert got.dtype == np.float64 and got.shape == probs.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(0, 40)),
+        data=st.data(),
+    )
+    def test_stacked_orders_equal_the_unique_form(self, shape, data):
+        # Shared values repeat within and across rows and orders, as the
+        # orders of one kernel call do.
+        shared = data.draw(st.lists(probabilities, min_size=1, max_size=4))
+        entry = st.one_of(probabilities, st.sampled_from(shared))
+        flat = data.draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+        self.check(np.array(flat, dtype=np.float64).reshape(shape))
+
+    def test_one_value_and_subnormals(self):
+        self.check(np.array([[[0.5]]]))
+        self.check(np.array([[5e-324, 1e-310, 1.0, 5e-324]]))
+
+    @pytest.mark.parametrize("size", [2, 3, 1000])
+    def test_a_hash_collision_falls_back(self, size, monkeypatch):
+        first, other = colliding_bits(size)
+        bits = np.resize(np.array([first, other], dtype=np.uint64), size)
+        probs = bits.view(np.float64).reshape(1, 1, size)
+        keys = bits * scoring._GOLDEN >> np.uint64((size - 1).bit_length() + 1)
+        assert keys[0] == keys[1] and bits[0] != bits[1]
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        self.check(probs)
+        assert len(calls) == 2  # the oracle's and the fallback's
+
+    def test_past_the_hashed_size_falls_back(self, monkeypatch):
+        size = scoring._MAX_HASHED + 1
+        probs = np.resize(np.array([0.5, 0.25, 2.0**-30, 0.1]), (1, 1, size))
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        self.check(probs)
+        self.check(probs[:, :, :-1])
+        assert len(calls) == 3  # the oracle's twice, the fallback's once
+
+    def test_empty(self):
+        self.check(np.zeros((2, 3, 0)))
 
 
 def trace_dict(token_scores, sentence_scores, config, seed=0, problem_id=None):
