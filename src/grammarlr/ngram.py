@@ -29,22 +29,20 @@ A :class:`GramIndex`, built by :meth:`GramIndex.from_stream`, gives each
 gram an integer id keyed by (id of its first n - 1 tokens, code of its
 last), one sorted key array per length, so each gram's context
 (``gram[:-1]``) and suffix (``gram[1:]``) are ids too. A :class:`CountTable`
-holds the counts of one or many models over one index. Integer keys are
-grouped without a comparison sort where their range is dense, at most
-``_DENSE`` times their number: a level's gram keys are ranked over their
-range, and its (gram, model) keys counted by one ``bincount`` over it.
-Sparser keys are sorted once, packed above their places
-(:func:`_unique_inverse`), or counted by ``np.unique``. Continuation counts,
-context totals and count-of-count bins are ``bincount`` reductions over
-suffix and context ids, and all models are evaluated together as one models
-x positions array, in one walk up the levels that returns every requested
-order up to N: a lower order differs only in its top level's counts. The
-statistics are built only for the entries of the grams the queries reach:
-their contexts, the grams they read as numerators or as children of those
-contexts, and the extensions that make up those children's continuation
-counts. No other entry is read or computed. When every model has the same
-constant schedule, as at the paper's defaults, its discount is one number:
-no entry looks up a schedule.
+holds the counts of one or many models over one index. A level's gram keys
+are grouped by :func:`_unique_inverse`: ranked over their range where it is
+dense, at most ``_DENSE`` times their number, and otherwise sorted once,
+packed above their places. Its (gram, model) keys are counted by
+``np.unique``. Continuation counts, context totals and count-of-count bins
+are ``bincount`` reductions over suffix and context ids, and all models are
+evaluated together as one models x positions array, in one walk up the
+levels that returns every requested order up to N: a lower order differs
+only in its top level's counts. The statistics are built only for the
+entries of the grams the queries reach: their contexts, the grams they read
+as numerators or as children of those contexts, and the extensions that
+make up those children's continuation counts. No other entry is read or
+computed. When every model has the same constant schedule, as at the
+paper's defaults, its discount is one number: no entry looks up a schedule.
 
 The scoring pipeline counts once per problem: it windows the known side and
 each distinct sampled reference sentence once, and each of the 1 + r models
@@ -204,7 +202,11 @@ class DiscountSchedule:
 
 
 def _check_discount(d: float) -> None:
-    if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 < d < 1.0:
+    if isinstance(d, bool) or not isinstance(d, (int, float)):
+        raise ValueError(
+            f"discount must be a float and lie in (0, 1), not a {type(d).__name__}: {d!r}"
+        )
+    if not 0.0 < d < 1.0:
         raise ValueError(f"discount must lie in (0, 1): {d!r}")
 
 
@@ -511,15 +513,14 @@ class CountTable:
         :func:`kneser_ney_probs` reads for them are indexed and counted (see
         :meth:`GramIndex.from_stream`), each with its full count, so their
         probabilities at this order or any lower one are exactly those of
-        the full table, but count-of-count statistics are not. The table
-        keeps the ids of their stream alone, as ``queried``.
+        the full table, but count-of-count statistics are not (see
+        :meth:`count_of_counts`). The table keeps the ids of their stream
+        alone, as ``queried``.
 
         Counts are tabulated one level at a time: each level's windows are
-        gathered, the dropped ones left out, and the rest counted, and the
-        levels' blocks follow the roots in order of length, as ids do. A
-        level whose (gram, model) keys span at most ``_DENSE`` times its
-        windows is counted by one ``bincount`` over that span; a sparser one
-        by ``np.unique``.
+        gathered, the dropped ones left out, and the rest counted by one
+        ``np.unique``. The levels' blocks follow the roots in order of
+        length, as ids do.
         """
         tokens, prev, starts = token_stream(flat, lengths, width)
         bounds = np.append(starts, len(tokens))
@@ -536,19 +537,11 @@ class CountTable:
         # Ids ascend with gram length, so each level's entries are one block
         # of the sorted keys, after the roots (count 0).
         keys, counts = [np.arange(n_models)], [np.zeros(n_models, dtype=np.int64)]
-        for n, level_ids in enumerate(ids, start=1):
+        for level_ids in ids:
             windows = level_ids[positions] * n_models + model_of
             if queries:
                 windows = windows[windows < index.missing * n_models]  # not dropped
-            lo, hi = index.starts[n : n + 2] * n_models  # the level's keys
-            if hi - lo <= _DENSE * len(windows):
-                windows -= lo
-                dense = np.bincount(windows, minlength=hi - lo)
-                level_keys = np.flatnonzero(dense)
-                level_counts = dense[level_keys]
-                level_keys += lo
-            else:
-                level_keys, level_counts = np.unique(windows, return_counts=True)
+            level_keys, level_counts = np.unique(windows, return_counts=True)
             keys.append(level_keys)
             counts.append(level_counts)
         return cls(index, n_models, np.concatenate(keys), np.concatenate(counts), queried)
@@ -566,12 +559,16 @@ class CountTable:
 
     def count_of_counts(self) -> list[dict[int, int]]:
         """Per model, how many top-order grams have each count 1..4. Only a
-        table counted without queries holds every top-order gram."""
-        model = self.keys % self.n_models
-        top = self.index.level[self.keys // self.n_models] == self.index.order
+        table counted without queries holds every top-order gram, so a
+        table counted for queries is refused."""
+        if self.queried is not None:
+            raise ValueError("count-of-counts need a table counted without queries")
+        # The top level's entries are the block of the sorted keys from its
+        # first gram id on.
+        top = np.searchsorted(self.keys, self.index.starts[self.index.order] * self.n_models)
+        model, counts = self.keys[top:] % self.n_models, self.counts[top:]
         per_count = [
-            np.bincount(model[top & (self.counts == k)], minlength=self.n_models)
-            for k in (1, 2, 3, 4)
+            np.bincount(model[counts == k], minlength=self.n_models) for k in (1, 2, 3, 4)
         ]
         return [dict(zip((1, 2, 3, 4), row)) for row in np.stack(per_count, axis=1).tolist()]
 

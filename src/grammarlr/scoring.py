@@ -60,6 +60,7 @@ from .ngram import (
     CountTable,
     DiscountSchedule,
     GrammarModel,
+    _check_discount,
     _code_with,
     _unique_inverse,
     code_sentences,
@@ -103,8 +104,7 @@ class LambdaConfig:
             raise ValueError(f"order must be >= 1: {self.order}")
         if self.refs < 1:
             raise ValueError(f"refs must be >= 1: {self.refs}")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must lie in (0, 1): {self.discount}")
+        _check_discount(self.discount)
         if self.discount_mode not in ("constant", "modified"):
             raise ValueError(f"unknown discount mode {self.discount_mode!r}")
         if self.sampling not in SAMPLING_MODES:

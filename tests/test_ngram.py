@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 from itertools import pairwise
 
 import numpy as np
@@ -101,6 +102,11 @@ class TestDiscountSchedule:
             with pytest.raises(ValueError, match="lie in"):
                 DiscountSchedule.constant(bad)
         assert DiscountSchedule.constant(0.5).constant_d == 0.5
+
+    @pytest.mark.parametrize("bad", [np.float32(0.5), "0.5", None, True])
+    def test_constant_of_a_wrong_type_names_the_type(self, bad):
+        with pytest.raises(ValueError, match=f"must be a float .*, not a {type(bad).__name__}:"):
+            DiscountSchedule.constant(bad)
 
     def test_modified_requires_bins(self):
         with pytest.raises(ValueError, match="three discount bins"):
@@ -665,6 +671,32 @@ def counted_models(draw):
     return sentences, draw(st.lists(model, min_size=1, max_size=4))
 
 
+class TestCountOfCounts:
+    """A table's count-of-counts are, per model, how many of its top-order
+    grams count 1, 2, 3 and 4, as the every-window oracle counts them. A
+    table counted for queries holds only the grams they read, so it has
+    none to give."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(counted=counted_models(), order=st.integers(1, 6), data=st.data())
+    def test_equal_the_oracle(self, counted, order, data):
+        sentences, models = counted
+        low = data.draw(st.integers(1, order))
+        table = CountTable.from_sentences(*coded(sentences), models, order, 6).truncated(low)
+        want = []
+        for rows in models:
+            raw = oracle_raw_counts([sentences[i] for i in rows], low)
+            top = Counter(c for gram, c in raw.items() if len(gram) == low)
+            want.append({k: top[k] for k in (1, 2, 3, 4)})
+        assert table.count_of_counts() == want
+
+    def test_a_table_counted_for_queries_is_refused(self):
+        table = CountTable.from_sentences(*coded([[0, 1, 2], [1, 2]]), [[0]], 3, 6, queries=1)
+        for cut in (table, table.truncated(2)):
+            with pytest.raises(ValueError, match="without queries"):
+                cut.count_of_counts()
+
+
 class TestTruncatedTable:
     """A table counted at order N and cut to n < N is the table counted at
     order n, array for array: the sweep scores every order of its grid from
@@ -1125,15 +1157,17 @@ class TestUniqueInverse:
 
 
 class TestDenseAndSparseLevels:
-    """The counter counts a level whose (gram, model) keys span at most
-    ``_DENSE`` times its windows by ``bincount``, and a sparser one by
-    ``np.unique``; tables whose levels fall on both sides equal the
-    every-window oracle, and their kept entries its entries."""
+    """Tables whose short levels are dense (their (gram, model) keys span
+    at most ``_DENSE`` times their windows) and whose long levels are
+    sparse equal the every-window oracle, and their kept entries its
+    entries: the counter tabulates every level the same way, whatever its
+    density."""
 
     @staticmethod
     def sides(table):
-        """Per level, whether the counter took its key span as dense: the
-        level's windows are its counts' sum."""
+        """Per level, whether its (gram, model) key span is at most
+        ``_DENSE`` times its windows: the level's windows are its counts'
+        sum."""
         n = table.n_models
         spans = np.diff(table.index.starts[1:]) * n
         level = table.index.level[table.keys // n]
@@ -1174,20 +1208,13 @@ class TestDenseAndSparseLevels:
         kept_grams = set(table.index.spell(range(6)))
         assert kept == {key: c for key, c in every.items() if key[0] in kept_grams}
 
-    def test_one_table_counts_on_both_sides(self, monkeypatch):
+    def test_one_table_counts_on_both_sides(self):
         rng = random.Random(5)
         sentences = [[rng.randrange(4) for _ in range(6)] for _ in range(12)]
         models = [[i] for i in range(0, 12, 3)]
-        calls = []
-        bincount = np.bincount
-        monkeypatch.setattr(
-            np, "bincount", lambda x, *a, **k: calls.append(len(x)) or bincount(x, *a, **k)
-        )
         table = CountTable.from_sentences(*coded(sentences), models, 5, 6)
-        monkeypatch.undo()
         sides = self.sides(table)
         assert sides[0] and not sides[-1]
-        assert len(calls) == sum(sides)  # one bincount per dense level
         full = oracle_count_table(sentences, models, 5, 6)
         assert np.array_equal(table.keys, full.keys)
         assert np.array_equal(table.counts, full.counts)

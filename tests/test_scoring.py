@@ -83,6 +83,14 @@ class TestLambdaConfig:
         with pytest.raises(ValueError):
             LambdaConfig(sampling="sometimes")
 
+    @pytest.mark.parametrize("value", [np.float32(0.5), "0.5", None, True])
+    def test_non_float_discount_rejected_where_it_enters(self, value):
+        """A discount of a wrong type is refused by the config, with a
+        message that names its type, not deep in scoring as out of range."""
+        named = f"discount must be a float .*, not a {type(value).__name__}:"
+        with pytest.raises(ValueError, match=named):
+            LambdaConfig(discount=value)
+
     def test_json_round_trip(self):
         cfg = LambdaConfig(order=4, refs=7, seed=99, discount=0.5, discount_mode="modified")
         assert LambdaConfig.from_json_dict(cfg.to_json_dict()) == cfg
