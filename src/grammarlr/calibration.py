@@ -54,10 +54,14 @@ class CalibrationModel:
     separated: bool = False
 
     def apply(self, score: float) -> float:
-        """Calibrated log LR: posterior log odds minus prior log odds."""
+        """Calibrated log LR: posterior log odds minus prior log odds. A
+        log LR that overflows raises :class:`CalibrationError`."""
         if not math.isfinite(score):
             raise ValueError(f"score must be finite: {score}")
-        return self.intercept + self.slope * score - self.prior_log_odds
+        log_lr = self.intercept + self.slope * score - self.prior_log_odds
+        if not math.isfinite(log_lr):
+            raise CalibrationError(f"calibrated log LR is not finite: {log_lr}")
+        return log_lr
 
     def to_json_dict(self) -> dict:
         return asdict(self)

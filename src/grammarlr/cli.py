@@ -115,19 +115,24 @@ def _lexicon_from_args(args: argparse.Namespace) -> Optional[MaskingLexicon]:
     return None
 
 
-def _load_split(args: argparse.Namespace) -> tuple[Corpus, Corpus]:
+def _split_paths(args: argparse.Namespace) -> tuple[Path, Path]:
+    """The train and test files that the flags name, read from no file."""
     if args.train or args.test:
         if not (args.train and args.test):
             raise UsageError("--train and --test must be given together")
-        train_path, test_path = Path(args.train), Path(args.test)
-    elif args.corpus_dir:
+        if args.corpus_dir:
+            raise UsageError("give a corpus directory or --train/--test paths, not both")
+        return Path(args.train), Path(args.test)
+    if args.corpus_dir:
         base = Path(args.corpus_dir)
-        train_path, test_path = base / "train.jsonl", base / "test.jsonl"
-    else:
-        raise UsageError("give a corpus directory or --train/--test paths")
-    refs = args.reference if args.reference else None
-    train = load_corpus(train_path, refs_path=refs, partition="train")
-    test = load_corpus(test_path, refs_path=refs, partition="test")
+        return base / "train.jsonl", base / "test.jsonl"
+    raise UsageError("give a corpus directory or --train/--test paths")
+
+
+def _load_split(paths: tuple[Path, Path], reference: Optional[str]) -> tuple[Corpus, Corpus]:
+    refs = reference or None
+    train = load_corpus(paths[0], refs_path=refs, partition="train")
+    test = load_corpus(paths[1], refs_path=refs, partition="test")
     return train, test
 
 
@@ -292,8 +297,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise UsageError(f"--out and --calibration-out name one file: {args.out!r}")
     _check_output(args.out)
     _check_output(args.calibration_out)
+    paths = _split_paths(args)
     lexicon = _lexicon_from_args(args)
-    train, test = _load_split(args)
+    train, test = _load_split(paths, args.reference)
     result = evaluate_corpus(train, test, config, lexicon, parallel=args.parallel)
     if args.calibration_out:
         with _writing(args.calibration_out):
@@ -339,8 +345,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     ref_counts, orders = _grid("--r-grid", args.r_grid), _grid("--n-grid", args.n_grid)
     _check_output(args.out)
+    paths = _split_paths(args)
     lexicon = _lexicon_from_args(args)
-    train, test = _load_split(args)
+    train, test = _load_split(paths, args.reference)
     rows = sweep_grid(
         train, test, config, ref_counts, orders, lexicon, parallel=args.parallel
     )

@@ -141,25 +141,23 @@ class LambdaTrace:
     ``token_scores`` presents the same positions as ``TokenScore``s with
     Python float scores; it is built on first access and then kept.
 
-    ``total`` equals the sum of ``sentence_scores`` equals the sum of token
-    scores, all finite (checked at construction to a 1e-9 absolute
-    tolerance). ``seed`` is the effective sampling seed actually used, which
-    for problem-level runs is derived from the config seed and the problem
-    id.
+    The constructor takes the columns and metadata only. It derives
+    ``sentence_scores``, each the exactly rounded sum (``math.fsum``) of
+    its slice, and ``total``, that of the sentence scores, and raises
+    ``ContractError`` unless the total is finite. ``seed`` is the effective
+    sampling seed actually used, which for problem-level runs is derived
+    from the config seed and the problem id.
 
-    The constructor takes the columns and the sentence scores;
-    ``from_columns`` sums the sentences itself. ``from_json`` reads the
-    ``TokenScore`` layout back and checks that it runs sentence by sentence
-    with positions 1, 2, ... within each sentence. Traces are immutable,
-    compare and hash by their ``TokenScore``s and the other fields, and
-    pickle as their columns.
+    ``from_json`` reads the ``TokenScore`` layout back, checks that it runs
+    sentence by sentence with positions 1, 2, ... within each sentence, and
+    that its stored sentence scores and total are the derived ones to a
+    1e-9 absolute tolerance. Traces are immutable, and compare, hash and
+    pickle by their columns and metadata.
     """
 
     scores: np.ndarray
     tokens: tuple[str, ...]
     bounds: tuple[int, ...]
-    sentence_scores: tuple[float, ...]
-    total: float
     config: LambdaConfig
     seed: int
     problem_id: Optional[str] = None
@@ -168,45 +166,24 @@ class LambdaTrace:
         scores = np.asarray(self.scores, dtype=np.float64).view()
         scores.flags.writeable = False
         tokens, bounds = tuple(self.tokens), tuple(self.bounds)
-        sentence_scores = tuple(self.sentence_scores)
         if (
             scores.shape != (len(tokens),)
-            or len(bounds) != len(sentence_scores) + 1
+            or not bounds
             or (bounds[0], bounds[-1]) != (0, len(tokens))
             or list(bounds) != sorted(bounds)
         ):
             raise ContractError("trace columns disagree in length")
-        vars(self).update(
-            scores=scores, tokens=tokens, bounds=bounds, sentence_scores=sentence_scores
-        )
+        values = scores.tolist()
         try:  # fsum raises on inf - inf, and where finite parts overflow
-            sums = (math.fsum(scores.tolist()), math.fsum(sentence_scores))
+            sentence_scores = tuple([math.fsum(values[a:b]) for a, b in pairwise(bounds)])
+            total = math.fsum(sentence_scores)
         except (ValueError, OverflowError):
-            sums = (math.nan,)
-        # A finite total within 1e-9 of each sum: no NaN or infinity passes.
-        if not (math.isfinite(self.total) and all(abs(x - self.total) <= 1e-9 for x in sums)):
-            raise ContractError(
-                "trace total does not decompose into finite sentence and token sums"
-            )
-
-    @classmethod
-    def from_columns(
-        cls,
-        scores: np.ndarray,
-        tokens: Sequence[str],
-        bounds: Sequence[int],
-        config: LambdaConfig,
-        seed: int,
-        problem_id: Optional[str] = None,
-    ) -> "LambdaTrace":
-        """A trace of per-position scores: each sentence score is the
-        exactly rounded sum of its slice, and the total that of the
-        sentence scores."""
-        values = np.asarray(scores, dtype=np.float64).tolist()
-        sentence_scores = tuple([math.fsum(values[a:b]) for a, b in pairwise(bounds)])
-        return cls(
-            scores, tokens, bounds, sentence_scores, math.fsum(sentence_scores),
-            config, seed, problem_id,
+            total = math.nan
+        if not math.isfinite(total):
+            raise ContractError("trace scores do not decompose into a finite total")
+        vars(self).update(
+            scores=scores, tokens=tokens, bounds=bounds,
+            sentence_scores=sentence_scores, total=total,
         )
 
     @cached_property
@@ -220,7 +197,7 @@ class LambdaTrace:
 
     def _key(self) -> tuple:
         return (
-            self.token_scores, self.sentence_scores, self.total,
+            tuple(self.scores.tolist()), self.tokens, self.bounds,
             self.config, self.seed, self.problem_id,
         )
 
@@ -259,8 +236,9 @@ class LambdaTrace:
     def from_json_dict(cls, obj: dict) -> "LambdaTrace":
         """Read a trace back from :meth:`to_json_dict`'s layout. A value
         that is not an object, a missing key, a value of the wrong type or
-        an invalid one, and a layout that does not run sentence by sentence
-        all raise :class:`ContractError`."""
+        an invalid one, a layout that does not run sentence by sentence, and
+        a stored sentence score or total more than 1e-9 from the one derived
+        from the token scores all raise :class:`ContractError`."""
         if not isinstance(obj, dict):
             raise ContractError(f"a trace must be a JSON object, not {type(obj).__name__}")
         try:
@@ -274,16 +252,21 @@ class LambdaTrace:
             positions = [i - bounds[si] + 1 for i, si in enumerate(index)]
             if [ts["position"] for ts in entries] != positions:
                 raise ContractError("token positions must run 1, 2, ... within each sentence")
-            return cls(
+            total = obj["total"]  # before "config": missing keys are reported in this order
+            trace = cls(
                 np.array([ts["lambda"] for ts in entries], dtype=np.float64),
                 [ts["token"] for ts in entries],
                 bounds,
-                sentence_scores,
-                obj["total"],
                 LambdaConfig.from_json_dict(obj["config"]),
                 obj["seed"],
                 obj.get("problem_id"),
             )
+            derived = (*trace.sentence_scores, trace.total)
+            if not all(abs(x - y) <= 1e-9 for x, y in zip((*sentence_scores, total), derived)):
+                raise ContractError(
+                    "trace sentence scores and total do not decompose into its token scores"
+                )
+            return trace
         except KeyError as exc:
             raise ContractError(f"trace lacks the key {exc.args[0]!r}") from exc
         except TypeError as exc:
@@ -433,9 +416,7 @@ def _trace(
     rounded mean over references of the author's log probability minus the
     reference's."""
     r = len(logs) - 1
-    return LambdaTrace.from_columns(
-        _exact_sums(logs[0] - logs[1:]) / r, *layout, config, seed, problem_id
-    )
+    return LambdaTrace(_exact_sums(logs[0] - logs[1:]) / r, *layout, config, seed, problem_id)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

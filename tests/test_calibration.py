@@ -163,6 +163,30 @@ class TestFitCalibration:
         with pytest.raises(ValueError):
             model.apply(math.inf)
 
+    def test_apply_refuses_an_overflowing_log_lr(self):
+        """Finite fields and a finite score can still overflow: that is a
+        calibration unfit for the score, not a broken contract."""
+        model = CalibrationModel(intercept=0.0, slope=1e308, prior_log_odds=0.0)
+        assert model.apply(1.0) == 1e308
+        for score in (2.0, -2.0):
+            with pytest.raises(CalibrationError, match="not finite"):
+                model.apply(score)
+
+    def test_capped_steps_reach_the_slope_cap(self):
+        """Classes that touch at one score are not strictly separable, so
+        Newton runs: its steps are capped at 10 and its slope passes the cap
+        within the loop, which then returns the separated model."""
+        model = fit_calibration([0.0, 1e-3, 1e-3, 2e-3], ["N", "N", "Y", "Y"])
+        assert model.separated
+        assert model.slope == SLOPE_CAP
+        assert model.intercept == -1.0
+
+    def test_flat_likelihood_warns_without_converging(self):
+        with pytest.warns(RuntimeWarning, match="calibration fit did not reach gradient tolerance"):
+            model = fit_calibration([0.0, 1e-6, 1e-6, 2e-6], ["N", "N", "Y", "Y"])
+        assert not model.separated
+        assert 0.0 < model.slope < SLOPE_CAP
+
 
 class TestDecide:
     def test_strictly_positive_is_same_author(self):

@@ -245,6 +245,29 @@ class TestVerify:
         assert run(argv + ["--calibration", calib_path] + FAST_MODEL) == 3
         assert "cannot load calibration" in capsys.readouterr().err
 
+    def test_overflowing_calibration_exit_3(self, corpus_dir, tmp_path, capsys):
+        """Finite calibration fields whose log LR overflows for the score
+        are a data error of one line, not an internal fault."""
+        pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
+        argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid, "--format", "json"]
+        assert run(argv + FAST_MODEL) == 0
+        assert abs(json.loads(capsys.readouterr().out)["lambda"]) > 2.0
+        calib_path = tmp_path / "calibration.json"
+        calib = {"intercept": 0, "slope": 1e308, "prior_log_odds": 0, "separated": False}
+        calib_path.write_text(json.dumps(calib), encoding="utf-8")
+        assert run(argv + ["--calibration", calib_path] + FAST_MODEL) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibrated log LR is not finite") and err.count("\n") == 1
+
+    def test_ansi_report_to_stdout(self, corpus_dir, capsys):
+        pid = load_corpus(corpus_dir / "test.jsonl").problems[0].id
+        argv = ["verify", corpus_dir / "test.jsonl", "--problem", pid, "--format", "ansi"]
+        assert run(argv + FAST_MODEL) == 0
+        out = capsys.readouterr().out
+        result, report = out.split("}\n", 1)
+        assert json.loads(result + "}")["problem_id"] == pid
+        assert "\x1b[" in report
+
 
 @pytest.mark.parametrize("reserved", ["<UNK>", "<BOS>", "<EOS>"])
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
@@ -325,6 +348,38 @@ def test_lexicon_is_loaded_before_the_corpus(tmp_path, monkeypatch, capsys, comm
     assert loaded == []
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "split, says",
+    [
+        (["--train", "{d}/train.jsonl"], "--train and --test must be given together"),
+        ([], "give a corpus directory or --train/--test paths"),
+        (
+            ["{d}", "--train", "{d}/train.jsonl", "--test", "{d}/test.jsonl"],
+            "give a corpus directory or --train/--test paths, not both",
+        ),
+    ],
+    ids=["train-alone", "no-corpus", "directory-and-files"],
+)
+def test_split_flags_are_checked_before_any_input(tmp_path, monkeypatch, capsys, command, split,
+                                                  says):
+    """The split flags are a usage error of one line before the lexicon or
+    a corpus is read, so a bad lexicon does not hide them; and a corpus
+    directory given beside ``--train``/``--test`` is refused, not ignored."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a corpus was read")
+
+    monkeypatch.setattr(cli, "load_corpus", reached)
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(b"\xff\xfe")
+    argv = [command, *(a.format(d=tmp_path) for a in split), *FAST_MODEL]
+    for extra in ([], ["--lexicon", lexicon]):
+        capsys.readouterr()
+        assert run(argv + extra) == 2
+        assert capsys.readouterr().err == f"usage error: {says}\n"
+
+
 class TestEvaluate:
     def test_json_out_reproducible(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -356,6 +411,12 @@ class TestEvaluate:
         ] + FAST_MODEL
         assert run(argv) == 0
         assert out.exists()
+
+    def test_existing_out_file_is_replaced(self, corpus_dir, tmp_path):
+        out = tmp_path / "eval.json"
+        out.write_text("stale", encoding="utf-8")
+        assert run(["evaluate", corpus_dir, "--out", out] + FAST_MODEL) == 0
+        assert "metrics" in json.loads(out.read_text(encoding="utf-8"))
 
     def test_train_without_test_exit_2(self, corpus_dir):
         argv = ["evaluate", "--train", corpus_dir / "train.jsonl"] + FAST_MODEL
@@ -434,6 +495,12 @@ class TestSweep:
         assert lines[0] == "refs,order,accuracy,auc,cllr,cllr_min,cllr_cal"
         assert len(lines) == 3
 
+    def test_json_to_stdout(self, corpus_dir, capsys):
+        argv = ["sweep", corpus_dir, "--r-grid", "1,2", "--n-grid", "2", "--format", "json"]
+        assert run(argv + FAST_MODEL) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["refs"], row["order"]) for row in rows] == [(1, 2), (2, 2)]
+
     def test_bad_grid_exit_2(self, corpus_dir):
         for grid in ("a,b", "3,0"):
             argv = ["sweep", corpus_dir, "--r-grid", grid] + FAST_MODEL
@@ -495,6 +562,20 @@ class TestCrossGenre:
         for fname in ("accuracy.csv", "cllr.csv", "accuracy_loss.csv", "cllr_excess.csv"):
             lines = (out / fname).read_text(encoding="utf-8").strip().splitlines()
             assert len(lines) == 3
+
+    def test_json_to_stdout(self, corpus_dir, capsys):
+        argv = ["crossgenre", corpus_dir, corpus_dir, "--names", "a,b"] + FAST_MODEL
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["names"] == ["a", "b"]
+
+    @pytest.mark.parametrize("names", ["a", "a,b,c"])
+    def test_names_of_the_wrong_length_exit_2(self, tmp_path, capsys, names):
+        argv = ["crossgenre", tmp_path / "a", tmp_path / "b", "--names", names] + FAST_MODEL
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --names must match the number of corpus directories\n"
+        )
 
     def test_single_dir_exit_2(self, corpus_dir):
         assert run(["crossgenre", corpus_dir] + FAST_MODEL) == 2

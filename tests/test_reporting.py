@@ -35,7 +35,7 @@ def make_trace(sentence_score_lists, tokens=None):
             token_column.append(token)
             scores.append(score)
         bounds.append(len(scores))
-    return LambdaTrace.from_columns(np.array(scores), token_column, bounds, cfg, seed=0)
+    return LambdaTrace(np.array(scores), token_column, bounds, cfg, seed=0)
 
 
 class TestZscoreBins:
@@ -85,9 +85,7 @@ class TestZscoreBins:
                 assert shade[low] <= shade[high]
 
     def test_empty_trace_rejected(self):
-        empty = LambdaTrace.from_columns(
-            np.array([]), (), (0,), config=LambdaConfig(order=2, refs=1), seed=0
-        )
+        empty = LambdaTrace(np.array([]), (), (0,), config=LambdaConfig(order=2, refs=1), seed=0)
         with pytest.raises(ValueError, match="no token scores"):
             zscore_bins(empty)
 
@@ -101,7 +99,7 @@ class TestColumnsAndTokenScoresAgree:
 
     def test_equal_highlights_and_output(self):
         listed = make_trace(self.SCORES)
-        columns = LambdaTrace.from_columns(
+        columns = LambdaTrace(
             listed.scores.copy(), listed.tokens, listed.bounds, listed.config, listed.seed
         )
         assert "token_scores" not in vars(columns)

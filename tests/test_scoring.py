@@ -5,7 +5,7 @@ import math
 import pickle
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -309,8 +309,10 @@ class TestLambdaDocument:
         assert clone == trace
 
     def test_trace_decomposition_enforced(self):
-        """A total that is not the sum of its parts fails, and so does any
-        NaN or infinity, read back from JSON too: no sum holds for them."""
+        """Any NaN or infinity fails, and so do finite scores whose sum
+        overflows: no finite total holds for them. Read back from JSON, a
+        stored total or sentence score that is not the sum of its parts
+        fails too."""
         cfg = LambdaConfig(order=1, refs=1)
         nan, inf, big = math.nan, math.inf, 1e308
         cases = [  # (token scores, sentence score, total)
@@ -326,16 +328,15 @@ class TestLambdaDocument:
             ([big, big], 1.0, 1.0),  # finite scores whose sum overflows
         ]
         for scores, sentence_score, total in cases:
-            with pytest.raises(ContractError, match="decompose"):
-                LambdaTrace(
-                    scores=np.array(scores),
-                    tokens=("a",) * len(scores),
-                    bounds=(0, len(scores)),
-                    sentence_scores=(sentence_score,),
-                    total=total,
-                    config=cfg,
-                    seed=0,
-                )
+            if scores not in ([1.0], [5.0]):
+                with pytest.raises(ContractError, match="decompose"):
+                    LambdaTrace(
+                        scores=np.array(scores),
+                        tokens=("a",) * len(scores),
+                        bounds=(0, len(scores)),
+                        config=cfg,
+                        seed=0,
+                    )
             text = json.dumps({
                 "config": cfg.to_json_dict(), "seed": 0, "total": total,
                 "sentence_scores": [sentence_score],
@@ -346,6 +347,32 @@ class TestLambdaDocument:
             })
             with pytest.raises(ContractError, match="decompose"):
                 LambdaTrace.from_json(text)
+
+    def test_stored_sentence_scores_checked(self):
+        """Sentence scores that contradict their token slices are refused
+        even where their total agrees; each may be off by 1e-9."""
+        trace = LambdaTrace(np.array([0.25, 1.75]), ("a", "b"), (0, 1, 2), LambdaConfig(), 0)
+        obj = trace.to_json_dict()
+        assert obj["sentence_scores"] == [0.25, 1.75] and obj["total"] == 2.0
+        LambdaTrace.from_json_dict({**obj, "sentence_scores": [0.25 + 1e-10, 1.75]})
+        with pytest.raises(ContractError, match="decompose"):
+            LambdaTrace.from_json_dict({**obj, "sentence_scores": [7.0, -5.0]})
+        with pytest.raises(ContractError, match="decompose"):
+            LambdaTrace.from_json_dict({**obj, "total": 2.0 + 1e-8})
+
+    def test_many_sentences_accepted(self):
+        """10,000 finite sentences of about 1000 each: summed by token and
+        summed by sentence, the exactly rounded totals lie one ulp (1.86e-9)
+        apart. The trace takes the sum of its sentence scores."""
+        half_ulp = math.ulp(1e7) / 2
+        scores = [1000.0, 5e-14] * 9999 + [1000.0 + half_ulp - 2.5e-10]
+        bounds = [*range(0, len(scores), 2), len(scores)]
+        trace = LambdaTrace(np.array(scores), ("a",) * len(scores), bounds, LambdaConfig(), 0)
+        assert len(trace.sentence_scores) == 10_000
+        assert trace.sentence_scores[0] == 1000.0
+        assert trace.total == math.fsum(trace.sentence_scores)
+        assert abs(math.fsum(scores) - trace.total) > 1e-9
+        assert LambdaTrace.from_json(trace.to_json()) == trace
 
 
 # Summands that stress an exactly rounded sum: any magnitude from subnormal
@@ -568,7 +595,7 @@ def trace_both_ways(sentence_score_lists, seed=3, problem_id="p"):
     bounds = [0]
     for sent in sentence_score_lists:
         bounds.append(bounds[-1] + len(sent))
-    columns = LambdaTrace.from_columns(np.array(scores), tokens, bounds, cfg, seed, problem_id)
+    columns = LambdaTrace(np.array(scores), tokens, bounds, cfg, seed, problem_id)
     token_scores = [
         TokenScore(tokens[i], si, i - bounds[si] + 1, scores[i])
         for si in range(len(sentence_score_lists))
@@ -582,8 +609,7 @@ def trace_both_ways(sentence_score_lists, seed=3, problem_id="p"):
 
 
 # Trace layouts: up to 5 sentences of up to 6 scores, any of them empty, with
-# signed zeros. Scores stay small enough that summing by sentence and summing
-# by token agree to the trace's 1e-9 decomposition tolerance.
+# signed zeros.
 TRACE_LAYOUTS = st.lists(
     st.lists(
         st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)), max_size=6
@@ -613,9 +639,7 @@ class TestColumnarTrace:
         assert columns.bounds == tuple(accumulate(map(len, layout), initial=0))
         if layout == self.SCORES:
             assert columns.bounds == (0, 3, 4, 4, 6)
-        reseeded = LambdaTrace.from_columns(
-            columns.scores, columns.tokens, columns.bounds, columns.config, 4, "p"
-        )
+        reseeded = LambdaTrace(columns.scores, columns.tokens, columns.bounds, columns.config, 4, "p")
         assert columns != reseeded
 
     @settings(max_examples=50, deadline=None)
@@ -642,6 +666,23 @@ class TestColumnarTrace:
             clone = LambdaTrace.from_json(trace.to_json())
             assert clone == columns and clone == listed
             assert clone.to_json() == trace.to_json()
+
+    def test_an_empty_sentence_makes_a_different_trace(self):
+        cfg = LambdaConfig(order=2, refs=4)
+        one = LambdaTrace(np.array([1.0, 2.0]), ("a", "b"), (0, 2), cfg, 0)
+        two = LambdaTrace(np.array([1.0, 2.0]), ("a", "b"), (0, 2, 2), cfg, 0)
+        assert one.token_scores == two.token_scores
+        assert one != two and one.sentence_scores != two.sentence_scores
+        assert one == LambdaTrace(np.array([1.0, 2.0]), ("a", "b"), (0, 2), cfg, 0)
+
+    def test_sums_are_derived_not_given(self):
+        trace = LambdaTrace(np.array([1.0, 2.0]), ("a", "b"), (0, 1, 2), LambdaConfig(), 0)
+        assert (trace.sentence_scores, trace.total) == ((1.0, 2.0), 3.0)
+        assert [f.name for f in fields(trace)] == [
+            "scores", "tokens", "bounds", "config", "seed", "problem_id"
+        ]
+        with pytest.raises(TypeError):
+            replace(trace, sentence_scores=(1.0, 3.0))
 
     @settings(max_examples=20, deadline=None)
     @given(TRACE_LAYOUTS)
